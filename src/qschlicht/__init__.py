@@ -13,7 +13,6 @@ from .caratheodory import (AtomicMeasure, dump_measure, load_measure, mm_gap,
                            rotation_normalized, sample_measure)
 from .errors import QschlichtError
 from .explorer import (SweepConfig, canonical_json, replay_cell, report_csv,
-                       run_bieberbach_sweep, run_fs_sweep, run_hankel_sweep,
                        run_limit_sweep, run_sweep, save_report)
 from .extremal import (EqResult, eq_series, f1_series, f2_series,
                        f_exponent_series, herglotz_starlike)
@@ -37,7 +36,6 @@ __all__ = [
     "hankel_value", "herglotz_starlike", "iq", "jackson_sum", "load_measure",
     "membership_convex", "membership_starlike", "mm_gap", "p_series",
     "q_bracket", "recover_xi_zeta", "replay_cell", "report_csv",
-    "rho_map", "rotation_normalized", "run_bieberbach_sweep", "run_fs_sweep",
-    "run_hankel_sweep", "run_limit_sweep", "run_sweep", "sample_measure",
-    "save_report", "starlike_from_p", "t4_scalars",
+    "rho_map", "rotation_normalized", "run_limit_sweep", "run_sweep",
+    "sample_measure", "save_report", "starlike_from_p", "t4_scalars",
 ]

@@ -34,7 +34,7 @@ from .errors import ConfigError
 from .extremal import eq_series, f1_series, f2_series
 from .functionals import bieberbach_bound_convex, fekete_szego_value, fs_bound, \
     hankel_bound, hankel_value
-from .q_calculus import ClassParams
+from .q_calculus import ClassParams, q_powers
 from .schlicht import convex_from_h, convex_from_measure, starlike_from_p
 
 TWO_PI = 2.0 * math.pi
@@ -72,7 +72,6 @@ class SweepConfig:
     refine_iters: int = 100
     tol: float = 1e-7
     n_check: int = 10
-    prod_tol: float = 1e-12
 
     def __post_init__(self):
         if self.functional not in FUNCTIONALS:
@@ -111,7 +110,6 @@ class SweepConfig:
             "refine_iters": int(self.refine_iters),
             "tol": float(self.tol),
             "n_check": int(self.n_check),
-            "prod_tol": float(self.prod_tol),
             "rng": RNG_NAME,
         }
 
@@ -200,64 +198,67 @@ def _exp_batch(u):
     return e
 
 
-def _convex_measure_coeffs_batch(moments, q, alpha, n_max):
-    """|a_n| of measure-generated convex members, n = 2..n_max."""
-    lalpha = math.log(q / (1.0 - alpha * (1.0 - q)))
-    s = moments.shape[1]
-    u = np.zeros((n_max, s), dtype=np.complex128)
-    for n in range(1, n_max):
-        u[n] = 2.0 * lalpha / (q ** n - 1.0) * moments[n - 1]
-    d = _exp_batch(u)  # Dq f
-    a = np.zeros((n_max + 1, s), dtype=np.complex128)
+def _log_batch(c):
+    """Vectorized formal log along axis 0; c[0] must be one."""
+    n_max = c.shape[0] - 1
+    lg = np.zeros_like(c)
+    for m in range(1, n_max + 1):
+        acc = np.zeros(c.shape[1], dtype=np.complex128)
+        for k in range(1, m):
+            acc += k * lg[k] * c[m - k]
+        lg[m] = (m * c[m] - acc) / m
+    return lg
+
+
+def _integrate_batch(d, q):
+    """a_1..a_n_max of f with Dq f = d, for d of order n_max - 1."""
+    n_max = d.shape[0]
+    a = np.zeros((n_max + 1, d.shape[1]), dtype=np.complex128)
     a[1] = 1.0
     for n in range(2, n_max + 1):
         a[n] = d[n - 1] * (1.0 - q) / (1.0 - q ** n)
     return a
 
 
-def _convex_product_coeffs_batch(moments, q, alpha, n_max, prod_tol):
-    """|a_n| of product-generated convex members, n = 2..n_max."""
-    lnq = math.log(q)
+def _convex_measure_coeffs_batch(moments, q, alpha, n_max):
+    """a_n of measure-generated convex members, n = 2..n_max."""
+    lalpha = math.log(q / (1.0 - alpha * (1.0 - q)))
     s = moments.shape[1]
     u = np.zeros((n_max, s), dtype=np.complex128)
     for n in range(1, n_max):
-        u[n] = lnq * 2.0 * moments[n - 1]
-    h = q * _exp_batch(u)  # exp(lnq * p)
-    n_factors = max(1, math.ceil(math.log(prod_tol) / lnq))
-    prod = np.zeros_like(h)
-    prod[0] = 1.0
-    fac = np.empty_like(h)
-    for m in range(n_factors + 1):
-        qm = q ** m
-        fac[0] = 1.0
-        for n in range(1, n_max):
-            fac[n] = (1.0 - alpha) / q * h[n] * qm ** n
-        out = np.zeros_like(prod)
-        for d_idx in range(n_max):
-            acc = np.zeros(s, dtype=np.complex128)
-            for e_idx in range(d_idx + 1):
-                acc += prod[e_idx] * fac[d_idx - e_idx]
-            out[d_idx] = acc
-        prod = out
-    r = np.zeros_like(prod)  # reciprocal: Dq f
-    r[0] = 1.0
+        u[n] = 2.0 * lalpha / (q ** n - 1.0) * moments[n - 1]
+    return _integrate_batch(_exp_batch(u), q)
+
+
+def _convex_product_coeffs_batch(moments, q, alpha, n_max):
+    """a_n of product-generated convex members, n = 2..n_max.
+
+    Mirrors the closed form of :func:`qschlicht.schlicht.convex_from_h`
+    elementwise across the sample axis.
+    """
+    lnq = math.log(q)
+    s = moments.shape[1]
+    lam = np.zeros((n_max, s), dtype=np.complex128)
     for n in range(1, n_max):
-        acc = np.zeros(s, dtype=np.complex128)
-        for k in range(1, n + 1):
-            acc += prod[k] * r[n - k]
-        r[n] = -acc
-    a = np.zeros((n_max + 1, s), dtype=np.complex128)
-    a[1] = 1.0
-    for n in range(2, n_max + 1):
-        a[n] = r[n - 1] * (1.0 - q) / (1.0 - q ** n)
-    return a
+        lam[n] = lnq * 2.0 * moments[n - 1]
+    if alpha != 0.0:
+        g = (1.0 - alpha) * _exp_batch(lam)
+        g[0] = 1.0
+        lam = _log_batch(g)
+    lam[1:] /= (1.0 - q_powers(q, n_max - 1)[1:])[:, None]
+    return _integrate_batch(_exp_batch(-lam), q)
 
 
-def _bieberbach_scores(weights, angles, q, alpha, n_check, prod_tol, parity):
+def _bieberbach_scores(weights, angles, q, alpha, n_check, parity):
     """max_n |a_n| / bound_n per sample; construction chosen by index parity
-    (even -> infinite product, odd -> measure exponent)."""
+    (even -> infinite product, odd -> measure exponent).
+
+    At alpha = 0 the two constructions give the same member to rounding
+    (about 1e-12 absolute; see :func:`qschlicht.schlicht.convex_from_h`), so
+    there the parity split scores each member twice.
+    """
     moments = _moments(weights, angles, n_check - 1)
-    a_prod = _convex_product_coeffs_batch(moments, q, alpha, n_check, prod_tol)
+    a_prod = _convex_product_coeffs_batch(moments, q, alpha, n_check)
     a_meas = _convex_measure_coeffs_batch(moments, q, alpha, n_check)
     bounds = np.array([bieberbach_bound_convex(
         ClassParams(q=q, alpha=alpha, order=max(n_check, 4)), n)
@@ -273,7 +274,6 @@ def _bieberbach_scores(weights, angles, q, alpha, n_check, prod_tol, parity):
 
 def evaluate_measure(functional: str, m: AtomicMeasure, q: float, alpha: float,
                      mu: complex | None = None, n_check: int = 10,
-                     prod_tol: float = 1e-12,
                      construction: str = "starlike_p") -> float:
     """Public-path functional value for one measure; the replay target.
 
@@ -290,7 +290,7 @@ def evaluate_measure(functional: str, m: AtomicMeasure, q: float, alpha: float,
     params = ClassParams(q=q, alpha=alpha, order=max(n_check, 4))
     if functional == "bieberbach":
         if construction == "convex_h":
-            f = convex_from_h(p_series(m, params.order), params, prod_tol)
+            f = convex_from_h(p_series(m, params.order), params)
         else:
             f = convex_from_measure(m, params)
         worst = 0.0
@@ -308,7 +308,7 @@ def replay_cell(cfg: SweepConfig, cell: dict) -> float:
     mu = None if cell.get("mu") is None else complex(cell["mu"][0], cell["mu"][1])
     return evaluate_measure(
         cfg.functional, m, cell["q"], cell["alpha"], mu=mu,
-        n_check=cfg.n_check, prod_tol=cfg.prod_tol,
+        n_check=cfg.n_check,
         construction=cell.get("argmax_construction", "starlike_p"))
 
 
@@ -502,8 +502,7 @@ def _run_bieberbach_group(cfg, workers, q, alpha, weights, angles):
     def score_chunk(lo, hi):
         parity = np.arange(lo, hi)
         return {None: _bieberbach_scores(weights[lo:hi], angles[lo:hi], q,
-                                         alpha, cfg.n_check, cfg.prod_tol,
-                                         parity)}
+                                         alpha, cfg.n_check, parity)}
 
     best_val, best_idx = _parallel_scores(score_chunk, cfg.samples, workers)[None]
     argmax = _measure_from_row(weights[best_idx], angles[best_idx])
@@ -524,7 +523,6 @@ def _run_bieberbach_group(cfg, workers, q, alpha, weights, angles):
         def score_fn(meas):
             return evaluate_measure("bieberbach", meas, q, alpha,
                                     n_check=cfg.n_check,
-                                    prod_tol=cfg.prod_tol,
                                     construction=construction)
         refined_val, refined_m = refine_measure(score_fn, argmax,
                                                 cfg.refine_iters)
@@ -545,24 +543,6 @@ def _run_bieberbach_group(cfg, workers, q, alpha, weights, angles):
         "argmax_construction": construction,
         "extremals": None if eq_ratio is None else {"eq": eq_ratio},
     }
-
-
-def run_fs_sweep(cfg: SweepConfig, workers: int | None = None) -> dict:
-    if cfg.functional != "fs":
-        raise ConfigError("config functional must be 'fs'")
-    return run_sweep(cfg, workers)
-
-
-def run_hankel_sweep(cfg: SweepConfig, workers: int | None = None) -> dict:
-    if cfg.functional != "h22":
-        raise ConfigError("config functional must be 'h22'")
-    return run_sweep(cfg, workers)
-
-
-def run_bieberbach_sweep(cfg: SweepConfig, workers: int | None = None) -> dict:
-    if cfg.functional != "bieberbach":
-        raise ConfigError("config functional must be 'bieberbach'")
-    return run_sweep(cfg, workers)
 
 
 # -- classical limits ---------------------------------------------------------

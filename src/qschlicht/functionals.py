@@ -8,13 +8,14 @@ never reports a conjecture as a theorem.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import OrderTooSmallError, RangeError
 from .power_series import TruncatedSeries
-from .q_calculus import ClassParams, QLogRatios, _check_q
+from .q_calculus import ClassParams, QLogRatios, _brackets, _check_q
 
 
 @dataclass(frozen=True)
@@ -92,6 +93,21 @@ def hankel_bound(params: ClassParams) -> Bound:
     return Bound(value=float(value), conjectural=params.alpha > 0.0)
 
 
+@functools.lru_cache(maxsize=None)
+def _bieberbach_bound_table(params: ClassParams) -> np.ndarray:
+    """Read-only bounds (1-q)/(1-q^n) c_n for n = 0..order from one
+    eq_series call; entries 0 and 1 are unused.  Memoized per params."""
+    from .extremal import eq_series  # local import to avoid a cycle
+
+    c = eq_series(params).c
+    table = np.full(params.order + 1, np.nan)
+    # same division the q-integral performs, so the extremal attains the
+    # bound bitwise
+    table[2:] = c[2:] / _brackets(params.order, params.q)[2:]
+    table.setflags(write=False)
+    return table
+
+
 def bieberbach_bound_convex(params: ClassParams, n: int) -> float:
     """Coefficient bound (1-q)/(1-q^n) c_n for the convex-type class,
     attained by the q-integral extremal."""
@@ -99,13 +115,7 @@ def bieberbach_bound_convex(params: ClassParams, n: int) -> float:
         raise RangeError("bound is stated for n >= 2")
     if n > params.order:
         raise OrderTooSmallError(f"n = {n} exceeds params.order = {params.order}")
-    from .extremal import eq_series  # local import to avoid a cycle
-    from .q_calculus import q_bracket
-
-    res = eq_series(params)
-    # same division the q-integral performs, so the extremal attains the
-    # bound bitwise
-    return float(res.c[n] / q_bracket(n, params.q))
+    return float(_bieberbach_bound_table(params)[n])
 
 
 def t4_scalars(c: float, rho: float, q: float) -> tuple[float, float, float]:

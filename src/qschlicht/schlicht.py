@@ -9,7 +9,8 @@ on the disk, which is exactly the textbook inequality
 after clearing denominators.  Members are generated from a positive-real-part
 series p through the functional equation f(qz) = f(z) * G(z) with
 G = (1-alpha) exp((ln q) p) + alpha q, and convex-type members through the
-infinite product for z (Dq f)(z) or through a measure exponent.
+infinite product for z (Dq f)(z), summed in closed form, or through a measure
+exponent.
 
 Certificates evaluate the defining expressions on a polar grid.  Because the
 inputs are truncated series, every evaluation carries a truncation-error
@@ -31,7 +32,7 @@ from .caratheodory import AtomicMeasure
 from .errors import ConfigError, EvaluationSingularityError, RangeError
 from .extremal import f_exponent_series
 from .power_series import TruncatedSeries
-from .q_calculus import ClassParams, dq, iq
+from .q_calculus import ClassParams, dq, iq, q_powers
 
 _DENOM_FLOOR = 1e-14
 
@@ -216,32 +217,31 @@ def starlike_from_p(p: TruncatedSeries, params: ClassParams) -> TruncatedSeries:
     return TruncatedSeries(a)
 
 
-def convex_from_h(p: TruncatedSeries, params: ClassParams,
-                  prod_tol: float = 1e-12) -> TruncatedSeries:
+def convex_from_h(p: TruncatedSeries, params: ClassParams) -> TruncatedSeries:
     """Convex-type member from the bounded map h = exp((ln q) p).
 
-    Builds z (Dq f)(z) = z / prod_{m>=0} ((1-alpha) h(z q^m) + alpha q)/q,
-    truncating the product once the factors deviate from 1 by less than
-    prod_tol, then integrates back to f.
+    z (Dq f)(z) = z / prod_{m>=0} fac(q^m z) with the factor
+    fac = ((1-alpha) h + alpha q)/q = exp(lam), where
+    lam = log(1 + (1-alpha)(exp((ln q)(p - 1)) - 1)) as a formal series.  The
+    product telescopes: sum_m lam(q^m z) = sum_n lam_n z^n / (1 - q^n), so
+
+        Dq f = exp(-sum_n lam_n z^n / (1 - q^n))
+
+    exactly, with no truncated factor loop.  At alpha = 0, lam = (ln q)(p - 1)
+    and this is the measure exponent of :func:`convex_from_measure`, so for a
+    measure-generated p both routes give the same member to rounding.
     """
-    if not 0 < prod_tol < 1:
-        raise RangeError("prod_tol must lie in (0, 1)")
     q, alpha = params.q, params.alpha
     n_ord = min(params.order, p.order)
-    lnq = math.log(q)
-    u = p.coeffs[: n_ord + 1] * lnq
-    u[0] = 0.0
-    h = q * ps.exp(TruncatedSeries(u)).coeffs  # exp(lnq * p), h[0] = q
-    n_factors = max(1, math.ceil(math.log(prod_tol) / lnq))
-    powers = np.arange(n_ord + 1, dtype=np.float64)
-    prod = ps.one(n_ord)
-    for m in range(n_factors + 1):
-        fac = (1.0 - alpha) / q * h * np.power(q ** m, powers)
-        fac[0] = 1.0  # ((1-alpha) h(0) + alpha q)/q
-        prod = ps.mul(prod, TruncatedSeries(fac))
-    d_series = ps.recip(prod)  # Dq f
-    f = iq(d_series, q)
-    return ps.truncate(f, params.order)
+    lam = p.coeffs[: n_ord + 1] * math.log(q)
+    lam[0] = 0.0
+    if alpha != 0.0:
+        g = (1.0 - alpha) * ps.exp(TruncatedSeries(lam)).coeffs
+        g[0] = 1.0  # alpha + (1-alpha) exp((ln q)(p - 1))
+        lam = ps.log(TruncatedSeries(g)).coeffs.copy()
+    lam[1:] /= 1.0 - q_powers(q, n_ord)[1:]
+    d_series = ps.exp(TruncatedSeries(-lam))  # Dq f
+    return ps.truncate(iq(d_series, q), params.order)
 
 
 def convex_from_measure(m: AtomicMeasure, params: ClassParams) -> TruncatedSeries:

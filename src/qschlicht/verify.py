@@ -176,7 +176,9 @@ def _suite_herglotz(q, alpha, samples, seed) -> list[CheckResult]:
         p = p_series(m, params.order)
         f = starlike_from_p(p, params)
         phi = ps.log(f.div_z())
-        target = p.coeffs[1:] * lnq / (np.power(q, np.arange(1, params.order + 1)) - 1.0)
+        # log(f/z) has order N - 1, one below p
+        target = p.coeffs[1:params.order] * lnq / (
+            np.power(q, np.arange(1, params.order)) - 1.0)
         worst_log = max(worst_log, float(np.abs(phi.coeffs[1:] - target).max()))
     return [
         CheckResult("functional-equation and exponent routes agree",

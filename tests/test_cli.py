@@ -5,6 +5,7 @@ import pytest
 
 from qschlicht.caratheodory import dump_measure, sample_measure
 from qschlicht.cli import main
+from qschlicht.verify import SUITES
 
 
 def run_cli(capsys, *argv):
@@ -90,6 +91,16 @@ class TestVerify:
         assert code == 0
         assert "exceeds the stated bound" in out
 
+    @pytest.mark.parametrize("alpha", ["0", "0.3"])
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_every_suite_runs_to_a_verdict(self, capsys, suite, alpha):
+        code = main(["verify", "--suite", suite, "--q", "0.5",
+                     "--alpha", alpha, "--samples", "20", "--seed", "5"])
+        captured = capsys.readouterr()
+        assert code in (0, 1)
+        assert "Traceback" not in captured.err
+        assert captured.out.rstrip().endswith("checks passed")
+
 
 class TestSearch:
     def test_writes_canonical_report(self, capsys, tmp_path):
@@ -114,6 +125,13 @@ class TestSearch:
         payload = json.loads(out_path.read_text())
         qs = sorted({c["q"] for c in payload["cells"]})
         assert np.allclose(qs, [0.2, 0.5, 0.8])
+
+    def test_stray_numeric_error_exits_cleanly(self, capsys, tmp_path):
+        code = main(["search", "--functional", "h22", "--q-grid", "0.2:0.8:x",
+                     "--samples", "10", "--seed", "9",
+                     "--out", str(tmp_path / "rep.json")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestLimits:

@@ -4,12 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from qschlicht.caratheodory import measure_from_dict
+from qschlicht.caratheodory import measure_from_dict, p_series
 from qschlicht.errors import ConfigError
-from qschlicht.explorer import (CSV_HEADER, SweepConfig, canonical_json,
-                                group_samples, refine_measure, replay_cell,
-                                report_csv, resolve_workers, run_limit_sweep,
-                                run_sweep)
+from qschlicht.explorer import (CSV_HEADER, SweepConfig,
+                                _convex_product_coeffs_batch, _measure_from_row,
+                                _moments, canonical_json, group_samples,
+                                refine_measure, replay_cell, report_csv,
+                                resolve_workers, run_limit_sweep, run_sweep)
+from qschlicht.q_calculus import ClassParams
+from qschlicht.schlicht import convex_from_h
 
 
 def fs_config(**kw):
@@ -144,6 +147,22 @@ class TestBieberbachSweep:
         cell = rep["cells"][0]
         assert cell["argmax_construction"] in ("convex_h", "convex_measure")
         assert abs(replay_cell(cfg, cell) - cell["empirical_max"]) <= 1e-10
+
+    @pytest.mark.parametrize("q", [0.2, 0.5, 0.8])
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.7])
+    def test_product_batch_matches_convex_from_h(self, q, alpha):
+        n_max = 12
+        cfg = SweepConfig(functional="bieberbach", seed=11, samples=40,
+                          q_grid=(q,), alpha_grid=(alpha,), order=n_max)
+        weights, angles = group_samples(cfg, 0)
+        batch = _convex_product_coeffs_batch(
+            _moments(weights, angles, n_max - 1), q, alpha, n_max)
+        params = ClassParams(q=q, alpha=alpha, order=n_max)
+        for i in range(cfg.samples):
+            m = _measure_from_row(weights[i], angles[i])
+            f = convex_from_h(p_series(m, n_max), params).coeffs
+            rel = np.abs(batch[:, i] - f).max() / np.abs(f).max()
+            assert rel <= 1e-12, (i, rel)
 
 
 class TestRefinement:

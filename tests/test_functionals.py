@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qschlicht import extremal
 from qschlicht import power_series as ps
 from qschlicht.caratheodory import p_series, sample_measure
 from qschlicht.errors import OrderTooSmallError, RangeError
@@ -153,6 +154,18 @@ class TestBieberbachBound:
     def test_n_guard(self):
         with pytest.raises(RangeError):
             bieberbach_bound_convex(ClassParams(q=0.5), 1)
+
+    def test_one_table_per_params(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(extremal, "eq_series",
+                            lambda params: calls.append(params) or eq_series(params))
+        params = ClassParams(q=0.4375, alpha=0.125, order=11)
+        first = [bieberbach_bound_convex(params, n) for n in range(2, 12)]
+        again = [bieberbach_bound_convex(ClassParams(q=0.4375, alpha=0.125,
+                                                     order=11), n)
+                 for n in range(2, 12)]
+        assert calls == [params]
+        assert first == again
 
 
 class TestT4Scalars:

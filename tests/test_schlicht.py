@@ -91,7 +91,7 @@ class TestConvexFromH:
             params = ClassParams(q=q, order=16)
             for seed in range(10):
                 p = p_series(sample_measure(seed, 1 + seed % 4), params.order)
-                f = convex_from_h(p, params, prod_tol=1e-15)
+                f = convex_from_h(p, params)
                 g = starlike_from_p(p, params)
                 lhs = dq(f, q).times_z()
                 diff = np.abs(lhs.coeffs[:17] - g.coeffs)
