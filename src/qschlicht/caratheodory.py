@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateParametrizationError, OrderTooSmallError, RangeError
-from .power_series import TruncatedSeries
+from .power_series import TruncatedSeries, _einsum
 
 MAX_ATOMS = 8
 TWO_PI = 2.0 * math.pi
@@ -62,10 +62,6 @@ class AtomicMeasure:
         """Atom locations on the unit circle."""
         return np.exp(1j * self.angles)
 
-    def moment(self, n: int) -> complex:
-        """sum_j t_j sigma_j^n."""
-        return complex(np.sum(self.weights * np.exp(1j * n * self.angles)))
-
     def rotated(self, theta: float) -> "AtomicMeasure":
         """Rotate every atom by theta; the generated f rotates accordingly."""
         return AtomicMeasure(self.weights, self.angles + theta)
@@ -75,14 +71,31 @@ class AtomicMeasure:
                           for w, a in zip(self.weights, self.angles)]}
 
 
+def _moments(weights, angles, n_max: int) -> np.ndarray:
+    """m_n = sum_j t_j sigma_j^n, n = 0..n_max, on axis 0; atoms on the last
+    input axis.  Powers are a cumulative product and atoms are added in
+    order, so a row gets the same moments alone as in a batch, and
+    zero-weight trailing atoms change nothing."""
+    phase = np.exp(1j * angles)
+    out = np.empty((n_max + 1,) + phase.shape[:-1], dtype=np.complex128)
+    out[0] = 1.0
+    cur = np.ones_like(phase)
+    for n in range(1, n_max + 1):
+        cur = cur * phase  # not in place: that rounds by position in the array
+        out[n] = _einsum("...j,...j->...", weights, cur)
+    return out
+
+
+def _p_coeffs(moments: np.ndarray) -> np.ndarray:
+    """p along axis 0 from the moments: p_0 = 1, p_n = 2 m_n."""
+    p = 2.0 * moments
+    p[0] = 1.0
+    return p
+
+
 def p_series(m: AtomicMeasure, order: int) -> TruncatedSeries:
     """Positive-real-part series of the measure: p0 = 1, p_n = 2 sum t_j sigma_j^n."""
-    n = np.arange(1, order + 1)
-    sigma_pow = np.exp(1j * np.outer(n, m.angles))
-    coeffs = np.empty(order + 1, dtype=np.complex128)
-    coeffs[0] = 1.0
-    coeffs[1:] = 2.0 * sigma_pow @ m.weights
-    return TruncatedSeries(coeffs)
+    return TruncatedSeries(_p_coeffs(_moments(m.weights, m.angles, order)))
 
 
 def rotation_normalized(m: AtomicMeasure) -> AtomicMeasure:
@@ -91,7 +104,7 @@ def rotation_normalized(m: AtomicMeasure) -> AtomicMeasure:
     Searches use this to cut the angular degree of freedom; the functionals
     of interest are rotation invariant.
     """
-    m1 = m.moment(1)
+    m1 = complex(_moments(m.weights, m.angles, 1)[1])
     if abs(m1) == 0.0:
         return m
     return m.rotated(-np.angle(m1))

@@ -22,6 +22,7 @@ from .explorer import SweepConfig, _fmt_float, canonical_json, report_csv, \
     run_limit_sweep, run_sweep, save_report
 from .extremal import eq_series, f1_series, f2_series
 from .functionals import bieberbach_bound_convex, fs_bound, hankel_bound
+from .power_series import MAX_ORDER
 from .q_calculus import ClassParams
 from .schlicht import alexander_pair, convex_from_measure, starlike_from_p
 from .verify import SUITES, run_suite
@@ -105,7 +106,9 @@ def _cmd_coeffs(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    params = ClassParams(q=args.q, alpha=args.alpha)
+    if not 2 <= args.n_max <= MAX_ORDER:
+        raise QschlichtError(f"--n-max must lie in [2, {MAX_ORDER}]")
+    params = ClassParams(q=args.q, alpha=args.alpha, order=max(32, args.n_max))
     mu = _parse_mu(args.mu) if args.mu else 0j
     fs = fs_bound(params, mu)
     hk = hankel_bound(params)

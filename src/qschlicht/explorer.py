@@ -14,6 +14,9 @@ Determinism contract:
   * parallel workers split the sample range into contiguous chunks whose
     elementwise evaluation is unaffected by the split, and the reduction
     picks the maximum value with ties broken by the lowest sample index;
+  * single-measure evaluation is a batch of one: refinement, extremal
+    injection and replay run the sweep's batch scorer on one row, so a
+    sampled row scores bitwise the same alone as in its chunk;
   * reports serialize canonically (sorted keys, %.17g floats), so a fixed
     seed yields byte-identical JSON for any worker count.
 """
@@ -29,13 +32,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .caratheodory import MAX_ATOMS, RNG_NAME, AtomicMeasure, p_series
+from .caratheodory import MAX_ATOMS, RNG_NAME, AtomicMeasure, _moments, \
+    _p_coeffs, measure_from_dict
 from .errors import ConfigError
-from .extremal import eq_series, f1_series, f2_series
+from .extremal import eq_series, f1_series, f2_series, f_exponent_series
 from .functionals import bieberbach_bound_convex, fekete_szego_value, fs_bound, \
     hankel_bound, hankel_value
-from .q_calculus import ClassParams, q_powers
-from .schlicht import convex_from_h, convex_from_measure, starlike_from_p
+from .q_calculus import ClassParams
+from .schlicht import _convex_h_core, _convex_measure_core, _starlike_core
 
 TWO_PI = 2.0 * math.pi
 FUNCTIONALS = ("fs", "h22", "bieberbach")
@@ -141,169 +145,65 @@ def _measure_from_row(weights, angles) -> AtomicMeasure:
     return AtomicMeasure(weights[mask], angles[mask])
 
 
-# -- vectorized functional scorers -------------------------------------------
+# -- batch scorers: one row per sample, columnwise in the series cores --------
 
 
-def _moments(weights, angles, n_max: int):
-    """m_n = sum_j t_j sigma_j^n for n = 1..n_max; shape (n_max, samples)."""
-    phase = np.exp(1j * angles)
-    out = np.empty((n_max, weights.shape[0]), dtype=np.complex128)
-    cur = np.ones_like(phase)
-    for n in range(1, n_max + 1):
-        cur = cur * phase
-        out[n - 1] = (weights * cur).sum(axis=1)
+def _starlike_scores(functional, weights, angles, q, alpha, mus):
+    """Per-row |a3 - mu a2^2| (fs) or |a2 a4 - a3^2| (h22), keyed by mu."""
+    n_max = 3 if functional == "fs" else 4
+    a = _starlike_core(_p_coeffs(_moments(weights, angles, n_max)), q, alpha)
+    if functional == "fs":
+        return {mu: np.abs(a[3] - mu * a[2] ** 2) for mu in mus}
+    return {mu: np.abs(a[2] * a[4] - a[3] ** 2) for mu in mus}
+
+
+def _bieberbach_scores(weights, angles, q, alpha, n_check, route):
+    """Per-row max_{2<=n<=n_check} |a_n| / bound_n, with the members built on
+    the closed-form product for route ``convex_h``, else the measure route."""
+    params = ClassParams(q=q, alpha=alpha, order=max(n_check, 4))
+    m = _moments(weights, angles, n_check - 1)
+    if route == "convex_h":
+        a = _convex_h_core(_p_coeffs(m), q, alpha)
+    else:
+        f_exp = f_exponent_series(params).coeffs[:n_check]
+        a = _convex_measure_core(f_exp, m, q)
+    bounds = np.array([bieberbach_bound_convex(params, n)
+                       for n in range(2, n_check + 1)])
+    return (np.abs(a[2:]) / bounds[:, None]).max(axis=0, initial=0.0)
+
+
+def _bieberbach_chunk(weights, angles, lo, q, alpha, n_check):
+    """Scores of the rows with global indices lo, lo + 1, ...: even indices
+    on the product route, odd ones on the measure route.  At alpha = 0 both
+    give the same member to rounding (see :func:`.schlicht.convex_from_h`),
+    so there the split scores each member twice."""
+    out = np.empty(weights.shape[0])
+    for first, route in ((lo % 2, "convex_h"), (1 - lo % 2, "convex_measure")):
+        out[first::2] = _bieberbach_scores(weights[first::2], angles[first::2],
+                                           q, alpha, n_check, route)
     return out
-
-
-def _starlike_coeffs_batch(moments, q: float, alpha: float, n_max: int):
-    """Coefficients a_2..a_n_max of the p-generated starlike members.
-
-    Mirrors the recursion of :func:`qschlicht.schlicht.starlike_from_p`
-    elementwise across the sample axis.
-    """
-    lnq = math.log(q)
-    s = moments.shape[1]
-    u = np.zeros((n_max + 1, s), dtype=np.complex128)
-    for n in range(1, n_max + 1):
-        u[n] = lnq * 2.0 * moments[n - 1]
-    e = np.zeros_like(u)
-    e[0] = 1.0
-    for m in range(1, n_max + 1):
-        acc = np.zeros(s, dtype=np.complex128)
-        for k in range(1, m + 1):
-            acc += k * u[k] * e[m - k]
-        e[m] = acc / m
-    g = (1.0 - alpha) * q * e
-    g[0] = q
-    a = np.zeros((n_max + 1, s), dtype=np.complex128)
-    a[1] = 1.0
-    for n in range(2, n_max + 1):
-        acc = np.zeros(s, dtype=np.complex128)
-        for k in range(1, n):
-            acc += a[k] * g[n - k]
-        a[n] = acc / (q ** n - q)
-    return a
-
-
-def _exp_batch(u):
-    """Vectorized formal exp along axis 0; u[0] must be zero."""
-    n_max = u.shape[0] - 1
-    e = np.zeros_like(u)
-    e[0] = 1.0
-    for m in range(1, n_max + 1):
-        acc = np.zeros(u.shape[1], dtype=np.complex128)
-        for k in range(1, m + 1):
-            acc += k * u[k] * e[m - k]
-        e[m] = acc / m
-    return e
-
-
-def _log_batch(c):
-    """Vectorized formal log along axis 0; c[0] must be one."""
-    n_max = c.shape[0] - 1
-    lg = np.zeros_like(c)
-    for m in range(1, n_max + 1):
-        acc = np.zeros(c.shape[1], dtype=np.complex128)
-        for k in range(1, m):
-            acc += k * lg[k] * c[m - k]
-        lg[m] = (m * c[m] - acc) / m
-    return lg
-
-
-def _integrate_batch(d, q):
-    """a_1..a_n_max of f with Dq f = d, for d of order n_max - 1."""
-    n_max = d.shape[0]
-    a = np.zeros((n_max + 1, d.shape[1]), dtype=np.complex128)
-    a[1] = 1.0
-    for n in range(2, n_max + 1):
-        a[n] = d[n - 1] * (1.0 - q) / (1.0 - q ** n)
-    return a
-
-
-def _convex_measure_coeffs_batch(moments, q, alpha, n_max):
-    """a_n of measure-generated convex members, n = 2..n_max."""
-    lalpha = math.log(q / (1.0 - alpha * (1.0 - q)))
-    s = moments.shape[1]
-    u = np.zeros((n_max, s), dtype=np.complex128)
-    for n in range(1, n_max):
-        u[n] = 2.0 * lalpha / (q ** n - 1.0) * moments[n - 1]
-    return _integrate_batch(_exp_batch(u), q)
-
-
-def _convex_product_coeffs_batch(moments, q, alpha, n_max):
-    """a_n of product-generated convex members, n = 2..n_max.
-
-    Mirrors the closed form of :func:`qschlicht.schlicht.convex_from_h`
-    elementwise across the sample axis.
-    """
-    lnq = math.log(q)
-    s = moments.shape[1]
-    lam = np.zeros((n_max, s), dtype=np.complex128)
-    for n in range(1, n_max):
-        lam[n] = lnq * 2.0 * moments[n - 1]
-    if alpha != 0.0:
-        g = (1.0 - alpha) * _exp_batch(lam)
-        g[0] = 1.0
-        lam = _log_batch(g)
-    lam[1:] /= (1.0 - q_powers(q, n_max - 1)[1:])[:, None]
-    return _integrate_batch(_exp_batch(-lam), q)
-
-
-def _bieberbach_scores(weights, angles, q, alpha, n_check, parity):
-    """max_n |a_n| / bound_n per sample; construction chosen by index parity
-    (even -> infinite product, odd -> measure exponent).
-
-    At alpha = 0 the two constructions give the same member to rounding
-    (about 1e-12 absolute; see :func:`qschlicht.schlicht.convex_from_h`), so
-    there the parity split scores each member twice.
-    """
-    moments = _moments(weights, angles, n_check - 1)
-    a_prod = _convex_product_coeffs_batch(moments, q, alpha, n_check)
-    a_meas = _convex_measure_coeffs_batch(moments, q, alpha, n_check)
-    bounds = np.array([bieberbach_bound_convex(
-        ClassParams(q=q, alpha=alpha, order=max(n_check, 4)), n)
-        for n in range(2, n_check + 1)])
-    even = (parity % 2) == 0
-    a_sel = np.where(even[None, :], a_prod[2:], a_meas[2:])
-    ratios = np.abs(a_sel) / bounds[:, None]
-    return ratios.max(axis=0)
-
-
-# -- single-measure evaluation (used by refinement and replay) ----------------
 
 
 def evaluate_measure(functional: str, m: AtomicMeasure, q: float, alpha: float,
                      mu: complex | None = None, n_check: int = 10,
                      construction: str = "starlike_p") -> float:
-    """Public-path functional value for one measure; the replay target.
+    """Functional value for one measure; the refinement and replay target.
 
-    The Fekete-Szego and Hankel functionals read a_2..a_4 only, and the
-    generating recursion is triangular in the degree, so those values are
-    independent of the build order; a small order keeps refinement cheap.
+    The sweep's batch scorer run on one row, so a sampled row scores bitwise
+    the same here as in the sweep.  Bieberbach members are built on the
+    product route for ``construction="convex_h"``, else the measure route.
     """
-    if functional in ("fs", "h22"):
-        params = ClassParams(q=q, alpha=alpha, order=4)
-        f = starlike_from_p(p_series(m, params.order), params)
-        if functional == "fs":
-            return fekete_szego_value(f, mu)
-        return hankel_value(f, 2, 2)
-    params = ClassParams(q=q, alpha=alpha, order=max(n_check, 4))
+    if functional not in FUNCTIONALS:
+        raise ConfigError(f"unknown functional {functional!r}")
+    row = (m.weights[None, :], m.angles[None, :])
     if functional == "bieberbach":
-        if construction == "convex_h":
-            f = convex_from_h(p_series(m, params.order), params)
-        else:
-            f = convex_from_measure(m, params)
-        worst = 0.0
-        for n in range(2, n_check + 1):
-            worst = max(worst, abs(f.coeffs[n]) / bieberbach_bound_convex(params, n))
-        return worst
-    raise ConfigError(f"unknown functional {functional!r}")
+        return float(_bieberbach_scores(*row, q, alpha, n_check, construction)[0])
+    ClassParams(q=q, alpha=alpha)  # validates q and alpha
+    return float(_starlike_scores(functional, *row, q, alpha, (mu,))[mu][0])
 
 
 def replay_cell(cfg: SweepConfig, cell: dict) -> float:
-    """Re-evaluate a report cell's argmax measure through the public path."""
-    from .caratheodory import measure_from_dict
-
+    """Re-evaluate a report cell's argmax measure with evaluate_measure."""
     m = measure_from_dict(cell["argmax_measure"])
     mu = None if cell.get("mu") is None else complex(cell["mu"][0], cell["mu"][1])
     return evaluate_measure(
@@ -434,19 +334,11 @@ def run_sweep(cfg: SweepConfig, workers: int | None = None) -> dict:
 
 
 def _run_starlike_group(cfg, workers, q, alpha, weights, angles):
-    n_max = 3 if cfg.functional == "fs" else 4
     mus = cfg.mu_grid if cfg.functional == "fs" else (None,)
 
     def score_chunk(lo, hi):
-        moments = _moments(weights[lo:hi], angles[lo:hi], n_max)
-        a = _starlike_coeffs_batch(moments, q, alpha, n_max)
-        out = {}
-        if cfg.functional == "fs":
-            for mu in mus:
-                out[mu] = np.abs(a[3] - mu * a[2] ** 2)
-        else:
-            out[None] = np.abs(a[2] * a[4] - a[3] ** 2)
-        return out
+        return _starlike_scores(cfg.functional, weights[lo:hi], angles[lo:hi],
+                                q, alpha, mus)
 
     best_by_mu = _parallel_scores(score_chunk, cfg.samples, workers)
 
@@ -500,9 +392,8 @@ def _run_starlike_group(cfg, workers, q, alpha, weights, angles):
 
 def _run_bieberbach_group(cfg, workers, q, alpha, weights, angles):
     def score_chunk(lo, hi):
-        parity = np.arange(lo, hi)
-        return {None: _bieberbach_scores(weights[lo:hi], angles[lo:hi], q,
-                                         alpha, cfg.n_check, parity)}
+        return {None: _bieberbach_chunk(weights[lo:hi], angles[lo:hi], lo, q,
+                                        alpha, cfg.n_check)}
 
     best_val, best_idx = _parallel_scores(score_chunk, cfg.samples, workers)[None]
     argmax = _measure_from_row(weights[best_idx], angles[best_idx])

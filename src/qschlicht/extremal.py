@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import power_series as ps
-from .caratheodory import AtomicMeasure
+from .caratheodory import AtomicMeasure, _moments
 from .errors import AlphaUnsupportedError
 from .power_series import TruncatedSeries
 from .q_calculus import ClassParams, QLogRatios, iq
@@ -84,8 +84,6 @@ def herglotz_starlike(m: AtomicMeasure, params: ClassParams) -> TruncatedSeries:
     """
     if params.alpha != 0.0:
         raise AlphaUnsupportedError("measure representation requires alpha = 0")
-    f_exp = ps.truncate(f_exponent_series(params), params.order - 1)
-    acc = np.zeros(params.order, dtype=np.complex128)
-    for w, theta in zip(m.weights, m.angles):
-        acc += w * ps.dilate(f_exp, np.exp(1j * theta)).coeffs
-    return ps.exp(TruncatedSeries(acc)).times_z()
+    f_exp = f_exponent_series(params).coeffs[: params.order]
+    exponent = f_exp * _moments(m.weights, m.angles, params.order - 1)
+    return ps.exp(TruncatedSeries(exponent)).times_z()

@@ -9,6 +9,14 @@ logarithm are formal (coefficientwise) and therefore need ``c0 = 0`` and
 Coefficients are binary64 complex.  Orders up to 256 are supported; the
 coefficients of the extremal-type functions stay representable in that range
 for q >= 0.1.
+
+Axis-0 contract: ``exp``, ``log`` and ``recip`` wrap array cores
+(``_exp_core``, ``_log_core``, ``_recip_core``) that take coefficients on
+axis 0 and broadcast over any trailing sample axes.  Each degree is one
+``einsum`` contraction summed in index order, so a batch column equals the
+1-d result bitwise, whatever else shares the batch.  The public functions
+take one ``TruncatedSeries`` and keep the constant-term checks; the cores
+check nothing.
 """
 
 from __future__ import annotations
@@ -24,6 +32,11 @@ from .errors import (
 )
 
 MAX_ORDER = 256
+
+try:  # what np.einsum forwards to when optimize is off, minus ~1 us per call
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:
+    _einsum = np.einsum
 
 
 def _as_coeffs(values) -> np.ndarray:
@@ -89,24 +102,6 @@ class TruncatedSeries:
         return eval_at(self, z0)
 
     # conveniences used throughout the class constructions
-    def recip(self):
-        return recip(self)
-
-    def exp(self):
-        return exp(self)
-
-    def log(self):
-        return log(self)
-
-    def dilate(self, w: complex):
-        return dilate(self, w)
-
-    def derivative(self):
-        return derivative(self)
-
-    def truncate(self, order: int):
-        return truncate(self, order)
-
     def times_z(self):
         return times_z(self)
 
@@ -149,55 +144,78 @@ def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(full[: n + 1])
 
 
+def _contract(x: np.ndarray, y: np.ndarray, scale, out: np.ndarray) -> None:
+    """out = sum_k x[k] y[k] scale over axis 0, added in order of k."""
+    _einsum("k...,k...,...->...", x, y, scale, out=out)
+
+
+def _columns(c: np.ndarray) -> np.ndarray:
+    """(degree, column) view: a 1-d series runs as one batch column, not
+    through numpy's scalar arithmetic, which rounds differently."""
+    return c.reshape(c.shape[0], -1)
+
+
+def _recip_core(c: np.ndarray) -> np.ndarray:
+    """Reciprocal along axis 0; c[0] must be nonzero.
+
+    c0 r[m] + sum_{k=1..m} c[k] r[m-k] = 0.
+    """
+    cc = _columns(c)
+    r = np.empty_like(cc, dtype=np.complex128)
+    r[0] = 1.0 / cc[0]
+    for m in range(1, c.shape[0]):
+        _contract(cc[1:m + 1], r[m - 1::-1], -r[0], r[m])
+    return r.reshape(c.shape)
+
+
+def _exp_core(u: np.ndarray) -> np.ndarray:
+    """Formal exp along axis 0; u[0] must be zero.
+
+    b' = u' b, so m b[m] = sum_{k=1..m} k u[k] b[m-k].
+    """
+    ku = _columns(u) * np.arange(u.shape[0])[:, None]
+    b = np.zeros_like(ku)
+    b[0] = 1.0
+    for m in range(1, u.shape[0]):
+        _contract(ku[1:m + 1], b[m - 1::-1], 1.0 / m, b[m])
+    return b.reshape(u.shape)
+
+
+def _log_core(c: np.ndarray) -> np.ndarray:
+    """Formal log along axis 0; c[0] must be one.
+
+    With d[k] = k l[k] (the coefficients of z l'), c' = l' c gives
+    d[m] = m c[m] - sum_{k=1..m-1} d[k] c[m-k].
+    """
+    cc = _columns(c)
+    mc = cc * np.arange(c.shape[0])[:, None]
+    d = np.zeros_like(mc)
+    for m in range(1, c.shape[0]):
+        _contract(d[1:m], cc[m - 1:0:-1], -1.0, d[m])
+        d[m] += mc[m]
+    d[1:] /= np.arange(1, c.shape[0])[:, None]
+    return d.reshape(c.shape)
+
+
 def recip(a: TruncatedSeries) -> TruncatedSeries:
     """Multiplicative inverse; requires a nonzero constant term."""
     if a.coeffs[0] == 0:
         raise ZeroConstantTermError("cannot invert a series with c0 = 0")
-    n = a.order
-    c = a.coeffs
-    r = np.empty(n + 1, dtype=np.complex128)
-    r[0] = 1.0 / c[0]
-    for m in range(1, n + 1):
-        # c0*r[m] + sum_{k=1..m} c[k] r[m-k] = 0
-        acc = 0.0 + 0.0j
-        for k in range(1, m + 1):
-            acc += c[k] * r[m - k]
-        r[m] = -acc * r[0]
-    return TruncatedSeries(r)
+    return TruncatedSeries(_recip_core(a.coeffs))
 
 
 def exp(a: TruncatedSeries) -> TruncatedSeries:
     """Formal exponential; requires c0 = 0 so no scalar exp is involved."""
     if a.coeffs[0] != 0:
         raise NonzeroConstantTermError("formal exp requires c0 = 0")
-    n = a.order
-    u = a.coeffs
-    b = np.empty(n + 1, dtype=np.complex128)
-    b[0] = 1.0
-    for m in range(1, n + 1):
-        # b' = u' b  =>  m*b[m] = sum_{k=1..m} k u[k] b[m-k]
-        acc = 0.0 + 0.0j
-        for k in range(1, m + 1):
-            acc += k * u[k] * b[m - k]
-        b[m] = acc / m
-    return TruncatedSeries(b)
+    return TruncatedSeries(_exp_core(a.coeffs))
 
 
 def log(a: TruncatedSeries) -> TruncatedSeries:
     """Formal logarithm; requires c0 = 1 (no branch choice is involved)."""
     if a.coeffs[0] != 1:
         raise ConstantTermNotOneError("formal log requires c0 = 1")
-    n = a.order
-    c = a.coeffs
-    l = np.empty(n + 1, dtype=np.complex128)
-    l[0] = 0.0
-    for m in range(1, n + 1):
-        # a' = l' a  =>  m*a[m] = sum_{k=1..m} k l[k] a[m-k]
-        acc = 0.0 + 0.0j
-        for k in range(1, m):
-            acc += k * l[k] * c[m - k]
-        l[m] = (m * c[m] - acc) / m
-    return TruncatedSeries(l)
+    return TruncatedSeries(_log_core(a.coeffs))
 
 
 def dilate(a: TruncatedSeries, w: complex) -> TruncatedSeries:

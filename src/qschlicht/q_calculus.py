@@ -123,18 +123,22 @@ def dq(a: TruncatedSeries, q: float) -> TruncatedSeries:
     return TruncatedSeries(a.coeffs[1:] * br[1:])
 
 
+def _iq_core(d: np.ndarray, q: float) -> np.ndarray:
+    """Jackson q-integral along axis 0: out[n] = d[n-1] / [n]_q, out[0] = 0."""
+    out = np.zeros((d.shape[0] + 1,) + d.shape[1:], dtype=np.complex128)
+    br = _brackets(d.shape[0], q)[1:]
+    # componentwise (complex/real promotion rounds differently), degree last
+    out.real.T[..., 1:] = d.real.T / br
+    out.imag.T[..., 1:] = d.imag.T / br
+    return out
+
+
 def iq(a: TruncatedSeries, q: float) -> TruncatedSeries:
     """Jackson q-integral on a series; order grows by one.
 
     Raising the order keeps ``iq(dq(f)) == f - f(0)`` exact coefficientwise.
     """
-    q = _check_q(q)
-    out = np.zeros(a.order + 2, dtype=np.complex128)
-    br = _brackets(a.order + 1, q)
-    # divide componentwise: complex/real promotion would round differently
-    out.real[1:] = a.coeffs.real / br[1:]
-    out.imag[1:] = a.coeffs.imag / br[1:]
-    return TruncatedSeries(out)
+    return TruncatedSeries(_iq_core(a.coeffs, _check_q(q)))
 
 
 def jackson_sum(fn, x: float, q: float, tail_tol: float = 1e-12,

@@ -28,11 +28,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import power_series as ps
-from .caratheodory import AtomicMeasure
+from .caratheodory import AtomicMeasure, _moments
 from .errors import ConfigError, EvaluationSingularityError, RangeError
 from .extremal import f_exponent_series
 from .power_series import TruncatedSeries
-from .q_calculus import ClassParams, dq, iq, q_powers
+from .q_calculus import ClassParams, _iq_core, dq, iq, q_powers
 
 _DENOM_FLOOR = 1e-14
 
@@ -124,30 +124,16 @@ def membership_starlike(f: TruncatedSeries, params: ClassParams,
     q, alpha = params.q, params.alpha
     z = grid.points()
     num_series = dq(f, q).times_z()
-    fz = ps.eval_grid(f, z)
-    nz = ps.eval_grid(num_series, z)
-    f_tail = _tails(f, grid.radii)[:, None]
-    n_tail = _tails(num_series, grid.radii)[:, None]
-
-    den_abs = np.abs(fz)
-    if np.any(den_abs < _DENOM_FLOOR):
-        idx = int(np.argmin(den_abs))
-        raise EvaluationSingularityError(
-            f"|f| vanished at grid point {z.ravel()[idx]:.6f}")
-    ratio = nz / fz
-    expr = (ratio - alpha) / (1.0 - alpha) - 1.0 / (1.0 - q)
-    excess = np.abs(expr) - 1.0 / (1.0 - q)
-    err = (n_tail + np.abs(ratio) * f_tail) / den_abs / (1.0 - alpha)
-    signal = excess - err
-    flat = signal.ravel()
-    idx = int(np.argmax(flat))
-    return CertReport(
-        passed=int(np.count_nonzero(excess - err > tol)) == 0,
-        worst_margin=float(flat[idx]),
-        worst_point=complex(z.ravel()[idx]),
-        tol=float(tol),
-        unresolved=int(np.count_nonzero(err > tol)),
-        grid=dict(grid.to_dict(), criterion="starlike", q=q, alpha=alpha),
+    return _certify(
+        num_values=ps.eval_grid(num_series, z) / (1.0 - alpha),
+        den_values=ps.eval_grid(f, z),
+        num_tail=_tails(num_series, grid.radii)[:, None] / (1.0 - alpha),
+        den_tail=_tails(f, grid.radii)[:, None],
+        grid_points=z,
+        offset=alpha / (1.0 - alpha) + 1.0 / (1.0 - q),
+        bound=1.0 / (1.0 - q),
+        tol=tol,
+        grid_dict=dict(grid.to_dict(), criterion="starlike", q=q, alpha=alpha),
     )
 
 
@@ -177,44 +163,52 @@ def membership_convex(f: TruncatedSeries, params: ClassParams,
     )
 
 
-# -- constructions -----------------------------------------------------------
+# -- constructions: public wrappers over axis-0 array cores (see power_series)
 
 
-def _transition_series(p: TruncatedSeries, params: ClassParams) -> TruncatedSeries:
-    """G = (1-alpha) exp((ln q) p) + alpha q, the target of f(qz)/f(z).
+def _starlike_core(p: np.ndarray, q: float, alpha: float) -> np.ndarray:
+    """a_0..a_N of the member with f(qz) = f(z) G(z), p_0..p_N on axis 0.
 
-    G(0) = q, and |G - alpha q| = (1-alpha) |exp((ln q) p)| <= 1-alpha holds
-    wherever Re p >= 0, so the generated f satisfies the class condition by
-    construction.
+    G = (1-alpha) exp((ln q) p) + alpha q has G(0) = q and |G - alpha q| <=
+    1-alpha wherever Re p >= 0, so the member is in the class by construction.
+    a_n (q^n - q) = sum_{k<n} a_k G_{n-k}, a_1 = 1, is solved divided by q,
+    where G_k / q = (1-alpha) exp((ln q)(p - 1))_k for k >= 1.
     """
-    q, alpha = params.q, params.alpha
-    lnq = math.log(q)
-    u = p.coeffs * lnq
-    u[0] = 0.0  # exp(lnq * p) = q * exp(lnq * (p - 1))
-    e = ps.exp(TruncatedSeries(u))
-    g = (1.0 - alpha) * q * e.coeffs
-    g[0] = q
-    return TruncatedSeries(g)
+    u = ps._columns(p) * math.log(q)
+    u[0] = 0.0
+    e = ps._exp_core(u)
+    a = np.zeros_like(e)
+    a[1:2] = 1.0
+    for n in range(2, a.shape[0]):
+        scale = (1.0 - alpha) / (q ** (n - 1) - 1.0)
+        ps._contract(a[1:n], e[n - 1:0:-1], scale, a[n])
+    return a.reshape(p.shape)
+
+
+def _convex_h_core(p: np.ndarray, q: float, alpha: float) -> np.ndarray:
+    """a_0..a_{N+1} of the product-route convex member, p_0..p_N on axis 0;
+    see :func:`convex_from_h`."""
+    lam = p * math.log(q)
+    lam[0] = 0.0
+    if alpha != 0.0:
+        g = (1.0 - alpha) * ps._exp_core(lam)
+        g[0] = 1.0  # alpha + (1-alpha) exp((ln q)(p - 1))
+        lam = ps._log_core(g)
+    lam.T[..., 1:] /= 1.0 - q_powers(q, lam.shape[0] - 1)[1:]
+    return _iq_core(ps._exp_core(-lam), q)  # Dq f = exp(-lam_n/(1-q^n))
+
+
+def _convex_measure_core(f_exp, moments, q: float) -> np.ndarray:
+    """a_0..a_{N+1} of the measure-route convex member: Dq f = exp(F_n m_n)
+    for the class exponent F_0..F_N and the moments m_0..m_N on axis 0."""
+    return _iq_core(ps._exp_core(ps._einsum("n,n...->n...", f_exp, moments)), q)
 
 
 def starlike_from_p(p: TruncatedSeries, params: ClassParams) -> TruncatedSeries:
-    """Starlike-type member generated by a positive-real-part series.
-
-    Solves f(qz) = f(z) G(z) coefficientwise:
-    a_n = sum_{k<n} a_k G_{n-k} / (q^n - q), a_1 = 1.
-    """
-    n_ord = min(params.order, p.order)
-    g = _transition_series(ps.truncate(p, n_ord), params).coeffs
-    q = params.q
-    a = np.zeros(n_ord + 1, dtype=np.complex128)
-    if n_ord >= 1:
-        a[1] = 1.0
-    for n in range(2, n_ord + 1):
-        acc = 0.0 + 0.0j
-        for k in range(1, n):
-            acc += a[k] * g[n - k]
-        a[n] = acc / (q ** n - q)
-    return TruncatedSeries(a)
+    """Starlike-type member generated by a positive-real-part series; solves
+    f(qz) = f(z) G(z) coefficientwise (see :func:`_starlike_core`)."""
+    return TruncatedSeries(
+        _starlike_core(p.coeffs[: params.order + 1], params.q, params.alpha))
 
 
 def convex_from_h(p: TruncatedSeries, params: ClassParams) -> TruncatedSeries:
@@ -231,29 +225,18 @@ def convex_from_h(p: TruncatedSeries, params: ClassParams) -> TruncatedSeries:
     and this is the measure exponent of :func:`convex_from_measure`, so for a
     measure-generated p both routes give the same member to rounding.
     """
-    q, alpha = params.q, params.alpha
-    n_ord = min(params.order, p.order)
-    lam = p.coeffs[: n_ord + 1] * math.log(q)
-    lam[0] = 0.0
-    if alpha != 0.0:
-        g = (1.0 - alpha) * ps.exp(TruncatedSeries(lam)).coeffs
-        g[0] = 1.0  # alpha + (1-alpha) exp((ln q)(p - 1))
-        lam = ps.log(TruncatedSeries(g)).coeffs.copy()
-    lam[1:] /= 1.0 - q_powers(q, n_ord)[1:]
-    d_series = ps.exp(TruncatedSeries(-lam))  # Dq f
-    return ps.truncate(iq(d_series, q), params.order)
+    a = _convex_h_core(p.coeffs[: params.order + 1], params.q, params.alpha)
+    return TruncatedSeries(a[: params.order + 1])
 
 
 def convex_from_measure(m: AtomicMeasure, params: ClassParams) -> TruncatedSeries:
     """Convex-type member with z (Dq f)(z) = z exp(sum_j t_j F(sigma_j z))
     for the class exponent F; a unit mass at angle 0 returns the q-integral
     extremal exactly."""
-    f_exp = f_exponent_series(params)
-    acc = np.zeros(params.order + 1, dtype=np.complex128)
-    for w, theta in zip(m.weights, m.angles):
-        acc += w * ps.dilate(f_exp, np.exp(1j * theta)).coeffs
-    d_series = ps.exp(TruncatedSeries(acc))
-    return ps.truncate(iq(d_series, params.q), params.order)
+    a = _convex_measure_core(f_exponent_series(params).coeffs,
+                             _moments(m.weights, m.angles, params.order),
+                             params.q)
+    return TruncatedSeries(a[: params.order + 1])
 
 
 def rho_map(f: TruncatedSeries, params: ClassParams) -> TruncatedSeries:

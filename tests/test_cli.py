@@ -75,6 +75,19 @@ class TestBounds:
         assert "(conjectural)" in out
         assert "1.16908056102" in out
 
+    def test_n_max_beyond_default_order(self, capsys):
+        code, out = run_cli(capsys, "bounds", "--q", "0.5", "--n-max", "40")
+        assert code == 0
+        assert out.rstrip().split("\n")[-1].startswith("|a_40|")
+
+    @pytest.mark.parametrize("n_max", ["1", "300"])
+    def test_n_max_out_of_range_prints_nothing(self, capsys, n_max):
+        code = main(["bounds", "--q", "0.5", "--n-max", n_max])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
 
 class TestVerify:
     def test_qcalc_suite_passes(self, capsys):

@@ -3,16 +3,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qschlicht.caratheodory import measure_from_dict, p_series
+from qschlicht.caratheodory import MAX_ATOMS, AtomicMeasure, _moments, \
+    _p_coeffs, measure_from_dict, p_series
 from qschlicht.errors import ConfigError
-from qschlicht.explorer import (CSV_HEADER, SweepConfig,
-                                _convex_product_coeffs_batch, _measure_from_row,
-                                _moments, canonical_json, group_samples,
+from qschlicht.explorer import (CSV_HEADER, SweepConfig, _bieberbach_chunk,
+                                _bieberbach_scores, _measure_from_row,
+                                _starlike_scores, canonical_json,
+                                evaluate_measure, group_samples,
                                 refine_measure, replay_cell, report_csv,
                                 resolve_workers, run_limit_sweep, run_sweep)
 from qschlicht.q_calculus import ClassParams
-from qschlicht.schlicht import convex_from_h
+from qschlicht.schlicht import _convex_h_core, convex_from_h
 
 
 def fs_config(**kw):
@@ -138,7 +142,7 @@ class TestBieberbachSweep:
         for cell in rep["cells"]:
             assert cell["empirical_max"] <= 1 + 1e-7
             assert not cell["violated"]
-            assert cell["extremals"]["eq"] == pytest.approx(1.0, abs=1e-9)
+            assert cell["extremals"]["eq"] == 1.0
 
     def test_replay_uses_recorded_construction(self):
         cfg = SweepConfig(functional="bieberbach", seed=3, samples=300,
@@ -155,14 +159,85 @@ class TestBieberbachSweep:
         cfg = SweepConfig(functional="bieberbach", seed=11, samples=40,
                           q_grid=(q,), alpha_grid=(alpha,), order=n_max)
         weights, angles = group_samples(cfg, 0)
-        batch = _convex_product_coeffs_batch(
-            _moments(weights, angles, n_max - 1), q, alpha, n_max)
+        batch = _convex_h_core(
+            _p_coeffs(_moments(weights, angles, n_max - 1)), q, alpha)
         params = ClassParams(q=q, alpha=alpha, order=n_max)
         for i in range(cfg.samples):
             m = _measure_from_row(weights[i], angles[i])
             f = convex_from_h(p_series(m, n_max), params).coeffs
             rel = np.abs(batch[:, i] - f).max() / np.abs(f).max()
             assert rel <= 1e-12, (i, rel)
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), q=st.sampled_from([0.2, 0.5, 0.8]))
+    @settings(max_examples=6)
+    def test_worker_count_does_not_change_bytes(self, seed, q):
+        cfg = SweepConfig(functional="bieberbach", seed=seed, samples=301,
+                          q_grid=(q,), alpha_grid=(0.0, 0.3), refine_iters=5)
+        texts = {canonical_json(run_sweep(cfg, workers=w)) for w in (1, 2, 8)}
+        assert len(texts) == 1
+
+    @given(q=st.sampled_from([0.2, 0.5, 0.8]),
+           alpha=st.sampled_from([0.0, 0.3, 0.7]), n_check=st.integers(2, 16))
+    @settings(max_examples=40)
+    def test_eq_extremal_ratio_is_exactly_one(self, q, alpha, n_check):
+        unit = AtomicMeasure(np.array([1.0]), np.array([0.0]))
+        assert evaluate_measure("bieberbach", unit, q, alpha, n_check=n_check,
+                                construction="convex_measure") == 1.0
+
+
+# rows of one (q, alpha) group; a row scores alone as in any batch
+groups = st.fixed_dictionaries({
+    "seed": st.integers(0, 2 ** 32 - 1),
+    "q": st.floats(0.05, 0.95),
+    "alpha": st.one_of(st.just(0.0), st.floats(0.0, 0.95)),
+    "k_atoms": st.integers(1, MAX_ATOMS),
+})
+ROWS = 48
+MUS = (0.0, 0.5, 1 + 0.5j)
+
+
+def group_rows(g):
+    cfg = SweepConfig(functional="h22", seed=g["seed"], samples=ROWS,
+                      q_grid=(g["q"],), alpha_grid=(g["alpha"],),
+                      k_atoms=g["k_atoms"])
+    return group_samples(cfg, 0)
+
+
+class TestBatchOfOne:
+    @given(g=groups, i=st.integers(0, ROWS - 1), n_check=st.integers(2, 12))
+    @settings(max_examples=60)
+    def test_row_scores_alone_as_in_batch(self, g, i, n_check):
+        w, a = group_rows(g)
+        q, alpha = g["q"], g["alpha"]
+        m = _measure_from_row(w[i], a[i])
+        fs = _starlike_scores("fs", w, a, q, alpha, MUS)
+        for mu in MUS:
+            assert evaluate_measure("fs", m, q, alpha, mu=mu) == fs[mu][i]
+        h22 = _starlike_scores("h22", w, a, q, alpha, (None,))[None]
+        assert evaluate_measure("h22", m, q, alpha) == h22[i]
+        for route in ("convex_h", "convex_measure"):
+            batch = _bieberbach_scores(w, a, q, alpha, n_check, route)
+            assert evaluate_measure("bieberbach", m, q, alpha, n_check=n_check,
+                                    construction=route) == batch[i]
+        sweep = _bieberbach_chunk(w, a, 0, q, alpha, n_check)
+        route = "convex_h" if i % 2 == 0 else "convex_measure"
+        assert evaluate_measure("bieberbach", m, q, alpha, n_check=n_check,
+                                construction=route) == sweep[i]
+
+    @given(g=groups, lo=st.integers(0, ROWS - 1), size=st.integers(1, ROWS))
+    @settings(max_examples=40)
+    def test_slice_scores_as_full_batch(self, g, lo, size):
+        w, a = group_rows(g)
+        q, alpha = g["q"], g["alpha"]
+        hi = min(lo + size, ROWS)
+        for fn, mus in (("fs", MUS), ("h22", (None,))):
+            full = _starlike_scores(fn, w, a, q, alpha, mus)
+            part = _starlike_scores(fn, w[lo:hi], a[lo:hi], q, alpha, mus)
+            for mu in mus:
+                assert np.array_equal(part[mu], full[mu][lo:hi])
+        full = _bieberbach_chunk(w, a, 0, q, alpha, 10)
+        part = _bieberbach_chunk(w[lo:hi], a[lo:hi], lo, q, alpha, 10)
+        assert np.array_equal(part, full[lo:hi])
 
 
 class TestRefinement:

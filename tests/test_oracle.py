@@ -1,15 +1,18 @@
-"""High-precision oracle for the closed-form convex product route.
+"""High-precision oracles for the closed-form convex product route and the
+series cores.
 
 ``convex_from_h`` sums the infinite q-product in closed form.  The oracle
 here multiplies the literal factors ((1-alpha) h(q^m z) + alpha q)/q at 50
 significant digits, taking enough of them that the dropped tail is below
-1e-40, then inverts and q-integrates.
+1e-40, then inverts and q-integrates.  The exp/log/recip cores are checked
+against the same recursions run at 60 digits on the binary64 inputs.
 """
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+from qschlicht import power_series as ps
 from qschlicht.caratheodory import p_series, sample_measure
 from qschlicht.q_calculus import ClassParams
 from qschlicht.schlicht import convex_from_h
@@ -53,3 +56,63 @@ def test_convex_from_h_matches_literal_product(q, alpha):
     oracle = literal_product_member(p.coeffs, q, alpha, ORDER)
     rel = np.abs(f.coeffs - oracle).max() / np.abs(oracle).max()
     assert rel <= 1e-13
+
+
+# -- the series cores against 60-digit mpmath ---------------------------------
+
+CORE_DIGITS = 60
+
+
+def mp_exp(u):
+    """b' = u' b in mpmath: m b_m = sum_k k u_k b_{m-k}."""
+    b = [mp.mpc(1)] + [mp.mpc(0)] * (len(u) - 1)
+    for m in range(1, len(u)):
+        b[m] = mp.fdot((k * u[k], b[m - k]) for k in range(1, m + 1)) / m
+    return b
+
+
+def mp_log(c):
+    """l' c = c': m l_m = m c_m - sum_{k<m} k l_k c_{m-k}."""
+    lg = [mp.mpc(0)] * len(c)
+    for m in range(1, len(c)):
+        acc = mp.fdot((k * lg[k], c[m - k]) for k in range(1, m))
+        lg[m] = (m * c[m] - acc) / m
+    return lg
+
+
+def mp_recip(c):
+    r = [1 / c[0]] + [mp.mpc(0)] * (len(c) - 1)
+    for m in range(1, len(c)):
+        r[m] = -mp.fdot((c[k], r[m - k]) for k in range(1, m + 1)) * r[0]
+    return r
+
+
+def core_inputs(name, n, columns):
+    """Decaying random coefficients with the constant term each core needs."""
+    rng = np.random.default_rng(n + len(name))
+    shape = (n + 1, columns)
+    c = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    c *= (0.9 ** np.arange(n + 1))[:, None]
+    c[0] = {"exp": 0.0, "log": 1.0, "recip": 2.0 - 1.0j}[name]
+    return c
+
+
+CORES = {"exp": (ps._exp_core, mp_exp), "log": (ps._log_core, mp_log),
+         "recip": (ps._recip_core, mp_recip)}
+
+
+@pytest.mark.parametrize("n", [32, 256])
+@pytest.mark.parametrize("name", sorted(CORES))
+def test_series_cores_match_mpmath(name, n):
+    core, oracle = CORES[name]
+    c = core_inputs(name, n, 3)
+    batch = core(c)
+    for j in range(c.shape[1]):
+        single = core(np.ascontiguousarray(c[:, j]))
+        # a column of a batch is the 1-d result, bit for bit
+        assert np.array_equal(batch[:, j], single)
+        with mp.workdps(CORE_DIGITS):
+            exact = oracle([mp.mpc(complex(x)) for x in c[:, j]])
+            exact = np.array([complex(x) for x in exact])
+        rel = np.abs(single - exact).max() / np.abs(exact).max()
+        assert rel <= 1e-12, rel
