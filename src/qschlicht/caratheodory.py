@@ -169,6 +169,23 @@ def mm_gap(p: TruncatedSeries, lam: float) -> float:
     return bound - value
 
 
+def _draw_measures(seeds, k_atoms) -> tuple[np.ndarray, np.ndarray]:
+    """Padded (weights, angles) rows of the measures :func:`sample_measure`
+    draws for ``seeds[i]`` with ``k_atoms[i]`` atoms; slots past a row's
+    atoms carry zero weight at angle 0.  Row i depends on its own seed only,
+    and each row is normalized alone, so it equals the single draw bitwise."""
+    if not all(1 <= k <= MAX_ATOMS for k in k_atoms):
+        raise RangeError(f"k_atoms must lie in [1, {MAX_ATOMS}]")
+    weights = np.zeros((len(seeds), max(k_atoms, default=1)))
+    draws = np.zeros_like(weights)
+    for i, (seed, k) in enumerate(zip(seeds, k_atoms)):
+        row = np.random.default_rng(int(seed)).random(2 * k)
+        draws[i, :k] = row[:k]
+        raw = 0.05 + 0.95 * row[k:]
+        weights[i, :k] = raw / raw.sum()
+    return weights, np.mod(TWO_PI * draws, TWO_PI)
+
+
 def sample_measure(seed: int, k_atoms: int) -> AtomicMeasure:
     """Deterministic random measure for a seed: PCG64-driven draws.
 
@@ -176,13 +193,8 @@ def sample_measure(seed: int, k_atoms: int) -> AtomicMeasure:
     draw on [0.05, 1] and are normalized, which keeps every weight bounded
     away from zero.
     """
-    if not (1 <= k_atoms <= MAX_ATOMS):
-        raise RangeError(f"k_atoms must lie in [1, {MAX_ATOMS}]")
-    rng = np.random.default_rng(int(seed))
-    draws = rng.random(2 * k_atoms)
-    angles = TWO_PI * draws[:k_atoms]
-    raw = 0.05 + 0.95 * draws[k_atoms:]
-    return AtomicMeasure(raw / raw.sum(), angles)
+    weights, angles = _draw_measures([seed], [k_atoms])
+    return AtomicMeasure(weights[0], angles[0])
 
 
 # -- measure (de)serialization ----------------------------------------------

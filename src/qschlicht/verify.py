@@ -7,6 +7,14 @@ own consistency broke, with one deliberate exception: the ``hankel`` suite
 treats the one-atom generator exceeding the stated determinant bound as the
 expected, documented outcome and only fails when the empirical maximum
 escapes the scalar-majorant envelope G(2).
+
+Batch contract: a suite draws its samples as one padded (weights, angles)
+array and scores them in one pass through the axis-0 cores the sweeps use.
+Sample i still comes from its own seed (row i equals
+``sample_measure(s_i, 1 + s_i % 4)`` bitwise), and a batch column equals
+the member built alone, so the samples, rows, limits and verdicts are those
+of building the members one at a time.  Details agree to rounding: the fs
+scorer computes mu*a2**2 where ``fekete_szego_value`` computes mu*a2*a2.
 """
 
 from __future__ import annotations
@@ -17,15 +25,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import power_series as ps
-from .caratheodory import AtomicMeasure, mm_gap, p_series, recover_xi_zeta, \
-    rotation_normalized, sample_measure
+from .caratheodory import _draw_measures, _moments, _p_coeffs
 from .errors import RangeError
-from .extremal import eq_series, f1_series, f2_series, herglotz_starlike
+from .explorer import _bieberbach_chunk, _starlike_scores
+from .extremal import eq_series, f1_series, f2_series, f_exponent_series
 from .functionals import bieberbach_bound_convex, fekete_szego_value, fs_bound, \
     hankel_bound, hankel_value, t4_scalars
-from .q_calculus import ClassParams, QLogRatios, dq, iq, jackson_sum
-from .schlicht import convex_from_h, convex_from_measure, membership_convex, \
-    membership_starlike, rho_map, starlike_from_p
+from .q_calculus import ClassParams, _brackets, _check_q, _iq_core, iq, \
+    jackson_sum
+from .schlicht import _convex_h_core, _starlike_core, membership_convex, \
+    membership_starlike
 
 SUITES = ("qcalc", "fs", "hankel", "bieberbach", "herglotz", "membership")
 
@@ -37,32 +46,36 @@ class CheckResult:
     detail: str
 
 
-def _sample_seeds(seed: int, count: int):
-    return [int(s) for s in
-            np.random.SeedSequence(int(seed)).generate_state(count, np.uint64)]
+def _sample_rows(seed: int, count: int):
+    """Padded (weights, angles) rows of a suite's samples: row i is
+    sample_measure(s_i, 1 + s_i % 4) for the i-th seed s_i derived from seed."""
+    seeds = [int(s) for s in
+             np.random.SeedSequence(int(seed)).generate_state(count, np.uint64)]
+    return _draw_measures(seeds, [1 + s % 4 for s in seeds])
 
 
 def run_suite(suite: str, q: float, alpha: float, samples: int,
               seed: int) -> list[CheckResult]:
     if suite not in SUITES:
         raise RangeError(f"unknown suite {suite!r}; choose from {SUITES}")
+    if samples < 1:
+        raise RangeError(f"samples must be at least 1, got {samples}")
     fn = globals()[f"_suite_{suite}"]
     return fn(q, alpha, samples, seed)
 
 
 def _suite_qcalc(q, alpha, samples, seed) -> list[CheckResult]:
+    q = _check_q(q)
     rng = np.random.default_rng(seed)
-    worst_round = 0.0
-    worst_inv = 0.0
-    for _ in range(max(samples, 10)):
-        coeffs = rng.standard_normal(33) + 1j * rng.standard_normal(33)
-        f = ps.TruncatedSeries(coeffs)
-        back = iq(dq(f, q), q)
-        target = coeffs.copy()
-        target[0] = 0.0
-        worst_round = max(worst_round, float(np.abs(back.coeffs - target).max()))
-        forward = dq(iq(f, q), q)
-        worst_inv = max(worst_inv, float(np.abs(forward.coeffs - coeffs).max()))
+    # the same stream as one real and one imaginary draw of 33 per series
+    draws = rng.standard_normal((max(samples, 10), 2, 33))
+    coeffs = (draws[:, 0] + 1j * draws[:, 1]).T  # one column per series
+    back = _iq_core(coeffs[1:] * _brackets(32, q)[1:, None], q)  # iq(dq f)
+    target = coeffs.copy()
+    target[0] = 0.0
+    worst_round = float(np.abs(back - target).max())
+    forward = _iq_core(coeffs, q)[1:] * _brackets(33, q)[1:, None]  # dq(iq f)
+    worst_inv = float(np.abs(forward - coeffs).max())
     cubic = ps.from_coeffs(rng.standard_normal(4))
     x = 0.7
     js = jackson_sum(lambda t: ps.eval_at(cubic, t), x, q)
@@ -82,13 +95,9 @@ def _suite_fs(q, alpha, samples, seed) -> list[CheckResult]:
     params = ClassParams(q=q, alpha=alpha, order=8)
     bound0 = fs_bound(params, 0.0)
     mus = (-1.0, -0.5, 0.0, 0.5, 1.0, 0.5 + 0.5j)
-    worst_slack = math.inf
-    for s in _sample_seeds(seed, samples):
-        m = sample_measure(s, 1 + s % 4)
-        f = starlike_from_p(p_series(m, params.order), params)
-        for mu in mus:
-            slack = fs_bound(params, mu).value - fekete_szego_value(f, mu)
-            worst_slack = min(worst_slack, slack)
+    scores = _starlike_scores("fs", *_sample_rows(seed, samples), q, alpha, mus)
+    worst_slack = min(float((fs_bound(params, mu).value - v).min())
+                      for mu, v in scores.items())
     f1 = f1_series(params)
     att = abs(fekete_szego_value(f1, 0.0) - bound0.value)
     label = "conjectured bound" if bound0.conjectural else "stated bound"
@@ -110,11 +119,9 @@ def _suite_hankel(q, alpha, samples, seed) -> list[CheckResult]:
     v1 = hankel_value(f1, 2, 2)
     v2 = hankel_value(f2, 2, 2)
     _, g2, _ = t4_scalars(2.0, 1.0, q)
-    emp = 0.0
-    for s in _sample_seeds(seed, samples):
-        m = sample_measure(s, 1 + s % 4)
-        f = starlike_from_p(p_series(m, params.order), params)
-        emp = max(emp, hankel_value(f, 2, 2))
+    scores = _starlike_scores("h22", *_sample_rows(seed, samples), q, alpha,
+                              (None,))
+    emp = max(0.0, float(scores[None].max()))
     results = [
         CheckResult("two-atom generator attains the stated bound",
                     abs(v2 - bound.value) <= 1e-8, f"|gap| {abs(v2 - bound.value):.3e}"),
@@ -139,15 +146,9 @@ def _suite_hankel(q, alpha, samples, seed) -> list[CheckResult]:
 def _suite_bieberbach(q, alpha, samples, seed) -> list[CheckResult]:
     params = ClassParams(q=q, alpha=alpha, order=12)
     bounds = {n: bieberbach_bound_convex(params, n) for n in range(2, 11)}
-    worst = 0.0
-    for i, s in enumerate(_sample_seeds(seed, samples)):
-        m = sample_measure(s, 1 + s % 4)
-        if i % 2 == 0:
-            f = convex_from_h(p_series(m, params.order), params)
-        else:
-            f = convex_from_measure(m, params)
-        for n, b in bounds.items():
-            worst = max(worst, abs(f.coeffs[n]) / b)
+    # even samples on the product route, odd ones on the measure route
+    ratios = _bieberbach_chunk(*_sample_rows(seed, samples), 0, q, alpha, 10)
+    worst = max(0.0, float(ratios.max()))
     res = eq_series(params)
     eq_gap = max(abs(abs(res.e_q.coeffs[n]) - bounds[n]) for n in bounds)
     return [
@@ -163,23 +164,17 @@ def _suite_herglotz(q, alpha, samples, seed) -> list[CheckResult]:
         return [CheckResult("measure representation requires alpha = 0", False,
                             f"alpha = {alpha}")]
     params = ClassParams(q=q, alpha=0.0, order=16)
-    worst = 0.0
-    for s in _sample_seeds(seed, samples):
-        m = sample_measure(s, 1 + s % 4)
-        f_a = starlike_from_p(p_series(m, params.order), params)
-        f_b = herglotz_starlike(m, params)
-        worst = max(worst, float(np.abs(f_a.coeffs - f_b.coeffs).max()))
-    lnq = math.log(q)
-    worst_log = 0.0
-    for s in _sample_seeds(seed + 1, samples):
-        m = sample_measure(s, 1 + s % 4)
-        p = p_series(m, params.order)
-        f = starlike_from_p(p, params)
-        phi = ps.log(f.div_z())
-        # log(f/z) has order N - 1, one below p
-        target = p.coeffs[1:params.order] * lnq / (
-            np.power(q, np.arange(1, params.order)) - 1.0)
-        worst_log = max(worst_log, float(np.abs(phi.coeffs[1:] - target).max()))
+    n = params.order
+    m = _moments(*_sample_rows(seed, samples), n)
+    f_a = _starlike_core(_p_coeffs(m), q, 0.0)
+    # herglotz_starlike: f/z = exp(sum_n F_n m_n z^n)
+    f_exp = f_exponent_series(params).coeffs[:n, None]
+    f_b = ps._exp_core(f_exp * m[:n])
+    worst = float(np.abs(f_a[1:] - f_b).max())
+    p = _p_coeffs(_moments(*_sample_rows(seed + 1, samples), n))
+    phi = ps._log_core(_starlike_core(p, q, 0.0)[1:])  # log(f/z), order N - 1
+    target = p[1:n] * math.log(q) / (np.power(q, np.arange(1, n)) - 1.0)[:, None]
+    worst_log = float(np.abs(phi[1:] - target).max())
     return [
         CheckResult("functional-equation and exponent routes agree",
                     worst <= 1e-9, f"max coeff diff {worst:.3e}"),
@@ -201,14 +196,12 @@ def _suite_membership(q, alpha, samples, seed) -> list[CheckResult]:
             f"{name} certificate", rep.passed,
             f"worst margin {rep.worst_margin:.3e} at {rep.worst_point:.3f},"
             f" unresolved {rep.unresolved}"))
-    worst = -math.inf
-    ok = True
-    for s in _sample_seeds(seed, max(2, samples // 10)):
-        m = sample_measure(s, 1 + s % 4)
-        f = convex_from_h(p_series(m, params.order), params)
-        rep = membership_convex(f, params)
-        ok = ok and rep.passed
-        worst = max(worst, rep.worst_margin)
-    results.append(CheckResult("product-route members certify convex", ok,
+    # members built in one batch; a certificate per member
+    m = _moments(*_sample_rows(seed, max(2, samples // 10)), params.order)
+    members = _convex_h_core(_p_coeffs(m), q, alpha)[: params.order + 1]
+    reps = [membership_convex(ps.TruncatedSeries(a), params) for a in members.T]
+    worst = max(rep.worst_margin for rep in reps)
+    results.append(CheckResult("product-route members certify convex",
+                               all(rep.passed for rep in reps),
                                f"worst margin {worst:.3e}"))
     return results

@@ -114,6 +114,16 @@ class TestVerify:
         assert "Traceback" not in captured.err
         assert captured.out.rstrip().endswith("checks passed")
 
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_bad_sample_count_exits_cleanly(self, capsys, suite, samples):
+        code = main(["verify", "--suite", suite, "--q", "0.5",
+                     "--samples", samples, "--seed", "5"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: samples must be at least 1")
+
 
 class TestSearch:
     def test_writes_canonical_report(self, capsys, tmp_path):
