@@ -140,7 +140,6 @@ def _cmd_search(args) -> int:
         q_grid=_parse_grid(args.q_grid),
         alpha_grid=_parse_grid(args.alpha_grid),
         mu_grid=_parse_mu_grid(args.mu_grid) if args.mu_grid else (),
-        order=args.order,
         k_atoms=args.k_atoms,
         include_extremals=not args.no_extremals,
         refine_iters=args.refine_iters,
@@ -219,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True, help="output JSON path")
     p.add_argument("--csv", default=None, help="optional CSV path")
-    p.add_argument("--order", type=int, default=32)
     p.add_argument("--k-atoms", type=int, default=4)
     p.add_argument("--no-extremals", action="store_true")
     p.add_argument("--refine-iters", type=int, default=100)

@@ -11,12 +11,13 @@ Determinism contract:
   * sample i of a group depends only on (seed, group index, i), and each
     sample consumes a fixed number of draws, so enlarging ``samples`` keeps
     every earlier sample identical;
-  * parallel workers split the sample range into contiguous chunks whose
-    elementwise evaluation is unaffected by the split, and the reduction
-    picks the maximum value with ties broken by the lowest sample index;
+  * the sample range is scored in blocks of ``BLOCK`` rows, the pool's work
+    units, whatever the worker count; scoring is elementwise, so a row
+    scores the same in any block, and one argmax over all the scores picks
+    the maximum value with ties broken by the lowest sample index;
   * single-measure evaluation is a batch of one: refinement, extremal
     injection and replay run the sweep's batch scorer on one row, so a
-    sampled row scores bitwise the same alone as in its chunk;
+    sampled row scores bitwise the same alone as in its block;
   * reports serialize canonically (sorted keys, %.17g floats), so a fixed
     seed yields byte-identical JSON for any worker count.
 """
@@ -27,7 +28,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -36,8 +37,9 @@ from .caratheodory import MAX_ATOMS, RNG_NAME, AtomicMeasure, _moments, \
     _p_coeffs, measure_from_dict
 from .errors import ConfigError
 from .extremal import eq_series, f1_series, f2_series, f_exponent_series
-from .functionals import bieberbach_bound_convex, fekete_szego_value, fs_bound, \
-    hankel_bound, hankel_value
+from .functionals import Bound, bieberbach_bound_convex, fekete_szego_value, \
+    fs_bound, hankel_bound, hankel_value
+from .power_series import MAX_ORDER
 from .q_calculus import ClassParams
 from .schlicht import _convex_h_core, _convex_measure_core, _starlike_core
 
@@ -48,6 +50,11 @@ FUNCTIONALS = ("fs", "h22", "bieberbach")
 #: conditions badly: weights stay above this floor and atoms this far apart.
 MIN_WEIGHT = 1e-4
 MIN_SEPARATION = 1e-3
+
+#: rows per work unit of a sweep's scoring pass, fixed so that the work split
+#: does not depend on the worker count; even, so every block starts on the
+#: Bieberbach product route
+BLOCK = 8192
 
 
 def resolve_workers(workers: int | None = None) -> int:
@@ -70,7 +77,6 @@ class SweepConfig:
     q_grid: tuple
     alpha_grid: tuple = (0.0,)
     mu_grid: tuple = ()
-    order: int = 32
     k_atoms: int = 4
     include_extremals: bool = True
     refine_iters: int = 100
@@ -94,28 +100,16 @@ class SweepConfig:
                 raise ConfigError(f"alpha grid value {a} outside [0, 1)")
         if not (1 <= self.k_atoms <= MAX_ATOMS):
             raise ConfigError(f"k_atoms must lie in [1, {MAX_ATOMS}]")
-        if not (2 <= self.n_check <= self.order):
-            raise ConfigError("n_check must lie in [2, order]")
+        if not (2 <= self.n_check <= MAX_ORDER):
+            raise ConfigError(f"n_check must lie in [2, {MAX_ORDER}]")
         object.__setattr__(self, "q_grid", tuple(float(q) for q in self.q_grid))
         object.__setattr__(self, "alpha_grid", tuple(float(a) for a in self.alpha_grid))
         object.__setattr__(self, "mu_grid", tuple(complex(m) for m in self.mu_grid))
 
     def to_dict(self) -> dict:
-        return {
-            "functional": self.functional,
-            "seed": int(self.seed),
-            "samples": int(self.samples),
-            "q_grid": [float(q) for q in self.q_grid],
-            "alpha_grid": [float(a) for a in self.alpha_grid],
-            "mu_grid": [[m.real, m.imag] for m in self.mu_grid],
-            "order": int(self.order),
-            "k_atoms": int(self.k_atoms),
-            "include_extremals": bool(self.include_extremals),
-            "refine_iters": int(self.refine_iters),
-            "tol": float(self.tol),
-            "n_check": int(self.n_check),
-            "rng": RNG_NAME,
-        }
+        """Every field, with mu as [re, im] pairs, plus the RNG name."""
+        return {**asdict(self), "rng": RNG_NAME,
+                "mu_grid": [[m.real, m.imag] for m in self.mu_grid]}
 
 
 # -- sample generation --------------------------------------------------------
@@ -172,7 +166,7 @@ def _bieberbach_scores(weights, angles, q, alpha, n_check, route):
     return (np.abs(a[2:]) / bounds[:, None]).max(axis=0, initial=0.0)
 
 
-def _bieberbach_chunk(weights, angles, lo, q, alpha, n_check):
+def _bieberbach_block(weights, angles, lo, q, alpha, n_check):
     """Scores of the rows with global indices lo, lo + 1, ...: even indices
     on the product route, odd ones on the measure route.  At alpha = 0 both
     give the same member to rounding (see :func:`.schlicht.convex_from_h`),
@@ -272,49 +266,57 @@ def refine_measure(score_fn, m: AtomicMeasure, iters: int,
 # -- sweep drivers ------------------------------------------------------------
 
 
-def _chunk_ranges(total: int, workers: int):
-    bounds = np.linspace(0, total, min(workers, total) + 1).astype(int)
-    return [(int(b0), int(b1)) for b0, b1 in zip(bounds[:-1], bounds[1:]) if b1 > b0]
+def _parallel_scores(score_block, total: int, workers: int):
+    """Per key, the largest value over rows 0..total-1 and its row index.
 
+    score_block(lo, hi) returns a dict mapping key -> values of rows lo..hi-1.
+    The pool's work units are blocks of BLOCK rows; one argmax over all the
+    values keeps the first maximum, so ties go to the lowest index."""
+    starts = range(0, total, BLOCK)
 
-def _parallel_scores(score_chunk, total: int, workers: int):
-    """Evaluate score_chunk over index ranges, merge (value, index) maxima.
+    def job(lo):
+        return score_block(lo, min(lo + BLOCK, total))
 
-    score_chunk(lo, hi) returns a dict mapping key -> (values array over the
-    chunk).  The reduction keeps, per key, the largest value with the lowest
-    global index on ties; the result is independent of the chunking.
-    """
-    ranges = _chunk_ranges(total, workers)
-
-    def job(rng_pair):
-        lo, hi = rng_pair
-        out = {}
-        for key, vals in score_chunk(lo, hi).items():
-            i = int(np.argmax(vals))
-            out[key] = (float(vals[i]), lo + i)
-        return out
-
-    if len(ranges) == 1:
-        results = [job(ranges[0])]
+    if workers == 1 or len(starts) == 1:
+        parts = [job(lo) for lo in starts]
     else:
-        with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-            results = list(pool.map(job, ranges))
-    merged: dict = {}
-    for part in results:
-        for key, (val, idx) in part.items():
-            if key not in merged or val > merged[key][0] or \
-                    (val == merged[key][0] and idx < merged[key][1]):
-                merged[key] = (val, idx)
-    return merged
+        with ThreadPoolExecutor(max_workers=min(workers, len(starts))) as pool:
+            parts = list(pool.map(job, starts))
+    best = {}
+    for key in parts[0]:
+        vals = np.concatenate([part[key] for part in parts])
+        i = int(np.argmax(vals))
+        best[key] = (float(vals[i]), i)
+    return best
 
 
-def _extremal_rows(functional: str, k_atoms: int):
-    """Injected extremal-generator measures, indexed below the samples."""
-    rows = [(-2, AtomicMeasure(np.array([1.0]), np.array([0.0])))]
-    if functional in ("fs", "h22"):
-        rows.append((-1, AtomicMeasure(np.array([0.5, 0.5]),
-                                       np.array([0.0, math.pi]))))
-    return rows
+def _extremal_rows(functional: str):
+    """Injected extremal generators as (index, measure, construction),
+    indexed below the samples: the one- and two-atom starlike generators,
+    or the q-integral extremal E_q on the measure route."""
+    one = AtomicMeasure(np.array([1.0]), np.array([0.0]))
+    if functional == "bieberbach":
+        return [(-1, one, "convex_measure")]
+    two = AtomicMeasure(np.array([0.5, 0.5]), np.array([0.0, math.pi]))
+    return [(-2, one, "starlike_p"), (-1, two, "starlike_p")]
+
+
+def _stated(functional: str, q: float, alpha: float):
+    """(mu, injected values by row index) -> (stated Bound, extremals) of a
+    cell.  Bieberbach ratios are normalized, so their bound is 1 and the
+    recorded extremal is the injected E_q; the starlike cells record the
+    generators f1 and f2."""
+    if functional == "bieberbach":
+        return lambda _mu, injected: (Bound(1.0, alpha > 0.0),
+                                      {"eq": injected[-1]} if injected else None)
+    params = ClassParams(q=q, alpha=alpha)
+    small = ClassParams(q=q, alpha=alpha, order=6)
+    f1, f2 = f1_series(small), f2_series(small)
+    if functional == "fs":
+        return lambda mu, _injected: (fs_bound(params, mu), {
+            "f1": fekete_szego_value(f1, mu), "f2": fekete_szego_value(f2, mu)})
+    return lambda _mu, _injected: (hankel_bound(params), {
+        "f1": hankel_value(f1, 2, 2), "f2": hankel_value(f2, 2, 2)})
 
 
 def run_sweep(cfg: SweepConfig, workers: int | None = None) -> dict:
@@ -324,55 +326,51 @@ def run_sweep(cfg: SweepConfig, workers: int | None = None) -> dict:
     groups = [(q, a) for q in cfg.q_grid for a in cfg.alpha_grid]
     for g_idx, (q, alpha) in enumerate(groups):
         weights, angles = group_samples(cfg, g_idx)
-        if cfg.functional in ("fs", "h22"):
-            cells.extend(_run_starlike_group(cfg, workers, q, alpha,
-                                             weights, angles))
-        else:
-            cells.append(_run_bieberbach_group(cfg, workers, q, alpha,
-                                               weights, angles))
+        cells.extend(_run_group(cfg, workers, q, alpha, weights, angles))
     return {"config": cfg.to_dict(), "cells": cells, "version": __version__}
 
 
-def _run_starlike_group(cfg, workers, q, alpha, weights, angles):
-    mus = cfg.mu_grid if cfg.functional == "fs" else (None,)
+def _run_group(cfg, workers, q, alpha, weights, angles):
+    """One cell per key (each mu of an fs sweep, else None): the sample
+    argmax, then the injected extremals under the same lowest-index tie
+    rule, then refinement from the winner."""
+    fn = cfg.functional
+    keys = cfg.mu_grid if fn == "fs" else (None,)
 
-    def score_chunk(lo, hi):
-        return _starlike_scores(cfg.functional, weights[lo:hi], angles[lo:hi],
-                                q, alpha, mus)
+    def score_block(lo, hi):
+        w, a = weights[lo:hi], angles[lo:hi]
+        if fn == "bieberbach":
+            return {None: _bieberbach_block(w, a, lo, q, alpha, cfg.n_check)}
+        return _starlike_scores(fn, w, a, q, alpha, keys)
 
-    best_by_mu = _parallel_scores(score_chunk, cfg.samples, workers)
-
-    params_small = ClassParams(q=q, alpha=alpha, order=6)
-    f1 = f1_series(params_small)
-    f2 = f2_series(params_small)
+    best = _parallel_scores(score_block, cfg.samples, workers)
+    rows = _extremal_rows(fn) if cfg.include_extremals else []
+    stated = _stated(fn, q, alpha)
     cells = []
-    for mu in mus:
-        if cfg.functional == "fs":
-            bound = fs_bound(ClassParams(q=q, alpha=alpha), mu)
-            f1_val = fekete_szego_value(f1, mu)
-            f2_val = fekete_szego_value(f2, mu)
-        else:
-            bound = hankel_bound(ClassParams(q=q, alpha=alpha))
-            f1_val = hankel_value(f1, 2, 2)
-            f2_val = hankel_value(f2, 2, 2)
+    for mu in keys:
+        def score(m, construction):
+            return evaluate_measure(fn, m, q, alpha, mu=mu, n_check=cfg.n_check,
+                                    construction=construction)
 
-        best_val, best_idx = best_by_mu[mu]
+        best_val, best_idx = best[mu]
         argmax = _measure_from_row(weights[best_idx], angles[best_idx])
-        source = "sample"
-        if cfg.include_extremals:
-            for idx, m in _extremal_rows(cfg.functional, cfg.k_atoms):
-                v = evaluate_measure(cfg.functional, m, q, alpha, mu=mu)
-                if v > best_val or (v == best_val and idx < best_idx):
-                    best_val, best_idx, argmax, source = v, idx, m, "extremal"
+        source, construction = "sample", "starlike_p"
+        if fn == "bieberbach":  # rows alternate routes, as in _bieberbach_block
+            construction = ("convex_h", "convex_measure")[best_idx % 2]
+        injected = {}
+        for idx, m, route in rows:
+            v = injected[idx] = score(m, route)
+            if v > best_val or (v == best_val and idx < best_idx):
+                best_val, best_idx, argmax = v, idx, m
+                construction, source = route, "extremal"
 
         if cfg.refine_iters > 0:
-            def score_fn(meas):
-                return evaluate_measure(cfg.functional, meas, q, alpha, mu=mu)
-            refined_val, refined_m = refine_measure(score_fn, argmax,
-                                                    cfg.refine_iters)
+            refined_val, refined_m = refine_measure(
+                lambda meas: score(meas, construction), argmax, cfg.refine_iters)
             if refined_val > best_val:
                 best_val, argmax, source = refined_val, refined_m, "refined"
 
+        bound, extremals = stated(mu, injected)
         slack = bound.value - best_val
         cells.append({
             "q": q, "alpha": alpha,
@@ -384,56 +382,10 @@ def _run_starlike_group(cfg, workers, q, alpha, weights, angles):
             "violated": bool(slack < -cfg.tol),
             "argmax_measure": argmax.to_dict(),
             "argmax_source": source,
-            "argmax_construction": "starlike_p",
-            "extremals": {"f1": f1_val, "f2": f2_val},
+            "argmax_construction": construction,
+            "extremals": extremals,
         })
     return cells
-
-
-def _run_bieberbach_group(cfg, workers, q, alpha, weights, angles):
-    def score_chunk(lo, hi):
-        return {None: _bieberbach_chunk(weights[lo:hi], angles[lo:hi], lo, q,
-                                        alpha, cfg.n_check)}
-
-    best_val, best_idx = _parallel_scores(score_chunk, cfg.samples, workers)[None]
-    argmax = _measure_from_row(weights[best_idx], angles[best_idx])
-    construction = "convex_h" if best_idx % 2 == 0 else "convex_measure"
-    source = "sample"
-
-    eq_ratio = None
-    if cfg.include_extremals:
-        m_eq = AtomicMeasure(np.array([1.0]), np.array([0.0]))
-        eq_ratio = evaluate_measure("bieberbach", m_eq, q, alpha,
-                                    n_check=cfg.n_check,
-                                    construction="convex_measure")
-        if eq_ratio > best_val or (eq_ratio == best_val and -1 < best_idx):
-            best_val, best_idx, argmax = eq_ratio, -1, m_eq
-            construction, source = "convex_measure", "extremal"
-
-    if cfg.refine_iters > 0:
-        def score_fn(meas):
-            return evaluate_measure("bieberbach", meas, q, alpha,
-                                    n_check=cfg.n_check,
-                                    construction=construction)
-        refined_val, refined_m = refine_measure(score_fn, argmax,
-                                                cfg.refine_iters)
-        if refined_val > best_val:
-            best_val, argmax, source = refined_val, refined_m, "refined"
-
-    # ratios are normalized: the stated bound corresponds to ratio 1
-    slack = 1.0 - best_val
-    return {
-        "q": q, "alpha": alpha, "mu": None,
-        "empirical_max": best_val,
-        "stated_bound": 1.0,
-        "conjectural": alpha > 0.0,
-        "slack": slack,
-        "violated": bool(slack < -cfg.tol),
-        "argmax_measure": argmax.to_dict(),
-        "argmax_source": source,
-        "argmax_construction": construction,
-        "extremals": None if eq_ratio is None else {"eq": eq_ratio},
-    }
 
 
 # -- classical limits ---------------------------------------------------------
@@ -471,10 +423,8 @@ def run_limit_sweep(q_list, alpha: float,
         res = eq_series(params)
         cn_rows = []
         for n in range(2, n_cn + 1):
-            target = 1.0
-            for k in range(2, n + 1):
-                target *= (k - 2.0 * alpha)
-            target /= math.factorial(n - 1)
+            target = math.prod(k - 2.0 * alpha for k in range(2, n + 1)) \
+                / math.factorial(n - 1)
             cn_rows.append({"n": n, "c_n": float(res.c[n]), "target": target,
                             "abs_err": abs(float(res.c[n]) - target)})
         rows.append({

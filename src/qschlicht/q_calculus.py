@@ -38,20 +38,17 @@ def _check_alpha(alpha: float) -> float:
 
 @dataclass(frozen=True)
 class ClassParams:
-    """Parameters shared by every class construction: q, alpha, order, tol."""
+    """Parameters shared by every class construction: q, alpha, order."""
 
     q: float
     alpha: float = 0.0
     order: int = 32
-    tol: float = 1e-9
 
     def __post_init__(self):
         _check_q(self.q)
         _check_alpha(self.alpha)
         if not (4 <= int(self.order) <= MAX_ORDER):
             raise RangeError(f"order must lie in [4, {MAX_ORDER}], got {self.order}")
-        if not self.tol > 0:
-            raise RangeError("tol must be positive")
         object.__setattr__(self, "order", int(self.order))
 
 

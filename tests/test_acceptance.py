@@ -270,8 +270,7 @@ def test_c08_supporting_closed_form():
 
 def test_c09_bieberbach_sweep():
     cfg = SweepConfig(functional="bieberbach", seed=SEED, samples=10_000,
-                      q_grid=Q_GRID, alpha_grid=ALPHA_GRID, order=12,
-                      n_check=10)
+                      q_grid=Q_GRID, alpha_grid=ALPHA_GRID, n_check=10)
     rep = run_sweep(cfg)
     worst_ratio = max(c["empirical_max"] for c in rep["cells"])
     eq_gap = max(abs(c["extremals"]["eq"] - 1.0) for c in rep["cells"])

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from qschlicht.caratheodory import MAX_ATOMS, AtomicMeasure, _moments, \
     _p_coeffs, measure_from_dict, p_series
 from qschlicht.errors import ConfigError
-from qschlicht.explorer import (CSV_HEADER, SweepConfig, _bieberbach_chunk,
-                                _bieberbach_scores, _measure_from_row,
+from qschlicht.explorer import (BLOCK, CSV_HEADER, SweepConfig,
+                                _bieberbach_block, _bieberbach_scores,
+                                _measure_from_row, _parallel_scores,
                                 _starlike_scores, canonical_json,
                                 evaluate_measure, group_samples,
                                 refine_measure, replay_cell, report_csv,
@@ -42,6 +43,17 @@ class TestConfig:
             fs_config(alpha_grid=(-0.1,))
         with pytest.raises(ConfigError):
             fs_config(samples=0)
+
+    def test_n_check_range(self):
+        with pytest.raises(ConfigError):
+            SweepConfig(functional="bieberbach", seed=1, samples=10,
+                        q_grid=(0.5,), n_check=1)
+        with pytest.raises(ConfigError):
+            SweepConfig(functional="bieberbach", seed=1, samples=10,
+                        q_grid=(0.5,), n_check=257)
+        cfg = SweepConfig(functional="bieberbach", seed=1, samples=10,
+                          q_grid=(0.5,), n_check=40)
+        assert "order" not in cfg.to_dict()
 
     def test_workers_resolution(self, monkeypatch):
         monkeypatch.setenv("QSCHLICHT_THREADS", "3")
@@ -136,7 +148,7 @@ class TestBieberbachSweep:
     def test_ratios_within_bound_and_extremal_attains(self):
         cfg = SweepConfig(functional="bieberbach", seed=3, samples=400,
                           q_grid=(0.2, 0.5, 0.8), alpha_grid=(0.0, 0.3, 0.7),
-                          order=12, refine_iters=20)
+                          refine_iters=20)
         rep = run_sweep(cfg)
         assert len(rep["cells"]) == 9
         for cell in rep["cells"]:
@@ -146,7 +158,7 @@ class TestBieberbachSweep:
 
     def test_replay_uses_recorded_construction(self):
         cfg = SweepConfig(functional="bieberbach", seed=3, samples=300,
-                          q_grid=(0.5,), order=12, refine_iters=0)
+                          q_grid=(0.5,), refine_iters=0)
         rep = run_sweep(cfg)
         cell = rep["cells"][0]
         assert cell["argmax_construction"] in ("convex_h", "convex_measure")
@@ -157,7 +169,7 @@ class TestBieberbachSweep:
     def test_product_batch_matches_convex_from_h(self, q, alpha):
         n_max = 12
         cfg = SweepConfig(functional="bieberbach", seed=11, samples=40,
-                          q_grid=(q,), alpha_grid=(alpha,), order=n_max)
+                          q_grid=(q,), alpha_grid=(alpha,))
         weights, angles = group_samples(cfg, 0)
         batch = _convex_h_core(
             _p_coeffs(_moments(weights, angles, n_max - 1)), q, alpha)
@@ -219,7 +231,7 @@ class TestBatchOfOne:
             batch = _bieberbach_scores(w, a, q, alpha, n_check, route)
             assert evaluate_measure("bieberbach", m, q, alpha, n_check=n_check,
                                     construction=route) == batch[i]
-        sweep = _bieberbach_chunk(w, a, 0, q, alpha, n_check)
+        sweep = _bieberbach_block(w, a, 0, q, alpha, n_check)
         route = "convex_h" if i % 2 == 0 else "convex_measure"
         assert evaluate_measure("bieberbach", m, q, alpha, n_check=n_check,
                                 construction=route) == sweep[i]
@@ -235,9 +247,40 @@ class TestBatchOfOne:
             part = _starlike_scores(fn, w[lo:hi], a[lo:hi], q, alpha, mus)
             for mu in mus:
                 assert np.array_equal(part[mu], full[mu][lo:hi])
-        full = _bieberbach_chunk(w, a, 0, q, alpha, 10)
-        part = _bieberbach_chunk(w[lo:hi], a[lo:hi], lo, q, alpha, 10)
+        full = _bieberbach_block(w, a, 0, q, alpha, 10)
+        part = _bieberbach_block(w[lo:hi], a[lo:hi], lo, q, alpha, 10)
         assert np.array_equal(part, full[lo:hi])
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_ties_across_blocks_go_to_the_lowest_index(self, workers):
+        total = 3 * BLOCK + 5
+        peaks = {"a": [BLOCK + 7, 2 * BLOCK, 3 * BLOCK + 1],
+                 "b": [3 * BLOCK + 4, 5]}
+
+        def score_block(lo, hi):
+            out = {}
+            for key, at in peaks.items():
+                vals = np.zeros(hi - lo)
+                for i in at:
+                    if lo <= i < hi:
+                        vals[i - lo] = 2.5
+                out[key] = vals
+            return out
+
+        best = _parallel_scores(score_block, total, workers)
+        assert best == {"a": (2.5, BLOCK + 7), "b": (2.5, 5)}
+
+    @pytest.mark.parametrize("functional", ["fs", "bieberbach"])
+    def test_worker_count_does_not_change_bytes_across_blocks(self, functional):
+        cfg = SweepConfig(functional=functional, seed=17,
+                          samples=2 * BLOCK + 3, q_grid=(0.5,),
+                          alpha_grid=(0.3,),
+                          mu_grid=(0.5,) if functional == "fs" else (),
+                          refine_iters=3)
+        texts = {canonical_json(run_sweep(cfg, workers=w)) for w in (1, 2, 3)}
+        assert len(texts) == 1
 
 
 class TestRefinement:

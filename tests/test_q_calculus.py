@@ -110,8 +110,6 @@ class TestParamsAndRatios:
             ClassParams(q=0.5, alpha=1.0)
         with pytest.raises(RangeError):
             ClassParams(q=0.5, order=2)
-        with pytest.raises(RangeError):
-            ClassParams(q=0.5, tol=0.0)
 
     def test_ratios_are_positive(self):
         for q in (0.05, 0.2, 0.5, 0.8, 0.95):
