@@ -31,8 +31,9 @@ f_unit = starlike_from_p(p_series(unit, params.order), params)
 print("unit mass = one-atom generator:",
       np.abs(f_unit.coeffs - f1_series(params).coeffs).max())
 
-# Convex-type members come from the same data, either through the infinite
-# product for z Dq f or through the measure exponent.
+# Convex-type members are q-integrals of starlike-type members: f is convex
+# exactly when z Dq f is starlike with the same G.  Integrate the p-route
+# member of the same data, or the measure-exponent member.
 params_c = ClassParams(q=0.5, alpha=0.3, order=64)
 g_prod = convex_from_h(p_series(m, params_c.order), params_c)
 g_meas = convex_from_measure(m, params_c)
@@ -40,7 +41,7 @@ print("convex certificates:",
       membership_convex(g_prod, params_c).passed,
       membership_convex(g_meas, params_c).passed)
 
-# The bounded-map image of a product member recovers exp((ln q) p): the two
+# The bounded-map image of a p-route member recovers exp((ln q) p): the two
 # sides of the bijection between members and bounded maps.
 h = rho_map(g_prod, params_c)
 print("rho(f)(0) = q:", h.coeffs[0].real)

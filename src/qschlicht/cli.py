@@ -78,7 +78,7 @@ def _cmd_coeffs(args) -> int:
         if args.klass == "convex":
             f = convex_from_measure(m, params)
         else:
-            f = starlike_from_p(p_series(m, params.order), params)
+            f = starlike_from_p(p_series(m, params.order - 1), params)
     else:
         raise QschlichtError(f"unknown source {source!r}")
     # move a named generator into the requested class via the q-integral pair
@@ -238,7 +238,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (QschlichtError, ValueError, ArithmeticError) as exc:
+    except (QschlichtError, ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

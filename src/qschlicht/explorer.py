@@ -36,12 +36,14 @@ from . import __version__
 from .caratheodory import MAX_ATOMS, RNG_NAME, AtomicMeasure, _moments, \
     _p_coeffs, measure_from_dict
 from .errors import ConfigError
-from .extremal import eq_series, f1_series, f2_series, f_exponent_series
-from .functionals import Bound, bieberbach_bound_convex, fekete_szego_value, \
-    fs_bound, hankel_bound, hankel_value
+from .extremal import _exponent_core, eq_series, f1_series, f2_series, \
+    f_exponent_series
+from .functionals import Bound, _bieberbach_bound_table, \
+    bieberbach_bound_convex, fekete_szego_value, fs_bound, hankel_bound, \
+    hankel_value
 from .power_series import MAX_ORDER
-from .q_calculus import ClassParams
-from .schlicht import _convex_h_core, _convex_measure_core, _starlike_core
+from .q_calculus import ClassParams, _iq_core
+from .schlicht import _starlike_core
 
 TWO_PI = 2.0 * math.pi
 FUNCTIONALS = ("fs", "h22", "bieberbach")
@@ -143,8 +145,9 @@ def _measure_from_row(weights, angles) -> AtomicMeasure:
 
 
 def _starlike_scores(functional, weights, angles, q, alpha, mus):
-    """Per-row |a3 - mu a2^2| (fs) or |a2 a4 - a3^2| (h22), keyed by mu."""
-    n_max = 3 if functional == "fs" else 4
+    """Per-row |a3 - mu a2^2| (fs, from p_1..p_2) or |a2 a4 - a3^2| (h22,
+    from p_1..p_3), keyed by mu."""
+    n_max = 2 if functional == "fs" else 3
     a = _starlike_core(_p_coeffs(_moments(weights, angles, n_max)), q, alpha)
     if functional == "fs":
         return {mu: np.abs(a[3] - mu * a[2] ** 2) for mu in mus}
@@ -152,17 +155,17 @@ def _starlike_scores(functional, weights, angles, q, alpha, mus):
 
 
 def _bieberbach_scores(weights, angles, q, alpha, n_check, route):
-    """Per-row max_{2<=n<=n_check} |a_n| / bound_n, with the members built on
-    the closed-form product for route ``convex_h``, else the measure route."""
+    """Per-row max_{2<=n<=n_check} |a_n| / bound_n.  Each member is the
+    q-integral of its starlike member z (Dq f): the p-route member for route
+    ``convex_h``, else the measure exponent; both read m_1..m_{n_check-1}."""
     params = ClassParams(q=q, alpha=alpha, order=max(n_check, 4))
     m = _moments(weights, angles, n_check - 1)
     if route == "convex_h":
-        a = _convex_h_core(_p_coeffs(m), q, alpha)
+        g = _starlike_core(_p_coeffs(m), q, alpha)
     else:
-        f_exp = f_exponent_series(params).coeffs[:n_check]
-        a = _convex_measure_core(f_exp, m, q)
-    bounds = np.array([bieberbach_bound_convex(params, n)
-                       for n in range(2, n_check + 1)])
+        g = _exponent_core(f_exponent_series(params).coeffs[:n_check], m)
+    a = _iq_core(g[1:], q)
+    bounds = _bieberbach_bound_table(params)[2:n_check + 1]
     return (np.abs(a[2:]) / bounds[:, None]).max(axis=0, initial=0.0)
 
 

@@ -17,6 +17,7 @@ module.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,11 +26,13 @@ from . import power_series as ps
 from .caratheodory import AtomicMeasure, _moments
 from .errors import AlphaUnsupportedError
 from .power_series import TruncatedSeries
-from .q_calculus import ClassParams, QLogRatios, iq
+from .q_calculus import ClassParams, QLogRatios, _iq_core
 
 
+@functools.lru_cache(maxsize=None)
 def f_exponent_series(params: ClassParams) -> TruncatedSeries:
-    """The class exponent F: coefficient n is 2 L_alpha/(q^n - 1), n >= 1."""
+    """The class exponent F: coefficient n is 2 L_alpha/(q^n - 1), n >= 1.
+    Memoized per params; the coefficients are read-only."""
     ratios = QLogRatios.from_params(params)
     n = np.arange(params.order + 1, dtype=np.float64)
     coeffs = np.zeros(params.order + 1, dtype=np.complex128)
@@ -53,6 +56,15 @@ def f2_series(params: ClassParams) -> TruncatedSeries:
     return ps.exp(TruncatedSeries(coeffs)).times_z()
 
 
+def _exponent_core(f_exp: np.ndarray, moments: np.ndarray) -> np.ndarray:
+    """a_0..a_{N+1} of z exp(sum_n F_n m_n z^n) for the exponent F_0..F_N and
+    the moments m_0..m_N on axis 0 (F_0 = 0)."""
+    e = ps._exp_core(ps._einsum("n,n...->n...", f_exp, moments))
+    a = np.zeros((e.shape[0] + 1,) + e.shape[1:], dtype=np.complex128)
+    a[1:] = e
+    return a
+
+
 @dataclass(frozen=True)
 class EqResult:
     """The q-integral extremal and the coefficients c_n of z exp(F).
@@ -66,14 +78,11 @@ class EqResult:
 
 
 def eq_series(params: ClassParams) -> EqResult:
-    """Jackson integral of exp(F) together with the c_n coefficient list."""
-    exponent = ps.truncate(f_exponent_series(params), params.order - 1)
-    d_series = ps.exp(exponent)          # Dq of the result
-    e_q = iq(d_series, params.q)         # z + sum b_n z^n, order restored
-    c = np.empty(params.order + 1, dtype=np.float64)
-    c[0] = 0.0
-    c[1:] = d_series.coeffs.real         # coefficients of z exp(F) are real
-    return EqResult(e_q=ps.truncate(e_q, params.order), c=c)
+    """The q-integral of f1/z, so that z (Dq E_q) = f1 = z exp(F), together
+    with the coefficients c_n of f1 (all real)."""
+    c = f1_series(params).coeffs
+    return EqResult(e_q=TruncatedSeries(_iq_core(c[1:], params.q)),
+                    c=c.real.copy())
 
 
 def herglotz_starlike(m: AtomicMeasure, params: ClassParams) -> TruncatedSeries:
@@ -84,6 +93,6 @@ def herglotz_starlike(m: AtomicMeasure, params: ClassParams) -> TruncatedSeries:
     """
     if params.alpha != 0.0:
         raise AlphaUnsupportedError("measure representation requires alpha = 0")
-    f_exp = f_exponent_series(params).coeffs[: params.order]
-    exponent = f_exp * _moments(m.weights, m.angles, params.order - 1)
-    return ps.exp(TruncatedSeries(exponent)).times_z()
+    n = params.order
+    return TruncatedSeries(_exponent_core(f_exponent_series(params).coeffs[:n],
+                                          _moments(m.weights, m.angles, n - 1)))

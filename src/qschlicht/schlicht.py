@@ -8,9 +8,10 @@ on the disk, which is exactly the textbook inequality
 
 after clearing denominators.  Members are generated from a positive-real-part
 series p through the functional equation f(qz) = f(z) * G(z) with
-G = (1-alpha) exp((ln q) p) + alpha q, and convex-type members through the
-infinite product for z (Dq f)(z), summed in closed form, or through a measure
-exponent.
+G = (1-alpha) exp((ln q) p) + alpha q, or through a measure exponent.  Every
+convex-type member is the Jackson q-integral of its starlike-type member
+over z: f is convex-type exactly when z (Dq f)(z) is starlike-type with the
+same G.
 
 Certificates evaluate the defining expressions on a polar grid.  Because the
 inputs are truncated series, every evaluation carries a truncation-error
@@ -30,9 +31,9 @@ import numpy as np
 from . import power_series as ps
 from .caratheodory import AtomicMeasure, _moments
 from .errors import ConfigError, EvaluationSingularityError, RangeError
-from .extremal import f_exponent_series
+from .extremal import _exponent_core, f_exponent_series
 from .power_series import TruncatedSeries
-from .q_calculus import ClassParams, _iq_core, dq, iq, q_powers
+from .q_calculus import ClassParams, _iq_core, dq, iq
 
 _DENOM_FLOOR = 1e-14
 
@@ -167,76 +168,56 @@ def membership_convex(f: TruncatedSeries, params: ClassParams,
 
 
 def _starlike_core(p: np.ndarray, q: float, alpha: float) -> np.ndarray:
-    """a_0..a_N of the member with f(qz) = f(z) G(z), p_0..p_N on axis 0.
+    """a_0..a_{N+1} of the member with f(qz) = f(z) G(z), p_0..p_N on axis 0.
 
     G = (1-alpha) exp((ln q) p) + alpha q has G(0) = q and |G - alpha q| <=
     1-alpha wherever Re p >= 0, so the member is in the class by construction.
     a_n (q^n - q) = sum_{k<n} a_k G_{n-k}, a_1 = 1, is solved divided by q,
-    where G_k / q = (1-alpha) exp((ln q)(p - 1))_k for k >= 1.
+    where G_k / q = (1-alpha) exp((ln q)(p - 1))_k for k >= 1; a_{N+1} needs
+    only G_1..G_N.
     """
     u = ps._columns(p) * math.log(q)
     u[0] = 0.0
     e = ps._exp_core(u)
-    a = np.zeros_like(e)
+    a = np.zeros((e.shape[0] + 1,) + e.shape[1:], dtype=e.dtype)
     a[1:2] = 1.0
     for n in range(2, a.shape[0]):
         scale = (1.0 - alpha) / (q ** (n - 1) - 1.0)
         ps._contract(a[1:n], e[n - 1:0:-1], scale, a[n])
-    return a.reshape(p.shape)
-
-
-def _convex_h_core(p: np.ndarray, q: float, alpha: float) -> np.ndarray:
-    """a_0..a_{N+1} of the product-route convex member, p_0..p_N on axis 0;
-    see :func:`convex_from_h`."""
-    lam = p * math.log(q)
-    lam[0] = 0.0
-    if alpha != 0.0:
-        g = (1.0 - alpha) * ps._exp_core(lam)
-        g[0] = 1.0  # alpha + (1-alpha) exp((ln q)(p - 1))
-        lam = ps._log_core(g)
-    lam.T[..., 1:] /= 1.0 - q_powers(q, lam.shape[0] - 1)[1:]
-    return _iq_core(ps._exp_core(-lam), q)  # Dq f = exp(-lam_n/(1-q^n))
-
-
-def _convex_measure_core(f_exp, moments, q: float) -> np.ndarray:
-    """a_0..a_{N+1} of the measure-route convex member: Dq f = exp(F_n m_n)
-    for the class exponent F_0..F_N and the moments m_0..m_N on axis 0."""
-    return _iq_core(ps._exp_core(ps._einsum("n,n...->n...", f_exp, moments)), q)
+    return a.reshape(a.shape[:1] + p.shape[1:])
 
 
 def starlike_from_p(p: TruncatedSeries, params: ClassParams) -> TruncatedSeries:
     """Starlike-type member generated by a positive-real-part series; solves
-    f(qz) = f(z) G(z) coefficientwise (see :func:`_starlike_core`)."""
+    f(qz) = f(z) G(z) coefficientwise (see :func:`_starlike_core`).  An
+    order-N member reads p_0..p_{N-1}."""
     return TruncatedSeries(
-        _starlike_core(p.coeffs[: params.order + 1], params.q, params.alpha))
+        _starlike_core(p.coeffs[: params.order], params.q, params.alpha))
 
 
 def convex_from_h(p: TruncatedSeries, params: ClassParams) -> TruncatedSeries:
     """Convex-type member from the bounded map h = exp((ln q) p).
 
-    z (Dq f)(z) = z / prod_{m>=0} fac(q^m z) with the factor
-    fac = ((1-alpha) h + alpha q)/q = exp(lam), where
-    lam = log(1 + (1-alpha)(exp((ln q)(p - 1)) - 1)) as a formal series.  The
-    product telescopes: sum_m lam(q^m z) = sum_n lam_n z^n / (1 - q^n), so
-
-        Dq f = exp(-sum_n lam_n z^n / (1 - q^n))
-
-    exactly, with no truncated factor loop.  At alpha = 0, lam = (ln q)(p - 1)
-    and this is the measure exponent of :func:`convex_from_measure`, so for a
-    measure-generated p both routes give the same member to rounding.
+    f is convex-type exactly when z (Dq f) is starlike-type with the same
+    ratio G = (1-alpha) h + alpha q, so f is the Jackson q-integral of
+    starlike_from_p(p) / z.  Equivalently z (Dq f) = z / prod_{m>=0}
+    fac(q^m z) with fac = G/q: the product telescopes through the starlike
+    functional equation.  At alpha = 0 the starlike member is
+    z exp(sum_n F_n m_n z^n) for a measure-generated p, so this and
+    :func:`convex_from_measure` give the same member to rounding.
     """
-    a = _convex_h_core(p.coeffs[: params.order + 1], params.q, params.alpha)
-    return TruncatedSeries(a[: params.order + 1])
+    a = _starlike_core(p.coeffs[: params.order], params.q, params.alpha)
+    return TruncatedSeries(_iq_core(a[1:], params.q))
 
 
 def convex_from_measure(m: AtomicMeasure, params: ClassParams) -> TruncatedSeries:
     """Convex-type member with z (Dq f)(z) = z exp(sum_j t_j F(sigma_j z))
-    for the class exponent F; a unit mass at angle 0 returns the q-integral
-    extremal exactly."""
-    a = _convex_measure_core(f_exponent_series(params).coeffs,
-                             _moments(m.weights, m.angles, params.order),
-                             params.q)
-    return TruncatedSeries(a[: params.order + 1])
+    for the class exponent F, the q-integral of that member over z; a unit
+    mass at angle 0 returns the q-integral extremal exactly."""
+    n = params.order
+    a = _exponent_core(f_exponent_series(params).coeffs[:n],
+                       _moments(m.weights, m.angles, n - 1))
+    return TruncatedSeries(_iq_core(a[1:], params.q))
 
 
 def rho_map(f: TruncatedSeries, params: ClassParams) -> TruncatedSeries:

@@ -28,13 +28,13 @@ from . import power_series as ps
 from .caratheodory import _draw_measures, _moments, _p_coeffs
 from .errors import RangeError
 from .explorer import _bieberbach_block, _starlike_scores
-from .extremal import eq_series, f1_series, f2_series, f_exponent_series
+from .extremal import _exponent_core, eq_series, f1_series, f2_series, \
+    f_exponent_series
 from .functionals import bieberbach_bound_convex, fekete_szego_value, fs_bound, \
     hankel_bound, hankel_value, t4_scalars
 from .q_calculus import ClassParams, _brackets, _check_q, _iq_core, iq, \
     jackson_sum
-from .schlicht import _convex_h_core, _starlike_core, membership_convex, \
-    membership_starlike
+from .schlicht import _starlike_core, membership_convex, membership_starlike
 
 SUITES = ("qcalc", "fs", "hankel", "bieberbach", "herglotz", "membership")
 
@@ -174,14 +174,13 @@ def _suite_herglotz(q, alpha, samples, seed) -> list[CheckResult]:
                             f"alpha = {alpha}")]
     params = ClassParams(q=q, alpha=0.0, order=16)
     n = params.order
-    m = _moments(*_sample_rows(seed, samples), n)
-    f_a = _starlike_core(_p_coeffs(m), q, 0.0)
-    # herglotz_starlike: f/z = exp(sum_n F_n m_n z^n)
-    f_exp = f_exponent_series(params).coeffs[:n, None]
-    f_b = ps._exp_core(f_exp * m[:n])
+    m = _moments(*_sample_rows(seed, samples), n - 1)
+    f_a = _starlike_core(_p_coeffs(m), q, 0.0)[1:]
+    # herglotz_starlike: f = z exp(sum_n F_n m_n z^n)
+    f_b = _exponent_core(f_exponent_series(params).coeffs[:n], m)[1:]
     # relative to max(1, |a_n|): the coefficients reach about 1e4 at q = 0.2
-    worst = float((np.abs(f_a[1:] - f_b) / np.maximum(1.0, np.abs(f_a[1:]))).max())
-    p = _p_coeffs(_moments(*_sample_rows(seed + 1, samples), n))
+    worst = float((np.abs(f_a - f_b) / np.maximum(1.0, np.abs(f_a))).max())
+    p = _p_coeffs(_moments(*_sample_rows(seed + 1, samples), n - 1))
     phi = ps._log_core(_starlike_core(p, q, 0.0)[1:])  # log(f/z), order N - 1
     target = p[1:n] * math.log(q) / (np.power(q, np.arange(1, n)) - 1.0)[:, None]
     worst_log = float(np.abs(phi[1:] - target).max())
@@ -207,8 +206,8 @@ def _suite_membership(q, alpha, samples, seed) -> list[CheckResult]:
             f"worst margin {rep.worst_margin:.3e} at {rep.worst_point:.3f},"
             f" unresolved {rep.unresolved}"))
     # members built in one batch; a certificate per member
-    m = _moments(*_sample_rows(seed, max(2, samples // 10)), params.order)
-    members = _convex_h_core(_p_coeffs(m), q, alpha)[: params.order + 1]
+    m = _moments(*_sample_rows(seed, max(2, samples // 10)), params.order - 1)
+    members = _iq_core(_starlike_core(_p_coeffs(m), q, alpha)[1:], q)
     reps = [membership_convex(ps.TruncatedSeries(a), params) for a in members.T]
     worst = max(rep.worst_margin for rep in reps)
     results.append(CheckResult("product-route members certify convex",

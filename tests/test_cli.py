@@ -50,6 +50,15 @@ class TestCoeffs:
                      "--source", "f3"])
         assert code == 2
 
+    def test_missing_measure_file_fails_cleanly(self, capsys, tmp_path):
+        code = main(["coeffs", "--q", "0.5",
+                     "--source", f"measure:{tmp_path / 'nonexistent.json'}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert len(captured.err.splitlines()) == 1
+
     def test_class_conversion_roundtrip(self, capsys):
         # convex view of the q-integral extremal is itself
         code, out = run_cli(capsys, "coeffs", "--class", "starlike",
@@ -155,6 +164,15 @@ class TestSearch:
                      "--out", str(tmp_path / "rep.json")])
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_unwritable_output_exits_cleanly(self, capsys, tmp_path):
+        code = main(["search", "--functional", "fs", "--q-grid", "0.5",
+                     "--mu-grid", "0", "--samples", "10", "--seed", "1",
+                     "--out", str(tmp_path / "nonexistent" / "dir" / "r.json")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error:")
+        assert len(captured.err.splitlines()) == 1
 
 
 class TestLimits:

@@ -16,8 +16,8 @@ from qschlicht.explorer import (BLOCK, CSV_HEADER, SweepConfig,
                                 evaluate_measure, group_samples,
                                 refine_measure, replay_cell, report_csv,
                                 resolve_workers, run_limit_sweep, run_sweep)
-from qschlicht.q_calculus import ClassParams
-from qschlicht.schlicht import _convex_h_core, convex_from_h
+from qschlicht.q_calculus import ClassParams, _iq_core
+from qschlicht.schlicht import _starlike_core, convex_from_h
 
 
 def fs_config(**kw):
@@ -171,8 +171,8 @@ class TestBieberbachSweep:
         cfg = SweepConfig(functional="bieberbach", seed=11, samples=40,
                           q_grid=(q,), alpha_grid=(alpha,))
         weights, angles = group_samples(cfg, 0)
-        batch = _convex_h_core(
-            _p_coeffs(_moments(weights, angles, n_max - 1)), q, alpha)
+        batch = _iq_core(_starlike_core(
+            _p_coeffs(_moments(weights, angles, n_max - 1)), q, alpha)[1:], q)
         params = ClassParams(q=q, alpha=alpha, order=n_max)
         for i in range(cfg.samples):
             m = _measure_from_row(weights[i], angles[i])

@@ -1,10 +1,10 @@
-"""High-precision oracles for the closed-form convex product route and the
-series cores.
+"""High-precision oracles for the convex product route and the series cores.
 
-``convex_from_h`` sums the infinite q-product in closed form.  The oracle
-here multiplies the literal factors ((1-alpha) h(q^m z) + alpha q)/q at 50
-significant digits, taking enough of them that the dropped tail is below
-1e-40, then inverts and q-integrates.  The exp/log/recip cores are checked
+``convex_from_h`` is the q-integral of the starlike member with the same
+ratio G, which sums the infinite q-product exactly.  The oracle here is
+independent of that pairing: it multiplies the literal factors
+((1-alpha) h(q^m z) + alpha q)/q at 50 significant digits, taking enough of
+them that the dropped tail is below 1e-40, then inverts and q-integrates.  The exp/log/recip cores are checked
 against the same recursions run at 60 digits on the binary64 inputs.
 """
 

@@ -1,15 +1,18 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from qschlicht import power_series as ps
-from qschlicht.caratheodory import AtomicMeasure, p_series, sample_measure
+from qschlicht.caratheodory import AtomicMeasure, _moments, _p_coeffs, \
+    p_series, sample_measure
 from qschlicht.errors import ConfigError, EvaluationSingularityError
 from qschlicht.extremal import eq_series, f1_series, f_exponent_series
 from qschlicht.q_calculus import ClassParams, dq
-from qschlicht.schlicht import (CertGrid, alexander_pair, check_normalized,
-                                convex_from_h, convex_from_measure,
+from qschlicht.schlicht import (CertGrid, _starlike_core, alexander_pair,
+                                check_normalized, convex_from_h,
+                                convex_from_measure,
                                 membership_convex, membership_starlike,
                                 rho_map, starlike_from_p)
 
@@ -26,6 +29,25 @@ def unit_atom(angle=0.0):
 
 
 class TestStarlikeFromP:
+    @pytest.mark.parametrize("alpha", [0.0, 0.3])
+    def test_core_returns_one_coefficient_past_p(self, alpha):
+        # a_{N+1} needs only p_0..p_N: a short p gives the first N + 2
+        # coefficients of the member built from a longer p, bit for bit
+        weights = np.array([[0.6, 0.4], [0.2, 0.8], [1.0, 0.0]])
+        angles = np.array([[0.3, 2.5], [1.0, 4.0], [5.0, 0.0]])
+        p_long = _p_coeffs(_moments(weights, angles, 12))
+        for q in Q_GRID:
+            long = _starlike_core(p_long, q, alpha)
+            assert long.shape == (14, 3)
+            for n in (0, 1, 3, 8):
+                short = _starlike_core(p_long[: n + 1], q, alpha)
+                assert short.shape == (n + 2, 3)
+                assert np.array_equal(short, long[: n + 2])
+                for j in range(3):
+                    single = _starlike_core(
+                        np.ascontiguousarray(p_long[: n + 1, j]), q, alpha)
+                    assert np.array_equal(single, long[: n + 2, j])
+
     def test_degenerate_p_gives_identity(self):
         f = starlike_from_p(constant_p(16), ClassParams(q=0.5, order=16))
         assert np.allclose(f.coeffs, ps.identity(16).coeffs)
@@ -83,12 +105,12 @@ class TestConvexFromH:
         f = convex_from_h(constant_p(16), ClassParams(q=0.5, order=16))
         assert np.abs(f.coeffs - ps.identity(16).coeffs).max() <= 1e-12
 
-    def test_alpha_zero_matches_starlike_construction(self):
+    def test_matches_starlike_construction(self):
         # coefficients reach 2e4 at q=0.2, n=16, where float64 caps the
         # achievable absolute agreement near 1e-9; compare relative to the
         # coefficient size (and absolutely where magnitudes stay moderate)
-        for q in Q_GRID:
-            params = ClassParams(q=q, order=16)
+        for q, alpha in itertools.product(Q_GRID, ALPHA_GRID):
+            params = ClassParams(q=q, alpha=alpha, order=16)
             for seed in range(10):
                 p = p_series(sample_measure(seed, 1 + seed % 4), params.order)
                 f = convex_from_h(p, params)
