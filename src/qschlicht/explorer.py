@@ -90,8 +90,12 @@ class SweepConfig:
             raise ConfigError(f"functional must be one of {FUNCTIONALS}")
         if self.functional == "fs" and not self.mu_grid:
             raise ConfigError("fs sweeps need a non-empty mu_grid")
+        if self.functional != "fs" and self.mu_grid:
+            raise ConfigError("mu_grid applies only to fs sweeps")
         if self.samples < 1:
             raise ConfigError("samples must be positive")
+        if self.refine_iters < 0:
+            raise ConfigError("refine_iters must be non-negative")
         if not self.q_grid or not self.alpha_grid:
             raise ConfigError("q_grid and alpha_grid must be non-empty")
         for q in self.q_grid:
@@ -403,6 +407,8 @@ def run_limit_sweep(q_list, alpha: float,
     and 1 (coefficient bound); the c_n target prod_{k=2..n}(k-2 alpha)/(n-1)!
     applies for every alpha.
     """
+    if not q_list:
+        raise ConfigError("q_list must be non-empty")
     rows = []
     for q in q_list:
         params = ClassParams(q=float(q), alpha=float(alpha),

@@ -2,23 +2,25 @@
 
 Membership of a normalized f is governed by the ratio g(z) = f(qz)/f(z):
 the starlike-type condition of order alpha is |g(z) - alpha q| <= 1 - alpha
-on the disk, which is exactly the textbook inequality
+on the disk, which is the textbook inequality
 
     | (z (Dq f)(z)/f(z) - alpha)/(1-alpha) - 1/(1-q) |  <=  1/(1-q)
 
-after clearing denominators.  Members are generated from a positive-real-part
-series p through the functional equation f(qz) = f(z) * G(z) with
-G = (1-alpha) exp((ln q) p) + alpha q, or through a measure exponent.  Every
-convex-type member is the Jackson q-integral of its starlike-type member
-over z: f is convex-type exactly when z (Dq f)(z) is starlike-type with the
-same G.
+multiplied through by (1-q)(1-alpha).  f is convex-type exactly when
+z (Dq f)(z) is starlike-type with the same ratio, so both classes are
+certified by one check of that one condition.  Members are generated from a
+positive-real-part series p through the functional equation
+f(qz) = f(z) * G(z) with G = (1-alpha) exp((ln q) p) + alpha q, or through a
+measure exponent.  Every convex-type member is the Jackson q-integral of its
+starlike-type member over z.
 
-Certificates evaluate the defining expressions on a polar grid.  Because the
-inputs are truncated series, every evaluation carries a truncation-error
-estimate; a grid point only counts as a violation when the excess exceeds the
-tolerance by more than the estimated error, and reported margins are the
-error-adjusted signal.  Points whose estimate is large can neither confirm
-nor deny; they are tallied as unresolved.
+Certificates evaluate the ratio on a polar grid.  Because the inputs are
+truncated series, every evaluation carries a truncation-error estimate; a
+grid point only counts as a violation when the excess
+|g - alpha q| - (1 - alpha) exceeds the tolerance by more than the estimated
+error, and reported margins are the error-adjusted excess on that scale for
+both classes.  Points whose estimate is large can neither confirm nor deny;
+they are tallied as unresolved.
 """
 
 from __future__ import annotations
@@ -63,10 +65,11 @@ class CertGrid:
 class CertReport:
     """Outcome of a grid certificate.
 
-    ``worst_margin`` is the largest error-adjusted excess of the defining
-    expression over its bound; the certificate passes iff it stays within
-    tol.  ``unresolved`` counts grid points whose truncation-error estimate
-    exceeded tol, where a sub-tolerance violation could hide.
+    ``worst_margin`` is the largest error-adjusted excess
+    |g - alpha q| - (1 - alpha) of the class ratio g, for both classes; the
+    certificate passes iff it stays within tol.  ``unresolved`` counts grid
+    points whose truncation-error estimate exceeded tol, where a
+    sub-tolerance violation could hide.
     """
 
     passed: bool
@@ -77,65 +80,48 @@ class CertReport:
     grid: dict = field(default_factory=dict)
 
 
-def _certify(num_values, den_values, num_tail, den_tail, grid_points, offset,
-             bound, tol, grid_dict):
-    """Shared certificate core for expressions |num/den - offset| <= bound.
+def _certify(u: TruncatedSeries, params: ClassParams, grid: CertGrid | None,
+             tol: float, criterion: str) -> CertReport:
+    """Certify |g - alpha q| <= 1 - alpha for g(z) = q u(qz)/u(z) on the grid.
 
-    num_tail/den_tail are per-point truncation-error estimates for the two
-    polynomial evaluations.
+    u is f/z for the starlike-type condition and Dq f for the convex-type
+    one, so g is the class ratio of f or of its starlike pair z (Dq f).  The
+    error of g at a point of radius r comes from the tail estimates of u at
+    radius q r (numerator) and r (denominator).
     """
-    den_abs = np.abs(den_values)
+    grid = grid or CertGrid()
+    q, alpha = params.q, params.alpha
+    z = grid.points()
+    den = ps.eval_grid(u, z)
+    den_abs = np.abs(den)
     if np.any(den_abs < _DENOM_FLOOR):
         idx = int(np.argmin(den_abs))
-        z_bad = grid_points.ravel()[idx]
         raise EvaluationSingularityError(
-            f"denominator vanished at grid point {z_bad:.6f}")
-    g = num_values / den_values
-    excess = np.abs(g - offset) - bound
-    err = (num_tail + np.abs(g) * den_tail) / den_abs
-    signal = excess - err
-    flat = signal.ravel()
+            f"denominator vanished at grid point {z.ravel()[idx]:.6f}")
+    g = q * ps.eval_grid(u, q * z) / den
+    num_tail, den_tail = (
+        np.array([ps.tail_estimate(u, float(r)) for r in radii])[:, None]
+        for radii in ([q * float(r) for r in grid.radii], grid.radii))
+    excess = np.abs(g - alpha * q) - (1.0 - alpha)
+    err = (q * num_tail + np.abs(g) * den_tail) / den_abs
+    flat = (excess - err).ravel()
     idx = int(np.argmax(flat))
-    worst = float(flat[idx])
-    violations = int(np.count_nonzero(excess - err > tol))
-    unresolved = int(np.count_nonzero(err > tol))
     return CertReport(
-        passed=violations == 0,
-        worst_margin=worst,
-        worst_point=complex(grid_points.ravel()[idx]),
+        passed=not np.any(flat > tol),
+        worst_margin=float(flat[idx]),
+        worst_point=complex(z.ravel()[idx]),
         tol=float(tol),
-        unresolved=unresolved,
-        grid=grid_dict,
+        unresolved=int(np.count_nonzero(err > tol)),
+        grid=dict(grid.to_dict(), criterion=criterion, q=q, alpha=alpha),
     )
-
-
-def _tails(series: TruncatedSeries, radii) -> np.ndarray:
-    return np.array([ps.tail_estimate(series, float(r)) for r in radii])
 
 
 def membership_starlike(f: TruncatedSeries, params: ClassParams,
                         grid: CertGrid | None = None,
                         tol: float = 1e-7) -> CertReport:
-    """Grid certificate for the starlike-type condition of order alpha.
-
-    Evaluates (z (Dq f)/f - alpha)/(1-alpha) - 1/(1-q) against the radius
-    1/(1-q) at every grid point, with truncation-error accounting.
-    """
-    grid = grid or CertGrid()
-    q, alpha = params.q, params.alpha
-    z = grid.points()
-    num_series = dq(f, q).times_z()
-    return _certify(
-        num_values=ps.eval_grid(num_series, z) / (1.0 - alpha),
-        den_values=ps.eval_grid(f, z),
-        num_tail=_tails(num_series, grid.radii)[:, None] / (1.0 - alpha),
-        den_tail=_tails(f, grid.radii)[:, None],
-        grid_points=z,
-        offset=alpha / (1.0 - alpha) + 1.0 / (1.0 - q),
-        bound=1.0 / (1.0 - q),
-        tol=tol,
-        grid_dict=dict(grid.to_dict(), criterion="starlike", q=q, alpha=alpha),
-    )
+    """Grid certificate for the starlike-type condition of order alpha:
+    |f(qz)/f(z) - alpha q| <= 1 - alpha.  f must have a_0 = 0."""
+    return _certify(ps.div_z(f), params, grid, tol, "starlike")
 
 
 def membership_convex(f: TruncatedSeries, params: ClassParams,
@@ -143,25 +129,7 @@ def membership_convex(f: TruncatedSeries, params: ClassParams,
                       tol: float = 1e-7) -> CertReport:
     """Grid certificate for the convex-type condition of order alpha:
     |q (Dq f)(qz)/(Dq f)(z) - alpha q| <= 1 - alpha."""
-    grid = grid or CertGrid()
-    q, alpha = params.q, params.alpha
-    z = grid.points()
-    d = dq(f, q)
-    dz = ps.eval_grid(d, z)
-    dqz = ps.eval_grid(d, q * z)
-    d_tail = _tails(d, grid.radii)[:, None]
-    d_tail_q = _tails(d, [q * float(r) for r in grid.radii])[:, None]
-    return _certify(
-        num_values=q * dqz,
-        den_values=dz,
-        num_tail=q * d_tail_q,
-        den_tail=d_tail,
-        grid_points=z,
-        offset=alpha * q,
-        bound=1.0 - alpha,
-        tol=tol,
-        grid_dict=dict(grid.to_dict(), criterion="convex", q=q, alpha=alpha),
-    )
+    return _certify(dq(f, params.q), params, grid, tol, "convex")
 
 
 # -- constructions: public wrappers over axis-0 array cores (see power_series)

@@ -174,6 +174,21 @@ class TestSearch:
         assert captured.err.startswith("error:")
         assert len(captured.err.splitlines()) == 1
 
+    @pytest.mark.parametrize("extra", [
+        ["--functional", "fs", "--mu-grid", "0", "--refine-iters", "-5"],
+        ["--functional", "h22", "--mu-grid", "0.5"],
+        ["--functional", "bieberbach", "--mu-grid", "0.5"],
+    ])
+    def test_inconsistent_config_exits_cleanly(self, capsys, tmp_path, extra):
+        out_path = tmp_path / "rep.json"
+        code = main(["search", "--q-grid", "0.5", "--samples", "10",
+                     "--seed", "1", "--out", str(out_path)] + extra)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert not out_path.exists()
+
 
 class TestLimits:
     def test_table_output(self, capsys):
@@ -188,3 +203,10 @@ class TestLimits:
                             "--alpha", "0.5", "--json")
         payload = json.loads(out)
         assert payload["rows"][0]["hankel"]["target"] is None
+
+    def test_empty_q_list_exits_cleanly(self, capsys):
+        code = main(["limits", "--q-list", ""])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:")

@@ -44,6 +44,17 @@ class TestConfig:
         with pytest.raises(ConfigError):
             fs_config(samples=0)
 
+    def test_negative_refine_iters(self):
+        with pytest.raises(ConfigError):
+            fs_config(refine_iters=-5)
+        assert fs_config(refine_iters=0).refine_iters == 0
+
+    def test_mu_grid_only_for_fs(self):
+        for functional in ("h22", "bieberbach"):
+            with pytest.raises(ConfigError):
+                SweepConfig(functional=functional, seed=1, samples=10,
+                            q_grid=(0.5,), mu_grid=(0.5,))
+
     def test_n_check_range(self):
         with pytest.raises(ConfigError):
             SweepConfig(functional="bieberbach", seed=1, samples=10,

@@ -7,9 +7,10 @@ import pytest
 from qschlicht import power_series as ps
 from qschlicht.caratheodory import AtomicMeasure, _moments, _p_coeffs, \
     p_series, sample_measure
-from qschlicht.errors import ConfigError, EvaluationSingularityError
+from qschlicht.errors import ConfigError, EvaluationSingularityError, \
+    ZeroConstantTermError
 from qschlicht.extremal import eq_series, f1_series, f_exponent_series
-from qschlicht.q_calculus import ClassParams, dq
+from qschlicht.q_calculus import ClassParams, dq, iq
 from qschlicht.schlicht import (CertGrid, _starlike_core, alexander_pair,
                                 check_normalized, convex_from_h,
                                 convex_from_measure,
@@ -227,6 +228,27 @@ class TestMembershipCertificates:
         f = ps.from_coeffs([0, 1, -1 / z0] + [0] * 10)
         with pytest.raises(EvaluationSingularityError):
             membership_starlike(f, ClassParams(q=0.5, order=12), grid=grid)
+
+    def test_starlike_certificate_equals_convex_certificate_of_its_pair(self):
+        # f is starlike-type exactly when iq(f/z) is convex-type with the
+        # same ratio f(qz)/f(z), so both certificates read the same margin
+        for q, alpha in itertools.product(Q_GRID, ALPHA_GRID):
+            params = ClassParams(q=q, alpha=alpha, order=64)
+            members = [f1_series(params)] + [
+                starlike_from_p(p_series(sample_measure(seed, 1 + seed % 3),
+                                         params.order), params)
+                for seed in range(3)]
+            for f in members:
+                star = membership_starlike(f, params)
+                conv = membership_convex(iq(f.div_z(), q), params)
+                assert star.passed == conv.passed, (q, alpha)
+                assert star.worst_margin == pytest.approx(
+                    conv.worst_margin, rel=0, abs=1e-12), (q, alpha)
+
+    def test_starlike_rejects_nonzero_constant_term(self):
+        with pytest.raises(ZeroConstantTermError):
+            membership_starlike(ps.from_coeffs([0.5, 1, 0, 0]),
+                                ClassParams(q=0.5, order=4))
 
     def test_classical_halfplane_map_is_convex_alpha_zero(self):
         geo = ps.TruncatedSeries(np.r_[0.0, np.ones(192)])

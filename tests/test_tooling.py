@@ -4,6 +4,10 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from qschlicht import power_series as ps
+from qschlicht import schlicht
+from qschlicht.q_calculus import ClassParams
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -22,3 +26,15 @@ def test_every_trace_target_resolves():
         missing += [f"{module}.{name}" for name in names
                     if not callable(getattr(home, name, None))]
     assert not missing
+
+
+def test_membership_reports_carry_the_grid_the_tracer_reads():
+    # the tracer counts certificate points as len(radii) * n_angles
+    names = [n for n in load_tracer().TARGETS["schlicht"]
+             if n.startswith("membership_")]
+    assert names
+    params = ClassParams(q=0.5, alpha=0.3, order=8)
+    for name in names:
+        grid = getattr(schlicht, name)(ps.identity(8), params).grid
+        assert len(grid["radii"]) * grid["n_angles"] == schlicht.CertGrid().points().size
+        assert grid["criterion"] == name.removeprefix("membership_")
