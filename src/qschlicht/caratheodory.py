@@ -75,10 +75,14 @@ def _moments(weights, angles, n_max: int) -> np.ndarray:
     """m_n = sum_j t_j sigma_j^n, n = 0..n_max, on axis 0; atoms on the last
     input axis.  Powers are a cumulative product and atoms are added in
     order, so a row gets the same moments alone as in a batch, and
-    zero-weight trailing atoms change nothing."""
-    phase = np.exp(1j * angles)
+    zero-weight trailing atoms change nothing: their phase is not computed
+    and stays 1."""
+    phase = np.ones(np.shape(angles), dtype=np.complex128)
+    np.exp(1j * angles, out=phase, where=weights > 0)
     out = np.empty((n_max + 1,) + phase.shape[:-1], dtype=np.complex128)
     out[0] = 1.0
+    # einsum would cast the weights to complex on every degree; once is enough
+    weights = np.asarray(weights, dtype=np.complex128)
     cur = np.ones_like(phase)
     for n in range(1, n_max + 1):
         cur = cur * phase  # not in place: that rounds by position in the array

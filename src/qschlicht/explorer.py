@@ -9,12 +9,15 @@ point of the harness.
 
 Determinism contract:
   * sample i of a group depends only on (seed, group index, i), and each
-    sample consumes a fixed number of draws, so enlarging ``samples`` keeps
-    every earlier sample identical;
-  * the sample range is scored in blocks of ``BLOCK`` rows, the pool's work
-    units, whatever the worker count; scoring is elementwise, so a row
-    scores the same in any block, and one argmax over all the scores picks
-    the maximum value with ties broken by the lowest sample index;
+    sample consumes 2*k_atoms draws, so enlarging ``samples`` keeps every
+    earlier sample identical;
+  * the sample range is drawn and scored in blocks of ``BLOCK`` rows, the
+    pool's work units, whatever the worker count: the job of rows lo..hi-1
+    advances the group's PCG64 stream 2*k_atoms*lo draws and fills those
+    rows in place in the group's one (samples, 2*k_atoms) buffer.  Scoring
+    is elementwise, so a row scores the same in any block, and one argmax
+    over all the scores picks the maximum value with ties broken by the
+    lowest sample index;
   * single-measure evaluation is a batch of one: refinement, extremal
     injection and replay run the sweep's batch scorer on one row, so a
     sampled row scores bitwise the same alone as in its block;
@@ -121,23 +124,35 @@ class SweepConfig:
 # -- sample generation --------------------------------------------------------
 
 
-def group_samples(cfg: SweepConfig, group_index: int):
-    """Weights/angles arrays of shape (samples, k_atoms) for one (q, alpha) group.
+def _fill_rows(cfg: SweepConfig, group_index: int, draws, lo: int, hi: int):
+    """Draw rows lo..hi-1 of a group in place into ``draws``, of shape
+    (samples, 2*k_atoms), and return their (weights, angles) views.
 
     Sample i activates ``(i % k_atoms) + 1`` atoms; inactive slots carry zero
-    weight.  Each row consumes exactly 2*k_atoms draws from the stream, so the
-    first S rows are independent of the total sample count.
+    weight.  Row i takes draws 2*k_atoms*i onwards of the group's stream, so
+    any split of the rows fills them bitwise alike.
     """
-    ss = np.random.SeedSequence(entropy=int(cfg.seed), spawn_key=(int(group_index),))
-    rng = np.random.Generator(np.random.PCG64(ss))
     k = cfg.k_atoms
-    draws = rng.random((cfg.samples, 2 * k))
-    angles = TWO_PI * draws[:, :k]
-    raw = 0.05 + 0.95 * draws[:, k:]
-    active = np.arange(k)[None, :] < ((np.arange(cfg.samples) % k) + 1)[:, None]
-    weights = np.where(active, raw, 0.0)
+    ss = np.random.SeedSequence(entropy=int(cfg.seed), spawn_key=(int(group_index),))
+    bitgen = np.random.PCG64(ss)
+    bitgen.advance(2 * k * lo)
+    block = draws[lo:hi]
+    np.random.Generator(bitgen).random(out=block)
+    angles, weights = block[:, :k], block[:, k:]
+    angles *= TWO_PI
+    weights *= 0.95
+    weights += 0.05
+    for r in range(k - 1):  # rows i with i % k == r keep r + 1 atoms
+        weights[(r - lo) % k::k, r + 1:] = 0.0
     weights /= weights.sum(axis=1, keepdims=True)
     return weights, angles
+
+
+def group_samples(cfg: SweepConfig, group_index: int):
+    """Weights/angles arrays of shape (samples, k_atoms) for one (q, alpha)
+    group: every row of :func:`_fill_rows` at once."""
+    draws = np.empty((cfg.samples, 2 * cfg.k_atoms))
+    return _fill_rows(cfg, group_index, draws, 0, cfg.samples)
 
 
 def _measure_from_row(weights, angles) -> AtomicMeasure:
@@ -329,28 +344,31 @@ def _stated(functional: str, q: float, alpha: float):
 def run_sweep(cfg: SweepConfig, workers: int | None = None) -> dict:
     """Run the configured sweep and return the report dictionary."""
     workers = resolve_workers(workers)
+    # every group's blocks overwrite all of its rows, so one buffer serves all
+    draws = np.empty((cfg.samples, 2 * cfg.k_atoms))
     cells = []
     groups = [(q, a) for q in cfg.q_grid for a in cfg.alpha_grid]
     for g_idx, (q, alpha) in enumerate(groups):
-        weights, angles = group_samples(cfg, g_idx)
-        cells.extend(_run_group(cfg, workers, q, alpha, weights, angles))
+        cells.extend(_run_group(cfg, workers, g_idx, q, alpha, draws))
     return {"config": cfg.to_dict(), "cells": cells, "version": __version__}
 
 
-def _run_group(cfg, workers, q, alpha, weights, angles):
+def _run_group(cfg, workers, g_idx, q, alpha, draws):
     """One cell per key (each mu of an fs sweep, else None): the sample
     argmax, then the injected extremals under the same lowest-index tie
-    rule, then refinement from the winner."""
+    rule, then refinement from the winner.  Each pool job draws its own
+    block's rows into ``draws`` before scoring them."""
     fn = cfg.functional
     keys = cfg.mu_grid if fn == "fs" else (None,)
 
     def score_block(lo, hi):
-        w, a = weights[lo:hi], angles[lo:hi]
+        w, a = _fill_rows(cfg, g_idx, draws, lo, hi)
         if fn == "bieberbach":
             return {None: _bieberbach_block(w, a, lo, q, alpha, cfg.n_check)}
         return _starlike_scores(fn, w, a, q, alpha, keys)
 
     best = _parallel_scores(score_block, cfg.samples, workers)
+    weights, angles = draws[:, cfg.k_atoms:], draws[:, :cfg.k_atoms]
     rows = _extremal_rows(fn) if cfg.include_extremals else []
     stated = _stated(fn, q, alpha)
     cells = []

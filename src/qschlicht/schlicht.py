@@ -87,7 +87,9 @@ def _certify(u: TruncatedSeries, params: ClassParams, grid: CertGrid | None,
     u is f/z for the starlike-type condition and Dq f for the convex-type
     one, so g is the class ratio of f or of its starlike pair z (Dq f).  The
     error of g at a point of radius r comes from the tail estimates of u at
-    radius q r (numerator) and r (denominator).
+    radius q r (numerator) and r (denominator).  A real-coefficient u has
+    g(conj z) = conj g(z), so z and conj z tie and the worst point is
+    reported as the one with Im z >= 0, whichever rounding picked.
     """
     grid = grid or CertGrid()
     q, alpha = params.q, params.alpha
@@ -106,10 +108,13 @@ def _certify(u: TruncatedSeries, params: ClassParams, grid: CertGrid | None,
     err = (q * num_tail + np.abs(g) * den_tail) / den_abs
     flat = (excess - err).ravel()
     idx = int(np.argmax(flat))
+    point = complex(z.ravel()[idx])
+    if point.imag < 0.0 and not np.any(u.coeffs.imag):
+        point = point.conjugate()
     return CertReport(
         passed=not np.any(flat > tol),
         worst_margin=float(flat[idx]),
-        worst_point=complex(z.ravel()[idx]),
+        worst_point=point,
         tol=float(tol),
         unresolved=int(np.count_nonzero(err > tol)),
         grid=dict(grid.to_dict(), criterion=criterion, q=q, alpha=alpha),

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from qschlicht.caratheodory import MAX_ATOMS, AtomicMeasure, _moments, \
     _p_coeffs, measure_from_dict, p_series
 from qschlicht.errors import ConfigError
-from qschlicht.explorer import (BLOCK, CSV_HEADER, SweepConfig,
+from qschlicht.explorer import (BLOCK, CSV_HEADER, TWO_PI, SweepConfig,
                                 _bieberbach_block, _bieberbach_scores,
-                                _measure_from_row, _parallel_scores,
+                                _fill_rows, _measure_from_row, _parallel_scores,
                                 _starlike_scores, canonical_json,
                                 evaluate_measure, group_samples,
                                 refine_measure, replay_cell, report_csv,
@@ -87,6 +87,77 @@ class TestSampling:
         w, _ = group_samples(fs_config(samples=16, k_atoms=4), 0)
         counts = (w > 0).sum(axis=1)
         assert list(counts[:8]) == [1, 2, 3, 4, 1, 2, 3, 4]
+
+
+def reference_group_samples(cfg, group_index):
+    """Whole-group sampler: every draw of the group at once, then
+    group-sized temporaries; the oracle of the in-place block sampler."""
+    ss = np.random.SeedSequence(entropy=int(cfg.seed), spawn_key=(int(group_index),))
+    rng = np.random.Generator(np.random.PCG64(ss))
+    k = cfg.k_atoms
+    draws = rng.random((cfg.samples, 2 * k))
+    angles = TWO_PI * draws[:, :k]
+    raw = 0.05 + 0.95 * draws[:, k:]
+    active = np.arange(k)[None, :] < ((np.arange(cfg.samples) % k) + 1)[:, None]
+    weights = np.where(active, raw, 0.0)
+    weights /= weights.sum(axis=1, keepdims=True)
+    return weights, angles
+
+
+def reference_moments(weights, angles, n_max):
+    """_moments with the phase of every atom computed, zero weight or not."""
+    phase = np.exp(1j * angles)
+    out = np.empty((n_max + 1,) + phase.shape[:-1], dtype=np.complex128)
+    out[0] = 1.0
+    cur = np.ones_like(phase)
+    for n in range(1, n_max + 1):
+        cur = cur * phase
+        out[n] = np.einsum("...j,...j->...", weights, cur)
+    return out
+
+
+class TestBlockSampler:
+    @given(seed=st.integers(0, 2 ** 32 - 1), group=st.integers(0, 5),
+           k=st.integers(1, MAX_ATOMS), extra=st.integers(1, BLOCK - 1),
+           data=st.data())
+    @settings(max_examples=40)
+    def test_rows_at_any_offset_equal_the_whole_group_rows(self, seed, group,
+                                                           k, extra, data):
+        samples = BLOCK + extra  # never a multiple of BLOCK
+        lo = data.draw(st.integers(0, samples - 1))
+        hi = data.draw(st.integers(lo + 1, samples))
+        cfg = fs_config(seed=seed, samples=samples, k_atoms=k)
+        ref_w, ref_a = reference_group_samples(cfg, group)
+        draws = np.full((samples, 2 * k), np.nan)
+        w, a = _fill_rows(cfg, group, draws, lo, hi)
+        assert np.array_equal(w, ref_w[lo:hi])
+        assert np.array_equal(a, ref_a[lo:hi])
+        # only rows lo..hi-1 of the buffer were written
+        assert np.isnan(draws[:lo]).all() and np.isnan(draws[hi:]).all()
+
+    @pytest.mark.parametrize("k", range(1, MAX_ATOMS + 1))
+    def test_blocks_fill_the_whole_group(self, k):
+        cfg = fs_config(seed=k, samples=2 * BLOCK + 5, k_atoms=k)
+        draws = np.empty((cfg.samples, 2 * k))
+        for lo in range(0, cfg.samples, BLOCK):
+            _fill_rows(cfg, 3, draws, lo, min(lo + BLOCK, cfg.samples))
+        ref_w, ref_a = reference_group_samples(cfg, 3)
+        assert np.array_equal(draws[:, k:], ref_w)
+        assert np.array_equal(draws[:, :k], ref_a)
+        w, a = group_samples(cfg, 3)
+        assert np.array_equal(w, ref_w) and np.array_equal(a, ref_a)
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 40),
+           k=st.integers(1, MAX_ATOMS), n_max=st.integers(1, 16))
+    @settings(max_examples=40)
+    def test_masked_moments_equal_the_unmasked_formula(self, seed, rows, k,
+                                                       n_max):
+        rng = np.random.default_rng(seed)
+        weights = 0.05 + rng.random((rows, k))
+        weights /= weights.sum(axis=1, keepdims=True)
+        angles = TWO_PI * rng.random((rows, k))
+        assert np.array_equal(_moments(weights, angles, n_max),
+                              reference_moments(weights, angles, n_max))
 
 
 class TestFsSweep:
@@ -283,15 +354,19 @@ class TestBlocks:
         best = _parallel_scores(score_block, total, workers)
         assert best == {"a": (2.5, BLOCK + 7), "b": (2.5, 5)}
 
-    @pytest.mark.parametrize("functional", ["fs", "bieberbach"])
+    @pytest.mark.parametrize("functional", ["fs", "h22", "bieberbach"])
     def test_worker_count_does_not_change_bytes_across_blocks(self, functional):
-        cfg = SweepConfig(functional=functional, seed=17,
-                          samples=2 * BLOCK + 3, q_grid=(0.5,),
-                          alpha_grid=(0.3,),
-                          mu_grid=(0.5,) if functional == "fs" else (),
-                          refine_iters=3)
-        texts = {canonical_json(run_sweep(cfg, workers=w)) for w in (1, 2, 3)}
-        assert len(texts) == 1
+        # the second config has two groups sharing one sample buffer
+        for seed, k_atoms, samples, alphas in ((17, 4, 2 * BLOCK + 3, (0.3,)),
+                                               (23, 3, 2 * BLOCK + 5, (0.0, 0.3))):
+            cfg = SweepConfig(functional=functional, seed=seed,
+                              samples=samples, q_grid=(0.5,),
+                              alpha_grid=alphas, k_atoms=k_atoms,
+                              mu_grid=(0.5,) if functional == "fs" else (),
+                              refine_iters=3)
+            texts = {canonical_json(run_sweep(cfg, workers=w))
+                     for w in (1, 2, 3)}
+            assert len(texts) == 1
 
 
 class TestRefinement:

@@ -257,6 +257,44 @@ class TestMembershipCertificates:
             rep = membership_convex(geo, params)
             assert rep.passed, (q, rep.worst_margin)
 
+    @staticmethod
+    def _grid_margins(u, params, grid):
+        """Error-adjusted excess and error estimate at every grid point."""
+        q, alpha = params.q, params.alpha
+        z = grid.points()
+        den = ps.eval_grid(u, z)
+        g = q * ps.eval_grid(u, q * z) / den
+        tails = [np.array([ps.tail_estimate(u, s * float(r))
+                           for r in grid.radii])[:, None] for s in (q, 1.0)]
+        err = (q * tails[0] + np.abs(g) * tails[1]) / np.abs(den)
+        return z, np.abs(g - alpha * q) - (1.0 - alpha) - err, err
+
+    def test_real_member_reports_the_upper_conjugate_of_the_tie(self):
+        # f1 has real coefficients, so z and conj z tie; rounding favoured
+        # -0.750-0.009j at q 0.2, alpha 0.3
+        params = ClassParams(q=0.2, alpha=0.3, order=192)
+        f = f1_series(params)
+        rep = membership_starlike(f, params)
+        grid = CertGrid()
+        z, margins, err = self._grid_margins(f.div_z(), params, grid)
+        full = float(margins.max())
+        assert rep.worst_point.imag >= 0.0
+        assert round(rep.worst_point.real, 3) == -0.750
+        assert round(rep.worst_point.imag, 3) == 0.009
+        assert abs(rep.worst_margin - full) <= 1e-15 * abs(full)
+        assert rep.passed == (full <= rep.tol)
+        assert rep.unresolved == int(np.count_nonzero(err > rep.tol))
+        assert np.min(np.abs(z - rep.worst_point.conjugate())) < 1e-12
+
+    def test_complex_member_reports_its_grid_point(self):
+        params = ClassParams(q=0.5, alpha=0.3, order=64)
+        f = starlike_from_p(p_series(sample_measure(5, 3), params.order), params)
+        rep = membership_starlike(f, params)
+        z, margins, _ = self._grid_margins(f.div_z(), params, CertGrid())
+        # no tie to settle: the lower-half grid point stays as it is
+        assert rep.worst_point.imag < 0.0
+        assert rep.worst_point == complex(z.ravel()[np.argmax(margins)])
+
     def test_worst_point_deterministic(self):
         params = ClassParams(q=0.5, order=32)
         f = ps.from_coeffs([0, 1, 5] + [0] * 30)

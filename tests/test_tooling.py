@@ -1,7 +1,11 @@
-"""The benchmark's tracer wraps library functions by name; each must exist."""
+"""The benchmark's tracer wraps library functions by name; each must exist.
+A bare ``python -m pytest`` from the checkout finds the package."""
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from qschlicht import power_series as ps
@@ -38,3 +42,12 @@ def test_membership_reports_carry_the_grid_the_tracer_reads():
         grid = getattr(schlicht, name)(ps.identity(8), params).grid
         assert len(grid["radii"]) * grid["n_angles"] == schlicht.CertGrid().points().size
         assert grid["criterion"] == name.removeprefix("membership_")
+
+
+def test_bare_pytest_collects_without_pythonpath():
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p",
+         "no:cacheprovider", "tests/test_q_calculus.py"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -233,6 +233,22 @@ def test_batch_matches_one_at_a_time(suite, q, alpha, seed):
 
 @pytest.mark.parametrize("alpha", [0.0, 0.3])
 @pytest.mark.parametrize("q", [0.2, 0.5, 0.8])
+def test_membership_extremal_row_is_the_one_atom_certificate(q, alpha):
+    """Dq E_q = f1/z: the q-integral extremal row reuses the one-atom
+    certificate, and prints what E_q's own convex certificate prints."""
+    rows = {r.name: r for r in run_suite("membership", q, alpha, 20, 1)}
+    one = rows["one-atom generator certificate"]
+    eq = rows["q-integral extremal certificate"]
+    assert (eq.passed, eq.detail) == (one.passed, one.detail)
+    params = ClassParams(q=q, alpha=alpha, order=192)
+    rep = membership_convex(eq_series(params).e_q, params)
+    assert rep.passed == eq.passed
+    assert eq.detail == (f"worst margin {rep.worst_margin:.3e} at"
+                         f" {rep.worst_point:.3f}, unresolved {rep.unresolved}")
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3])
+@pytest.mark.parametrize("q", [0.2, 0.5, 0.8])
 def test_per_sample_scores_match_the_constructors(q, alpha):
     """The suite statistics are extremes that one-atom samples often pin
     (the Bieberbach worst ratio reads 1 exactly), so check every sample."""
