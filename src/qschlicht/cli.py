@@ -29,11 +29,10 @@ from .verify import SUITES, run_suite
 
 
 def _parse_complex(token: str) -> complex:
-    token = token.strip().replace("i", "j").replace(" ", "")
     try:
-        return complex(token)
+        return complex(token.strip().replace("i", "j").replace(" ", ""))
     except ValueError as exc:
-        raise QschlichtError(f"cannot parse complex value {token!r}") from exc
+        raise QschlichtError(f"cannot parse complex value {token.strip()!r}") from exc
 
 
 def _parse_mu(token: str) -> complex:

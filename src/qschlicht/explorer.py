@@ -18,15 +18,24 @@ Determinism contract:
     is elementwise, so a row scores the same in any block, and one argmax
     over all the scores picks the maximum value with ties broken by the
     lowest sample index;
-  * single-measure evaluation is a batch of one: refinement, extremal
-    injection and replay run the sweep's batch scorer on one row, so a
-    sampled row scores bitwise the same alone as in its block;
+  * single-measure evaluation is a batch of one: extremal injection and
+    replay run the sweep's batch scorer on one row, so a sampled row scores
+    bitwise the same alone as in its block;
+  * refinement scores as one batch the valid candidate moves left in a
+    pass, with those of the passes that would follow it from the same point,
+    and takes the first improving move in the sequential order (pass by
+    pass: angle moves, then weight moves, atom by atom, each +step before
+    -step), then goes on from the new point; since a row scores the same in
+    any batch, this is the move a one-candidate-at-a-time ascent accepts,
+    and the path does not depend on the batching;
   * reports serialize canonically (sorted keys, %.17g floats), so a fixed
     seed yields byte-identical JSON for any worker count.
 """
 
 from __future__ import annotations
 
+import cmath
+import functools
 import json
 import math
 import os
@@ -56,6 +65,10 @@ FUNCTIONALS = ("fs", "h22", "bieberbach")
 MIN_WEIGHT = 1e-4
 MIN_SEPARATION = 1e-3
 
+#: most refinement passes scored in one call; from the default step 0.1 the
+#: step falls below its 1e-12 floor within 37 halvings
+PLAN_PASSES = 64
+
 #: rows per work unit of a sweep's scoring pass, fixed so that the work split
 #: does not depend on the worker count; even, so every block starts on the
 #: Bieberbach product route
@@ -64,11 +77,15 @@ BLOCK = 8192
 
 def resolve_workers(workers: int | None = None) -> int:
     """Worker count: explicit argument, else QSCHLICHT_THREADS, else cores."""
-    if workers is not None:
-        n = int(workers)
-    else:
+    if workers is None:
         env = os.environ.get("QSCHLICHT_THREADS")
-        n = int(env) if env else (os.cpu_count() or 1)
+        if not env:
+            return os.cpu_count() or 1
+        if not env.strip().isdecimal() or int(env) < 1:
+            raise ConfigError(
+                f"QSCHLICHT_THREADS must be a positive integer, got {env!r}")
+        return int(env)
+    n = int(workers)
     if n < 1:
         raise ConfigError("worker count must be a positive integer")
     return n
@@ -111,6 +128,9 @@ class SweepConfig:
             raise ConfigError(f"k_atoms must lie in [1, {MAX_ATOMS}]")
         if not (2 <= self.n_check <= MAX_ORDER):
             raise ConfigError(f"n_check must lie in [2, {MAX_ORDER}]")
+        for mu in self.mu_grid:
+            if not cmath.isfinite(complex(mu)):
+                raise ConfigError(f"mu grid value {mu} is not finite")
         object.__setattr__(self, "q_grid", tuple(float(q) for q in self.q_grid))
         object.__setattr__(self, "alpha_grid", tuple(float(a) for a in self.alpha_grid))
         object.__setattr__(self, "mu_grid", tuple(complex(m) for m in self.mu_grid))
@@ -200,10 +220,17 @@ def _bieberbach_block(weights, angles, lo, q, alpha, n_check):
     return out
 
 
+def _cell_scorer(functional, q, alpha, mu, n_check, construction):
+    """The batch scorer of one sweep cell: (weights, angles) rows -> values."""
+    if functional == "bieberbach":
+        return lambda w, a: _bieberbach_scores(w, a, q, alpha, n_check, construction)
+    return lambda w, a: _starlike_scores(functional, w, a, q, alpha, (mu,))[mu]
+
+
 def evaluate_measure(functional: str, m: AtomicMeasure, q: float, alpha: float,
                      mu: complex | None = None, n_check: int = 10,
                      construction: str = "starlike_p") -> float:
-    """Functional value for one measure; the refinement and replay target.
+    """Functional value for one measure; the injection and replay target.
 
     The sweep's batch scorer run on one row, so a sampled row scores bitwise
     the same here as in the sweep.  Bieberbach members are built on the
@@ -211,11 +238,9 @@ def evaluate_measure(functional: str, m: AtomicMeasure, q: float, alpha: float,
     """
     if functional not in FUNCTIONALS:
         raise ConfigError(f"unknown functional {functional!r}")
-    row = (m.weights[None, :], m.angles[None, :])
-    if functional == "bieberbach":
-        return float(_bieberbach_scores(*row, q, alpha, n_check, construction)[0])
     ClassParams(q=q, alpha=alpha)  # validates q and alpha
-    return float(_starlike_scores(functional, *row, q, alpha, (mu,))[mu][0])
+    score = _cell_scorer(functional, q, alpha, mu, n_check, construction)
+    return float(score(m.weights[None, :], m.angles[None, :])[0])
 
 
 def replay_cell(cfg: SweepConfig, cell: dict) -> float:
@@ -231,61 +256,119 @@ def replay_cell(cfg: SweepConfig, cell: dict) -> float:
 # -- refinement ---------------------------------------------------------------
 
 
-def _separation_ok(angles) -> bool:
-    if angles.size < 2:
-        return True
-    for i in range(angles.size):
-        for j in range(i + 1, angles.size):
-            d = abs(angles[i] - angles[j]) % TWO_PI
-            if min(d, TWO_PI - d) < MIN_SEPARATION:
-                return False
-    return True
+def _moves(w, ang, steps, first):
+    """The valid moves from (w, ang) of one pass per entry of ``steps``, in
+    order, as (pass, slot, weights rows, angles rows); the first pass starts
+    at slot ``first``.
+
+    Slot i < k moves angle i, slot k + i moves weight i (only when k > 1);
+    each slot tries +step before -step.  Angle moves keep atoms
+    MIN_SEPARATION apart; weight moves renormalize and keep every weight
+    above MIN_WEIGHT.  Angles are kept as stepped, before the mod 2 pi that
+    AtomicMeasure takes."""
+    k = w.size
+    rows = np.arange(2 * k)
+    idx = rows // 2
+    signed = np.multiply.outer(steps, np.tile((1.0, -1.0), k))
+    n = 4 * k if k > 1 else 2
+    weights = np.empty((len(steps), n, k))
+    weights[:] = w
+    angles = np.empty_like(weights)
+    angles[:] = ang
+    angles[:, rows, idx] = (ang[idx] + signed) % TWO_PI
+    i, j = np.triu_indices(k, 1)
+    d = np.abs(angles[..., i] - angles[..., j]) % TWO_PI
+    ok = ~(np.minimum(d, TWO_PI - d) < MIN_SEPARATION).any(axis=-1)
+    if k > 1:  # rows 2k.. move the weights; the guard above does not apply
+        moved = weights[:, 2 * k:]
+        moved[:, rows, idx] = np.maximum(w[idx] * (1.0 + signed), MIN_WEIGHT)
+        moved /= moved.sum(axis=-1, keepdims=True)
+        ok[:, 2 * k:] = ~(moved < MIN_WEIGHT).any(axis=-1)
+    ok[0, :2 * first] = False
+    keep = np.flatnonzero(ok)
+    return (keep // n, keep % n // 2, weights.reshape(-1, k)[keep],
+            angles.reshape(-1, k)[keep])
+
+
+def _refine_rows(score_rows, w, ang, iters: int, step0: float = 0.1,
+                 step_tol: float = 1e-12):
+    """Coordinate ascent over atom angles and weights from (w, ang).
+
+    A pass goes through the moves of :func:`_moves` in slot order and accepts
+    the first that beats the best value, then goes on from the new point
+    with the later slots; a pass that accepts nothing halves the step, and
+    the ascent stops after ``iters`` passes or when the step falls below
+    ``step_tol``.
+
+    ``score_rows(weights, angles)`` scores candidate rows (angles mod 2 pi,
+    as AtomicMeasure holds them).  Each call gets every valid move left in
+    the current pass and, since a pass that accepts nothing leaves the point
+    where it is, the moves of the passes that would follow from the same
+    point: the next pass just after an accepted move, else every pass to
+    come, up to PLAN_PASSES in all.  The first improving row is the move a
+    one-at-a-time ascent accepts, so the path does not depend on how many
+    rows a call scores.  Returns (best value, weights, angles); never worse
+    than the start.
+    """
+    best = float(next(iter(score_rows(w[None, :], np.mod(ang, TWO_PI)[None, :]))))
+    if iters < 1:
+        return best, w, ang
+
+    def after(it, step, improved):
+        """(index, step) of the pass after pass ``it``; None if it ends the
+        ascent."""
+        if not improved:
+            step *= 0.5
+            if step < step_tol:
+                return None
+        return (it + 1, step) if it + 1 < iters else None
+
+    it, step, first, improved = 0, step0, 0, False
+    while True:
+        plan = [(it, step)]
+        nxt = after(it, step, improved)
+        while nxt and len(plan) < (2 if improved else PLAN_PASSES):
+            plan.append(nxt)
+            nxt = after(*nxt, False)
+        passes, slots, weights, angles = _moves(
+            w, ang, np.array([s for _, s in plan]), first)
+        vals = score_rows(weights, np.mod(angles, TWO_PI)) if passes.size else ()
+        for r, v in enumerate(vals):
+            if v > best:
+                best, w, ang = float(v), weights[r], angles[r]
+                (it, step), first, improved = plan[passes[r]], slots[r] + 1, True
+                break
+        else:
+            if nxt is None:
+                return best, w, ang
+            (it, step), first, improved = nxt, 0, False
 
 
 def refine_measure(score_fn, m: AtomicMeasure, iters: int,
                    step0: float = 0.1, step_tol: float = 1e-12):
-    """Coordinate ascent over atom angles and weights.
+    """:func:`_refine_rows` for a scorer of one measure: the candidates are
+    scored one at a time, lazily, so score_fn sees them in the ascent's
+    order and none past an accepted move.  Returns the best (value, measure)
+    found; never worse than the start."""
+    def score_rows(weights, angles):
+        return (score_fn(AtomicMeasure(wr, ar)) for wr, ar in zip(weights, angles))
 
-    Step-halving on stale passes; weight moves renormalize and respect the
-    weight floor, angle moves respect the separation guard.  Returns the best
-    (value, measure) found; never worse than the start.
-    """
-    w = m.weights.copy()
-    ang = m.angles.copy()
-    best = score_fn(AtomicMeasure(w, ang))
-    step = step0
-    for _ in range(iters):
-        improved = False
-        for idx in range(ang.size):
-            for s in (step, -step):
-                cand = ang.copy()
-                cand[idx] = (cand[idx] + s) % TWO_PI
-                if not _separation_ok(cand):
-                    continue
-                v = score_fn(AtomicMeasure(w, cand))
-                if v > best:
-                    best, ang, improved = v, cand, True
-                    break
-        if w.size > 1:
-            for idx in range(w.size):
-                for s in (step, -step):
-                    cand = w.copy()
-                    cand[idx] = max(cand[idx] * (1.0 + s), MIN_WEIGHT)
-                    cand = cand / cand.sum()
-                    if np.any(cand < MIN_WEIGHT):
-                        continue
-                    v = score_fn(AtomicMeasure(cand, ang))
-                    if v > best:
-                        best, w, improved = v, cand, True
-                        break
-        if not improved:
-            step *= 0.5
-            if step < step_tol:
-                break
+    best, w, ang = _refine_rows(score_rows, m.weights, m.angles, iters, step0,
+                                step_tol)
     return best, AtomicMeasure(w, ang)
 
 
 # -- sweep drivers ------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=1)
+def _pool(workers: int) -> ThreadPoolExecutor:
+    """The sweeps' thread pool, kept for the process while the worker count
+    stays the same.  A pool per call starts new threads while the last
+    pool's threads are still exiting; such a thread can get a fresh malloc
+    arena, which keeps its few MB of freed block arrays for the rest of the
+    process."""
+    return ThreadPoolExecutor(max_workers=workers)
 
 
 def _parallel_scores(score_block, total: int, workers: int):
@@ -302,8 +385,7 @@ def _parallel_scores(score_block, total: int, workers: int):
     if workers == 1 or len(starts) == 1:
         parts = [job(lo) for lo in starts]
     else:
-        with ThreadPoolExecutor(max_workers=min(workers, len(starts))) as pool:
-            parts = list(pool.map(job, starts))
+        parts = list(_pool(workers).map(job, starts))
     best = {}
     for key in parts[0]:
         vals = np.concatenate([part[key] for part in parts])
@@ -373,10 +455,6 @@ def _run_group(cfg, workers, g_idx, q, alpha, draws):
     stated = _stated(fn, q, alpha)
     cells = []
     for mu in keys:
-        def score(m, construction):
-            return evaluate_measure(fn, m, q, alpha, mu=mu, n_check=cfg.n_check,
-                                    construction=construction)
-
         best_val, best_idx = best[mu]
         argmax = _measure_from_row(weights[best_idx], angles[best_idx])
         source, construction = "sample", "starlike_p"
@@ -384,16 +462,19 @@ def _run_group(cfg, workers, g_idx, q, alpha, draws):
             construction = ("convex_h", "convex_measure")[best_idx % 2]
         injected = {}
         for idx, m, route in rows:
-            v = injected[idx] = score(m, route)
+            v = injected[idx] = evaluate_measure(
+                fn, m, q, alpha, mu=mu, n_check=cfg.n_check, construction=route)
             if v > best_val or (v == best_val and idx < best_idx):
                 best_val, best_idx, argmax = v, idx, m
                 construction, source = route, "extremal"
 
         if cfg.refine_iters > 0:
-            refined_val, refined_m = refine_measure(
-                lambda meas: score(meas, construction), argmax, cfg.refine_iters)
+            refined_val, w, ang = _refine_rows(
+                _cell_scorer(fn, q, alpha, mu, cfg.n_check, construction),
+                argmax.weights, argmax.angles, cfg.refine_iters)
             if refined_val > best_val:
-                best_val, argmax, source = refined_val, refined_m, "refined"
+                best_val, source = refined_val, "refined"
+                argmax = AtomicMeasure(w, ang)
 
         bound, extremals = stated(mu, injected)
         slack = bound.value - best_val

@@ -8,6 +8,7 @@ never reports a conjecture as a theorem.
 
 from __future__ import annotations
 
+import cmath
 import functools
 from dataclasses import dataclass
 
@@ -57,11 +58,14 @@ def fs_bound(params: ClassParams, mu: complex) -> Bound:
     Sharp at alpha = 0 (attained by the one- and two-atom extremals);
     conjectural otherwise.
     """
+    mu = complex(mu)
+    if not cmath.isfinite(mu):
+        raise RangeError(f"mu must be finite, got {mu}")
     r = QLogRatios.from_params(params)
     q = params.q
     r1 = r.lalpha / (q - 1.0)
     r2 = r.lalpha / (q * q - 1.0)
-    first = abs(2.0 * (1.0 - 2.0 * complex(mu)) * r1 * r1 + 2.0 * r2)
+    first = abs(2.0 * (1.0 - 2.0 * mu) * r1 * r1 + 2.0 * r2)
     value = max(first, 2.0 * r2)
     return Bound(value=float(value), conjectural=params.alpha > 0.0)
 

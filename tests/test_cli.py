@@ -89,6 +89,17 @@ class TestBounds:
         assert code == 0
         assert out.rstrip().split("\n")[-1].startswith("|a_40|")
 
+    @pytest.mark.parametrize("mu, message", [
+        ("nan,0", "error: mu must be finite"),
+        ("inf", "error: cannot parse complex value 'inf'"),
+    ])
+    def test_non_finite_mu_exits_cleanly(self, capsys, mu, message):
+        code = main(["bounds", "--q", "0.5", "--mu", mu])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(message)
+
     @pytest.mark.parametrize("n_max", ["1", "300"])
     def test_n_max_out_of_range_prints_nothing(self, capsys, n_max):
         code = main(["bounds", "--q", "0.5", "--n-max", n_max])
@@ -174,8 +185,23 @@ class TestSearch:
         assert captured.err.startswith("error:")
         assert len(captured.err.splitlines()) == 1
 
+    @pytest.mark.parametrize("value", ["abc", "0", "2.5"])
+    def test_bad_thread_variable_exits_cleanly(self, capsys, tmp_path,
+                                               monkeypatch, value):
+        monkeypatch.setenv("QSCHLICHT_THREADS", value)
+        out_path = tmp_path / "rep.json"
+        code = main(["search", "--functional", "h22", "--q-grid", "0.5",
+                     "--samples", "10", "--seed", "1", "--out", str(out_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ("error: QSCHLICHT_THREADS must be a positive "
+                                f"integer, got {value!r}\n")
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("extra", [
         ["--functional", "fs", "--mu-grid", "0", "--refine-iters", "-5"],
+        ["--functional", "fs", "--mu-grid", "0,nan"],
+        ["--functional", "fs", "--mu-grid", "1e400"],
         ["--functional", "h22", "--mu-grid", "0.5"],
         ["--functional", "bieberbach", "--mu-grid", "0.5"],
     ])

@@ -1,5 +1,6 @@
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -9,9 +10,11 @@ from hypothesis import strategies as st
 from qschlicht.caratheodory import MAX_ATOMS, AtomicMeasure, _moments, \
     _p_coeffs, measure_from_dict, p_series
 from qschlicht.errors import ConfigError
-from qschlicht.explorer import (BLOCK, CSV_HEADER, TWO_PI, SweepConfig,
+from qschlicht.explorer import (BLOCK, CSV_HEADER, MIN_SEPARATION,
+                                MIN_WEIGHT, TWO_PI, SweepConfig,
                                 _bieberbach_block, _bieberbach_scores,
-                                _fill_rows, _measure_from_row, _parallel_scores,
+                                _cell_scorer, _fill_rows, _measure_from_row,
+                                _parallel_scores, _refine_rows,
                                 _starlike_scores, canonical_json,
                                 evaluate_measure, group_samples,
                                 refine_measure, replay_cell, report_csv,
@@ -65,6 +68,11 @@ class TestConfig:
         cfg = SweepConfig(functional="bieberbach", seed=1, samples=10,
                           q_grid=(0.5,), n_check=40)
         assert "order" not in cfg.to_dict()
+
+    @pytest.mark.parametrize("mu", [math.nan, complex(0.0, math.inf)])
+    def test_non_finite_mu_rejected(self, mu):
+        with pytest.raises(ConfigError, match="not finite"):
+            fs_config(mu_grid=(0.5, mu))
 
     def test_workers_resolution(self, monkeypatch):
         monkeypatch.setenv("QSCHLICHT_THREADS", "3")
@@ -368,8 +376,192 @@ class TestBlocks:
                      for w in (1, 2, 3)}
             assert len(texts) == 1
 
+    def test_calls_at_one_worker_count_reuse_their_threads(self):
+        seen = []
+
+        def score_block(lo, hi):
+            seen.append(threading.current_thread())
+            return {None: np.zeros(hi - lo)}
+
+        _parallel_scores(score_block, 4 * BLOCK, 2)
+        first = set(seen)
+        seen.clear()
+        _parallel_scores(score_block, 4 * BLOCK, 2)
+        assert threading.main_thread() not in first
+        assert set(seen) <= first
+
+
+def reference_refine(score_fn, m, iters, step0=0.1, step_tol=1e-12):
+    """The ascent as written before batching: one candidate per call."""
+    def separation_ok(angles):
+        for i in range(angles.size):
+            for j in range(i + 1, angles.size):
+                d = abs(angles[i] - angles[j]) % TWO_PI
+                if min(d, TWO_PI - d) < MIN_SEPARATION:
+                    return False
+        return True
+
+    w = m.weights.copy()
+    ang = m.angles.copy()
+    best = score_fn(AtomicMeasure(w, ang))
+    step = step0
+    for _ in range(iters):
+        improved = False
+        for idx in range(ang.size):
+            for s in (step, -step):
+                cand = ang.copy()
+                cand[idx] = (cand[idx] + s) % TWO_PI
+                if not separation_ok(cand):
+                    continue
+                v = score_fn(AtomicMeasure(w, cand))
+                if v > best:
+                    best, ang, improved = v, cand, True
+                    break
+        if w.size > 1:
+            for idx in range(w.size):
+                for s in (step, -step):
+                    cand = w.copy()
+                    cand[idx] = max(cand[idx] * (1.0 + s), MIN_WEIGHT)
+                    cand = cand / cand.sum()
+                    if np.any(cand < MIN_WEIGHT):
+                        continue
+                    v = score_fn(AtomicMeasure(cand, ang))
+                    if v > best:
+                        best, w, improved = v, cand, True
+                        break
+        if not improved:
+            step *= 0.5
+            if step < step_tol:
+                break
+    return best, AtomicMeasure(w, ang)
+
+
+# angles at the wrap: 1 ulp below 2 pi, and 1 ulp below the first step, whose
+# -step move lands a hair below 0 and steps to exactly 2 pi
+edge_angles = st.sampled_from([math.nextafter(TWO_PI, 0.0),
+                               math.nextafter(0.1, 0.0), 0.0, math.pi])
+
+
+@st.composite
+def start_measures(draw):
+    k = draw(st.integers(1, MAX_ATOMS))
+    angles = draw(st.lists(st.one_of(st.floats(0.0, TWO_PI, exclude_max=True),
+                                     edge_angles), min_size=k, max_size=k))
+    if k > 1 and draw(st.booleans()):  # a pair inside the separation guard
+        angles[1] = (angles[0] + 0.5 * MIN_SEPARATION) % TWO_PI
+    raw = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k)))
+    weights = raw / raw.sum()
+    if k > 1 and draw(st.booleans()):  # one weight at, above or below the floor
+        floor = MIN_WEIGHT * draw(st.sampled_from([0.9, 1.0, 1.0 + 1e-12, 1.1, 3.0]))
+        weights = np.concatenate(([floor], (1.0 - floor) * raw[1:] / raw[1:].sum()))
+    return AtomicMeasure(weights, np.array(angles))
+
+
+ROUTES = ("fs", "h22", "convex_h", "convex_measure")
+
+
+def route_scorers(route, q, alpha, mu):
+    """(batch scorer the sweep refines with, one-measure scorer)."""
+    fn = route if route in ("fs", "h22") else "bieberbach"
+    mu = mu if fn == "fs" else None
+    return (_cell_scorer(fn, q, alpha, mu, 6, route),
+            lambda m: evaluate_measure(fn, m, q, alpha, mu=mu, n_check=6,
+                                       construction=route))
+
+
+refine_cases = dict(m=start_measures(), route=st.sampled_from(ROUTES),
+                    q=st.floats(0.05, 0.95), alpha=st.sampled_from([0.0, 0.3, 0.7]),
+                    mu=st.sampled_from(MUS),
+                    iters=st.one_of(st.integers(0, 25), st.just(100)),
+                    # 0.025 is 0.1 / 4 exactly: the step meets the floor
+                    step_tol=st.sampled_from([1e-12, 1e-3, 0.025]))
+
 
 class TestRefinement:
+    @given(**refine_cases)
+    @settings(max_examples=60, deadline=None)
+    def test_batched_ascent_takes_the_sequential_path(self, m, route, q, alpha,
+                                                      mu, iters, step_tol):
+        score_rows, score_fn = route_scorers(route, q, alpha, mu)
+        best, w, ang = _refine_rows(score_rows, m.weights, m.angles, iters,
+                                    step_tol=step_tol)
+        ref_best, ref = reference_refine(score_fn, m, iters, step_tol=step_tol)
+        got = AtomicMeasure(w, ang)
+        assert best == ref_best
+        assert got.weights.tobytes() == ref.weights.tobytes()
+        assert got.angles.tobytes() == ref.angles.tobytes()
+
+    @given(**refine_cases)
+    @settings(max_examples=30, deadline=None)
+    def test_one_measure_adaptor_scores_the_same_candidates(self, m, route, q,
+                                                           alpha, mu, iters,
+                                                           step_tol):
+        _, score_fn = route_scorers(route, q, alpha, mu)
+        seen = {"batched": [], "reference": []}
+
+        def recorder(key):
+            def score(meas):
+                seen[key].append(meas.weights.tobytes() + meas.angles.tobytes())
+                return score_fn(meas)
+            return score
+
+        best, got = refine_measure(recorder("batched"), m, iters,
+                                   step_tol=step_tol)
+        ref_best, ref = reference_refine(recorder("reference"), m, iters,
+                                         step_tol=step_tol)
+        assert seen["batched"] == seen["reference"]
+        assert best == ref_best
+        assert got.angles.tobytes() == ref.angles.tobytes()
+
+    @given(m=start_measures(), iters=st.integers(60, 200),
+           center=st.floats(0.0, TWO_PI))
+    @settings(max_examples=30, deadline=None)
+    def test_long_ascent_without_a_step_floor(self, m, iters, center):
+        # step_tol 0: only iters ends the ascent, past PLAN_PASSES passes
+        def score_rows(weights, angles):
+            return -((angles - center) ** 2 * weights).sum(axis=1)
+
+        def score(meas):
+            return float(score_rows(meas.weights[None, :], meas.angles[None, :])[0])
+
+        ref_best, ref = reference_refine(score, m, iters, step_tol=0.0)
+        best, got = refine_measure(score, m, iters, step_tol=0.0)
+        best_rows, w, ang = _refine_rows(score_rows, m.weights, m.angles, iters,
+                                         step_tol=0.0)
+        assert best == best_rows == ref_best
+        for meas in (got, AtomicMeasure(w, ang)):
+            assert meas.weights.tobytes() == ref.weights.tobytes()
+            assert meas.angles.tobytes() == ref.angles.tobytes()
+
+    def test_a_move_onto_two_pi_keeps_the_stepped_angle(self):
+        # from 1 ulp below 0.1 the -0.1 move steps to exactly 2 pi; the
+        # measure holds 0, but the ascent steps on from 2 pi, whose later
+        # moves round differently from steps taken from 0
+        m = AtomicMeasure(np.array([1.0]), np.array([math.nextafter(0.1, 0.0)]))
+        seen = []
+
+        def score(meas):
+            seen.append(meas.angles[0])
+            return -abs(meas.angles[0] - 0.02)
+
+        ref_best, ref = reference_refine(score, m, 10)
+        assert seen[2] == 0.0 and seen[3] != 0.1
+        best, w, ang = _refine_rows(lambda w, a: -abs(a[:, 0] - 0.02),
+                                    m.weights, m.angles, 10)
+        assert best == ref_best
+        assert AtomicMeasure(w, ang).angles.tobytes() == ref.angles.tobytes()
+
+    @pytest.mark.parametrize("functional", ["fs", "h22", "bieberbach"])
+    def test_default_refinement_same_bytes_for_any_worker_count(self, functional):
+        cfg = SweepConfig(functional=functional, seed=29, samples=BLOCK + 9,
+                          q_grid=(0.2, 0.5), alpha_grid=(0.0, 0.3), k_atoms=4,
+                          mu_grid=(0.0, 1.0) if functional == "fs" else (),
+                          include_extremals=False)
+        assert cfg.refine_iters == 100
+        reports = [run_sweep(cfg, workers=w) for w in (1, 2, 3)]
+        assert any(c["argmax_source"] == "refined" for c in reports[0]["cells"])
+        assert len({canonical_json(r) for r in reports}) == 1
+
     def test_never_worse_than_start(self):
         from qschlicht.caratheodory import sample_measure
         from qschlicht.explorer import evaluate_measure

@@ -56,6 +56,11 @@ class TestFsBound:
     def test_conjectural_flag(self):
         assert fs_bound(ClassParams(q=0.5, alpha=0.2), 0.0).conjectural
 
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, complex(0.5, -math.inf)])
+    def test_non_finite_mu_rejected(self, mu):
+        with pytest.raises(RangeError):
+            fs_bound(ClassParams(q=0.5), mu)
+
     def test_branch_attainment(self):
         # one-atom generator attains the first branch, two-atom the second
         for q in (0.2, 0.5, 0.8):

@@ -8,8 +8,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from qschlicht import explorer
 from qschlicht import power_series as ps
 from qschlicht import schlicht
+from qschlicht.caratheodory import AtomicMeasure
 from qschlicht.q_calculus import ClassParams
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -30,6 +34,24 @@ def test_every_trace_target_resolves():
         missing += [f"{module}.{name}" for name in names
                     if not callable(getattr(home, name, None))]
     assert not missing
+
+
+def test_traced_refine_measure_counts_every_scored_candidate():
+    # the tracer passes its counting scorer as the first positional argument
+    tracer_mod = load_tracer()
+    calls = []
+
+    def score(meas):
+        calls.append(meas)
+        return -abs(float(meas.angles[0]) - 1.0)
+
+    m = AtomicMeasure(np.array([0.5, 0.5]), np.array([0.2, 3.0]))
+    with tracer_mod.Tracer().installed() as tracer:
+        explorer.refine_measure(score, m, iters=5)
+    row = tracer_mod.summarize(tracer.spans)["explorer.refine_measure"]
+    assert row["calls"] == 1
+    assert row["evals"] == len(calls) > 1
+    assert row["accepted"] >= 1
 
 
 def test_membership_reports_carry_the_grid_the_tracer_reads():
