@@ -25,8 +25,9 @@ from .power_series import TruncatedSeries, _einsum
 MAX_ATOMS = 8
 TWO_PI = 2.0 * math.pi
 
-#: name of the generator behind sample_measure / the sweep samplers; recorded
-#: in reports so runs are reproducible bit for bit.
+#: name of the generator behind :func:`_fill_rows`, the one sampler of
+#: sample_measure, the sweeps and the verify suites; recorded in reports so
+#: runs are reproducible bit for bit.
 RNG_NAME = "numpy-pcg64"
 
 
@@ -173,31 +174,45 @@ def mm_gap(p: TruncatedSeries, lam: float) -> float:
     return bound - value
 
 
-def _draw_measures(seeds, k_atoms) -> tuple[np.ndarray, np.ndarray]:
-    """Padded (weights, angles) rows of the measures :func:`sample_measure`
-    draws for ``seeds[i]`` with ``k_atoms[i]`` atoms; slots past a row's
-    atoms carry zero weight at angle 0.  Row i depends on its own seed only,
-    and each row is normalized alone, so it equals the single draw bitwise."""
-    if not all(1 <= k <= MAX_ATOMS for k in k_atoms):
-        raise RangeError(f"k_atoms must lie in [1, {MAX_ATOMS}]")
-    weights = np.zeros((len(seeds), max(k_atoms, default=1)))
-    draws = np.zeros_like(weights)
-    for i, (seed, k) in enumerate(zip(seeds, k_atoms)):
-        row = np.random.default_rng(int(seed)).random(2 * k)
-        draws[i, :k] = row[:k]
-        raw = 0.05 + 0.95 * row[k:]
-        weights[i, :k] = raw / raw.sum()
-    return weights, np.mod(TWO_PI * draws, TWO_PI)
+def _fill_rows(seed: int, spawn_key: tuple, draws, lo: int, hi: int,
+               ragged: bool = True):
+    """Draw rows lo..hi-1 of a sample stream in place into ``draws``, of
+    shape (rows, 2*k), and return their (weights, angles) views.
+
+    The stream is the PCG64 of ``SeedSequence(seed, spawn_key=spawn_key)``,
+    and row i takes its draws 2*k*i onwards, so any split of the rows fills
+    them bitwise alike.  The first k draws of a row are the angles, 2 pi u;
+    the last k are the weights, 0.05 + 0.95 u normalized, which keeps every
+    weight bounded away from zero.  A ``ragged`` row i keeps
+    ``(i % k) + 1`` atoms and zero weight in the slots past them; otherwise
+    every row keeps all k.
+    """
+    k = draws.shape[1] // 2
+    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=spawn_key)
+    bitgen = np.random.PCG64(ss)
+    bitgen.advance(2 * k * lo)
+    block = draws[lo:hi]
+    np.random.Generator(bitgen).random(out=block)
+    angles, weights = block[:, :k], block[:, k:]
+    angles *= TWO_PI
+    weights *= 0.95
+    weights += 0.05
+    for r in range(k - 1 if ragged else 0):  # rows i % k == r keep r + 1 atoms
+        weights[(r - lo) % k::k, r + 1:] = 0.0
+    weights /= weights.sum(axis=1, keepdims=True)
+    return weights, angles
 
 
 def sample_measure(seed: int, k_atoms: int) -> AtomicMeasure:
-    """Deterministic random measure for a seed: PCG64-driven draws.
+    """Deterministic random measure with k_atoms atoms for a seed: row 0 of
+    the sample stream of ``default_rng(seed)`` (see :func:`_fill_rows`).
 
-    Angles are uniform on [0, 2 pi); weights come from a uniform positive
-    draw on [0.05, 1] and are normalized, which keeps every weight bounded
-    away from zero.
-    """
-    weights, angles = _draw_measures([seed], [k_atoms])
+    Angles are uniform on [0, 2 pi); weights are uniform on [0.05, 1],
+    normalized."""
+    if not 1 <= k_atoms <= MAX_ATOMS:
+        raise RangeError(f"k_atoms must lie in [1, {MAX_ATOMS}]")
+    weights, angles = _fill_rows(seed, (), np.empty((1, 2 * k_atoms)), 0, 1,
+                                 ragged=False)
     return AtomicMeasure(weights[0], angles[0])
 
 

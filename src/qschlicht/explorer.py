@@ -1,16 +1,18 @@
 """Seeded extremal-search sweeps with reproducible reports.
 
-Samples atomic measures per (q, alpha) group from a PCG64 stream whose seed
-derives from (master seed, group index), evaluates the chosen functional on
-the generated class members, and compares the empirical maximum against the
-stated (or conjectured) bound.  Bound violations never abort a run; they are
-first-class report rows, because adjudicating the stated bounds is the whole
-point of the harness.
+Samples atomic measures per (q, alpha) group from the PCG64 stream of
+:func:`.caratheodory._fill_rows` for (master seed, group index), evaluates
+the chosen functional on the generated class members, and compares the
+empirical maximum against the stated (or conjectured) bound.  Bound
+violations never abort a run; they are first-class report rows, because
+adjudicating the stated bounds is the whole point of the harness.
 
 Determinism contract:
-  * sample i of a group depends only on (seed, group index, i), and each
-    sample consumes 2*k_atoms draws, so enlarging ``samples`` keeps every
-    earlier sample identical;
+  * sample i of group g is row i of the stream with spawn key (g,), so it
+    depends only on (seed, g, i), and each sample consumes 2*k_atoms draws,
+    so enlarging ``samples`` keeps every earlier sample identical; a verify
+    suite at seed s scores the first rows of group 0 of a k_atoms = 4 sweep
+    at seed s;
   * the sample range is drawn and scored in blocks of ``BLOCK`` rows, the
     pool's work units, whatever the worker count: the job of rows lo..hi-1
     advances the group's PCG64 stream 2*k_atoms*lo draws and fills those
@@ -45,8 +47,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__
-from .caratheodory import MAX_ATOMS, RNG_NAME, AtomicMeasure, _moments, \
-    _p_coeffs, measure_from_dict
+from .caratheodory import MAX_ATOMS, RNG_NAME, AtomicMeasure, _fill_rows, \
+    _moments, _p_coeffs, measure_from_dict
 from .errors import ConfigError
 from .extremal import _exponent_core, eq_series, f1_series, f2_series, \
     f_exponent_series
@@ -116,6 +118,8 @@ class SweepConfig:
             raise ConfigError("samples must be positive")
         if self.refine_iters < 0:
             raise ConfigError("refine_iters must be non-negative")
+        if not (math.isfinite(self.tol) and self.tol >= 0.0):
+            raise ConfigError(f"tol must be finite and non-negative, got {self.tol}")
         if not self.q_grid or not self.alpha_grid:
             raise ConfigError("q_grid and alpha_grid must be non-empty")
         for q in self.q_grid:
@@ -144,35 +148,11 @@ class SweepConfig:
 # -- sample generation --------------------------------------------------------
 
 
-def _fill_rows(cfg: SweepConfig, group_index: int, draws, lo: int, hi: int):
-    """Draw rows lo..hi-1 of a group in place into ``draws``, of shape
-    (samples, 2*k_atoms), and return their (weights, angles) views.
-
-    Sample i activates ``(i % k_atoms) + 1`` atoms; inactive slots carry zero
-    weight.  Row i takes draws 2*k_atoms*i onwards of the group's stream, so
-    any split of the rows fills them bitwise alike.
-    """
-    k = cfg.k_atoms
-    ss = np.random.SeedSequence(entropy=int(cfg.seed), spawn_key=(int(group_index),))
-    bitgen = np.random.PCG64(ss)
-    bitgen.advance(2 * k * lo)
-    block = draws[lo:hi]
-    np.random.Generator(bitgen).random(out=block)
-    angles, weights = block[:, :k], block[:, k:]
-    angles *= TWO_PI
-    weights *= 0.95
-    weights += 0.05
-    for r in range(k - 1):  # rows i with i % k == r keep r + 1 atoms
-        weights[(r - lo) % k::k, r + 1:] = 0.0
-    weights /= weights.sum(axis=1, keepdims=True)
-    return weights, angles
-
-
 def group_samples(cfg: SweepConfig, group_index: int):
     """Weights/angles arrays of shape (samples, k_atoms) for one (q, alpha)
-    group: every row of :func:`_fill_rows` at once."""
+    group: every row of the group's stream at once."""
     draws = np.empty((cfg.samples, 2 * cfg.k_atoms))
-    return _fill_rows(cfg, group_index, draws, 0, cfg.samples)
+    return _fill_rows(cfg.seed, (group_index,), draws, 0, cfg.samples)
 
 
 def _measure_from_row(weights, angles) -> AtomicMeasure:
@@ -444,7 +424,7 @@ def _run_group(cfg, workers, g_idx, q, alpha, draws):
     keys = cfg.mu_grid if fn == "fs" else (None,)
 
     def score_block(lo, hi):
-        w, a = _fill_rows(cfg, g_idx, draws, lo, hi)
+        w, a = _fill_rows(cfg.seed, (g_idx,), draws, lo, hi)
         if fn == "bieberbach":
             return {None: _bieberbach_block(w, a, lo, q, alpha, cfg.n_check)}
         return _starlike_scores(fn, w, a, q, alpha, keys)

@@ -8,13 +8,13 @@ treats the one-atom generator exceeding the stated determinant bound as the
 expected, documented outcome and only fails when the empirical maximum
 escapes the scalar-majorant envelope G(2).
 
-Batch contract: a suite draws its samples as one padded (weights, angles)
-array and scores them in one pass through the axis-0 cores the sweeps use.
-Sample i still comes from its own seed (row i equals
-``sample_measure(s_i, 1 + s_i % 4)`` bitwise), and a batch column equals
-the member built alone, so the samples, rows, limits and verdicts are those
-of building the members one at a time.  Details agree to rounding: the fs
-scorer computes mu*a2**2 where ``fekete_szego_value`` computes mu*a2*a2.
+Batch contract: a suite draws its samples with the sweeps' sampler and
+scores them in one pass through the axis-0 cores the sweeps use.  At seed s
+they are rows 0..samples-1 of the stream of group 0 of a k_atoms = 4 sweep
+at seed s (row i keeps (i % 4) + 1 atoms), and a batch column equals the
+member built alone, so the rows, limits and verdicts are those of building
+the members one at a time.  Details agree to rounding: the fs scorer
+computes mu*a2**2 where ``fekete_szego_value`` computes mu*a2*a2.
 """
 
 from __future__ import annotations
@@ -25,15 +25,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import power_series as ps
-from .caratheodory import _draw_measures, _moments, _p_coeffs
+from .caratheodory import _fill_rows, _moments, _p_coeffs
 from .errors import RangeError
 from .explorer import _bieberbach_block, _starlike_scores
 from .extremal import _exponent_core, eq_series, f1_series, f2_series, \
     f_exponent_series
 from .functionals import bieberbach_bound_convex, fekete_szego_value, fs_bound, \
     hankel_bound, hankel_value, t4_scalars
-from .q_calculus import ClassParams, _brackets, _check_q, _iq_core, iq, \
-    jackson_sum
+from .q_calculus import ClassParams, _brackets, _iq_core, iq, jackson_sum
 from .schlicht import _starlike_core, membership_convex, membership_starlike
 
 SUITES = ("qcalc", "fs", "hankel", "bieberbach", "herglotz", "membership")
@@ -47,11 +46,9 @@ class CheckResult:
 
 
 def _sample_rows(seed: int, count: int):
-    """Padded (weights, angles) rows of a suite's samples: row i is
-    sample_measure(s_i, 1 + s_i % 4) for the i-th seed s_i derived from seed."""
-    seeds = [int(s) for s in
-             np.random.SeedSequence(int(seed)).generate_state(count, np.uint64)]
-    return _draw_measures(seeds, [1 + s % 4 for s in seeds])
+    """(weights, angles) rows of a suite's samples: rows 0..count-1 of the
+    sample stream of group 0 of a k_atoms = 4 sweep at this seed."""
+    return _fill_rows(seed, (0,), np.empty((count, 2 * 4)), 0, count)
 
 
 def run_suite(suite: str, q: float, alpha: float, samples: int,
@@ -60,12 +57,12 @@ def run_suite(suite: str, q: float, alpha: float, samples: int,
         raise RangeError(f"unknown suite {suite!r}; choose from {SUITES}")
     if samples < 1:
         raise RangeError(f"samples must be at least 1, got {samples}")
+    ClassParams(q=q, alpha=alpha)  # validates q and alpha for every suite
     fn = globals()[f"_suite_{suite}"]
     return fn(q, alpha, samples, seed)
 
 
 def _suite_qcalc(q, alpha, samples, seed) -> list[CheckResult]:
-    q = _check_q(q)
     rng = np.random.default_rng(seed)
     # the same stream as one real and one imaginary draw of 33 per series
     draws = rng.standard_normal((max(samples, 10), 2, 33))

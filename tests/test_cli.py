@@ -134,6 +134,21 @@ class TestVerify:
         assert "Traceback" not in captured.err
         assert captured.out.rstrip().endswith("checks passed")
 
+    @pytest.mark.parametrize("value", ["-0.5", "1.5", "nan"])
+    @pytest.mark.parametrize("flag", ["--q", "--alpha"])
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_out_of_range_parameters_exit_cleanly(self, capsys, suite, flag,
+                                                  value):
+        args = {"--q": "0.5", "--alpha": "0", flag: value}
+        code = main(["verify", "--suite", suite, "--q", args["--q"],
+                     "--alpha", args["--alpha"], "--samples", "5",
+                     "--seed", "5"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("samples", ["0", "-3"])
     @pytest.mark.parametrize("suite", SUITES)
     def test_bad_sample_count_exits_cleanly(self, capsys, suite, samples):

@@ -7,20 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qschlicht.caratheodory import MAX_ATOMS, AtomicMeasure, _moments, \
-    _p_coeffs, measure_from_dict, p_series
+from qschlicht.caratheodory import MAX_ATOMS, AtomicMeasure, _fill_rows, \
+    _moments, _p_coeffs, measure_from_dict, p_series
 from qschlicht.errors import ConfigError
 from qschlicht.explorer import (BLOCK, CSV_HEADER, MIN_SEPARATION,
                                 MIN_WEIGHT, TWO_PI, SweepConfig,
                                 _bieberbach_block, _bieberbach_scores,
-                                _cell_scorer, _fill_rows, _measure_from_row,
-                                _parallel_scores, _refine_rows,
+                                _cell_scorer, _measure_from_row,
+                                _parallel_scores, _pool, _refine_rows,
                                 _starlike_scores, canonical_json,
                                 evaluate_measure, group_samples,
                                 refine_measure, replay_cell, report_csv,
                                 resolve_workers, run_limit_sweep, run_sweep)
 from qschlicht.q_calculus import ClassParams, _iq_core
 from qschlicht.schlicht import _starlike_core, convex_from_h
+from sampler_reference import reference_group_samples
 
 
 def fs_config(**kw):
@@ -46,6 +47,11 @@ class TestConfig:
             fs_config(alpha_grid=(-0.1,))
         with pytest.raises(ConfigError):
             fs_config(samples=0)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-3])
+    def test_tol_must_be_finite_and_non_negative(self, tol):
+        with pytest.raises(ConfigError, match="tol"):
+            fs_config(tol=tol)
 
     def test_negative_refine_iters(self):
         with pytest.raises(ConfigError):
@@ -97,21 +103,6 @@ class TestSampling:
         assert list(counts[:8]) == [1, 2, 3, 4, 1, 2, 3, 4]
 
 
-def reference_group_samples(cfg, group_index):
-    """Whole-group sampler: every draw of the group at once, then
-    group-sized temporaries; the oracle of the in-place block sampler."""
-    ss = np.random.SeedSequence(entropy=int(cfg.seed), spawn_key=(int(group_index),))
-    rng = np.random.Generator(np.random.PCG64(ss))
-    k = cfg.k_atoms
-    draws = rng.random((cfg.samples, 2 * k))
-    angles = TWO_PI * draws[:, :k]
-    raw = 0.05 + 0.95 * draws[:, k:]
-    active = np.arange(k)[None, :] < ((np.arange(cfg.samples) % k) + 1)[:, None]
-    weights = np.where(active, raw, 0.0)
-    weights /= weights.sum(axis=1, keepdims=True)
-    return weights, angles
-
-
 def reference_moments(weights, angles, n_max):
     """_moments with the phase of every atom computed, zero weight or not."""
     phase = np.exp(1j * angles)
@@ -134,10 +125,9 @@ class TestBlockSampler:
         samples = BLOCK + extra  # never a multiple of BLOCK
         lo = data.draw(st.integers(0, samples - 1))
         hi = data.draw(st.integers(lo + 1, samples))
-        cfg = fs_config(seed=seed, samples=samples, k_atoms=k)
-        ref_w, ref_a = reference_group_samples(cfg, group)
+        ref_w, ref_a = reference_group_samples(seed, group, samples, k)
         draws = np.full((samples, 2 * k), np.nan)
-        w, a = _fill_rows(cfg, group, draws, lo, hi)
+        w, a = _fill_rows(seed, (group,), draws, lo, hi)
         assert np.array_equal(w, ref_w[lo:hi])
         assert np.array_equal(a, ref_a[lo:hi])
         # only rows lo..hi-1 of the buffer were written
@@ -148,8 +138,8 @@ class TestBlockSampler:
         cfg = fs_config(seed=k, samples=2 * BLOCK + 5, k_atoms=k)
         draws = np.empty((cfg.samples, 2 * k))
         for lo in range(0, cfg.samples, BLOCK):
-            _fill_rows(cfg, 3, draws, lo, min(lo + BLOCK, cfg.samples))
-        ref_w, ref_a = reference_group_samples(cfg, 3)
+            _fill_rows(cfg.seed, (3,), draws, lo, min(lo + BLOCK, cfg.samples))
+        ref_w, ref_a = reference_group_samples(cfg.seed, 3, cfg.samples, k)
         assert np.array_equal(draws[:, k:], ref_w)
         assert np.array_equal(draws[:, :k], ref_a)
         w, a = group_samples(cfg, 3)
@@ -377,18 +367,20 @@ class TestBlocks:
             assert len(texts) == 1
 
     def test_calls_at_one_worker_count_reuse_their_threads(self):
-        seen = []
+        # the pool starts its threads lazily, so which of its two threads a
+        # call uses varies; a pool per call would bring a new thread each time
+        seen = set()
 
         def score_block(lo, hi):
-            seen.append(threading.current_thread())
+            seen.add(threading.current_thread())
             return {None: np.zeros(hi - lo)}
 
-        _parallel_scores(score_block, 4 * BLOCK, 2)
-        first = set(seen)
-        seen.clear()
-        _parallel_scores(score_block, 4 * BLOCK, 2)
-        assert threading.main_thread() not in first
-        assert set(seen) <= first
+        pool = _pool(2)
+        for _ in range(3):
+            _parallel_scores(score_block, 4 * BLOCK, 2)
+        assert _pool(2) is pool
+        assert threading.main_thread() not in seen
+        assert len(seen) <= 2
 
 
 def reference_refine(score_fn, m, iters, step0=0.1, step_tol=1e-12):

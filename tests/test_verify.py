@@ -14,9 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qschlicht import power_series as ps
-from qschlicht.caratheodory import MAX_ATOMS, _draw_measures, _moments, \
-    p_series, sample_measure
-from qschlicht.explorer import _bieberbach_block, _starlike_scores
+from qschlicht.caratheodory import MAX_ATOMS, AtomicMeasure, p_series, \
+    sample_measure
+from qschlicht.explorer import SweepConfig, _bieberbach_block, \
+    _starlike_scores, group_samples
 from qschlicht.extremal import eq_series, f1_series, f2_series, \
     herglotz_starlike
 from qschlicht.functionals import bieberbach_bound_convex, \
@@ -25,18 +26,16 @@ from qschlicht.q_calculus import ClassParams, dq, iq, jackson_sum
 from qschlicht.schlicht import convex_from_h, convex_from_measure, \
     membership_convex, membership_starlike, starlike_from_p
 from qschlicht.verify import SUITES, CheckResult, _sample_rows, run_suite
+from sampler_reference import reference_group_samples
 
 
 # -- reference: one member at a time ------------------------------------------
 
 
-def _seeds(seed, count):
-    return [int(s) for s in
-            np.random.SeedSequence(int(seed)).generate_state(count, np.uint64)]
-
-
 def _measures(seed, count):
-    return [sample_measure(s, 1 + s % 4) for s in _seeds(seed, count)]
+    """The suite's samples at seed, one measure each, from the oracle."""
+    weights, angles = reference_group_samples(seed, 0, count, 4)
+    return [AtomicMeasure(w[w > 0], a[w > 0]) for w, a in zip(weights, angles)]
 
 
 def _loop_qcalc(q, alpha, samples, seed):
@@ -284,40 +283,30 @@ def test_qcalc_single_draw_is_the_sequential_stream(samples):
     assert np.array_equal(one.standard_normal(4), seq.standard_normal(4))
 
 
-# -- one draw routine ----------------------------------------------------------
+# -- one sampler ---------------------------------------------------------------
 
 
 @given(seed=st.integers(0, 2**63), count=st.integers(1, 40))
 @settings(max_examples=40)
-def test_sample_rows_are_the_single_draws(seed, count):
+def test_suite_rows_are_the_first_rows_of_a_sweep_group(seed, count):
     weights, angles = _sample_rows(seed, count)
-    moments = _moments(weights, angles, 12)
-    for i, s in enumerate(_seeds(seed, count)):
-        m = sample_measure(s, 1 + s % 4)
-        k = m.k
-        assert np.array_equal(weights[i, :k], m.weights)
-        assert np.array_equal(angles[i, :k], m.angles)
-        assert not weights[i, k:].any()
-        assert np.array_equal(moments[:, i], _moments(m.weights, m.angles, 12))
+    ref_w, ref_a = reference_group_samples(seed, 0, count, 4)
+    assert np.array_equal(weights, ref_w)
+    assert np.array_equal(angles, ref_a)
+    cfg = SweepConfig(functional="h22", seed=seed, samples=count + 3,
+                      q_grid=(0.5,))
+    sweep_w, sweep_a = group_samples(cfg, 0)
+    assert np.array_equal(weights, sweep_w[:count])
+    assert np.array_equal(angles, sweep_a[:count])
 
 
-@given(seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=12),
-       data=st.data())
-@settings(max_examples=40)
-def test_padded_rows_for_any_atom_count(seeds, data):
-    ks = data.draw(st.lists(st.integers(1, MAX_ATOMS), min_size=len(seeds),
-                            max_size=len(seeds)))
-    weights, angles = _draw_measures(seeds, ks)
-    assert weights.shape == (len(seeds), max(ks))
-    moments = _moments(weights, angles, 6)
-    for i, (s, k) in enumerate(zip(seeds, ks)):
-        m = sample_measure(s, k)
-        assert np.array_equal(weights[i, :k], m.weights)
-        assert np.array_equal(angles[i, :k], m.angles)
-        assert np.array_equal(moments[:, i], _moments(m.weights, m.angles, 6))
-        # the seed-to-measure map as documented, computed alone
-        draws = np.random.default_rng(s).random(2 * k)
-        raw = 0.05 + 0.95 * draws[k:]
-        assert np.array_equal(m.weights, raw / raw.sum())
-        assert np.array_equal(m.angles, np.mod(2.0 * math.pi * draws[:k],
-                                               2.0 * math.pi))
+@given(seed=st.integers(0, 2**64 - 1), k=st.integers(1, MAX_ATOMS))
+@settings(max_examples=80)
+def test_sample_measure_is_the_documented_draw(seed, k):
+    m = sample_measure(seed, k)
+    # the seed-to-measure map as documented, computed alone
+    draws = np.random.default_rng(seed).random(2 * k)
+    raw = 0.05 + 0.95 * draws[k:]
+    assert np.array_equal(m.weights, raw / raw.sum())
+    assert np.array_equal(m.angles, np.mod(2.0 * math.pi * draws[:k],
+                                           2.0 * math.pi))
