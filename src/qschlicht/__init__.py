@@ -16,9 +16,8 @@ from .explorer import (SweepConfig, canonical_json, replay_cell, report_csv,
                        run_limit_sweep, run_sweep, save_report)
 from .extremal import (EqResult, eq_series, f1_series, f2_series,
                        f_exponent_series, herglotz_starlike)
-from .functionals import (Bound, BoundComparison, bieberbach_bound_convex,
-                          compare_bound, fekete_szego_value, fs_bound,
-                          hankel_bound, hankel_value, t4_scalars)
+from .functionals import (Bound, bieberbach_bound_convex, fekete_szego_value,
+                          fs_bound, hankel_bound, hankel_value, t4_scalars)
 from .power_series import TruncatedSeries
 from .q_calculus import (ClassParams, QLogRatios, dq, iq, jackson_sum,
                          q_bracket)
@@ -27,11 +26,11 @@ from .schlicht import (CertGrid, CertReport, alexander_pair, convex_from_h,
                        membership_starlike, rho_map, starlike_from_p)
 
 __all__ = [
-    "AtomicMeasure", "Bound", "BoundComparison", "CertGrid", "CertReport",
-    "ClassParams", "EqResult", "QLogRatios", "QschlichtError", "SweepConfig",
+    "AtomicMeasure", "Bound", "CertGrid", "CertReport", "ClassParams",
+    "EqResult", "QLogRatios", "QschlichtError", "SweepConfig",
     "TruncatedSeries", "alexander_pair", "bieberbach_bound_convex",
-    "canonical_json", "compare_bound", "convex_from_h", "convex_from_measure",
-    "dq", "dump_measure", "eq_series", "extend_p23", "f1_series", "f2_series",
+    "canonical_json", "convex_from_h", "convex_from_measure", "dq",
+    "dump_measure", "eq_series", "extend_p23", "f1_series", "f2_series",
     "f_exponent_series", "fekete_szego_value", "fs_bound", "hankel_bound",
     "hankel_value", "herglotz_starlike", "iq", "jackson_sum", "load_measure",
     "membership_convex", "membership_starlike", "mm_gap", "p_series",

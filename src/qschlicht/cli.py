@@ -24,7 +24,7 @@ from .extremal import eq_series, f1_series, f2_series
 from .functionals import bieberbach_bound_convex, fs_bound, hankel_bound
 from .power_series import MAX_ORDER
 from .q_calculus import ClassParams
-from .schlicht import alexander_pair, convex_from_measure, starlike_from_p
+from .schlicht import alexander_pair, convex_from_h, starlike_from_p
 from .verify import SUITES, run_suite
 
 
@@ -74,10 +74,8 @@ def _cmd_coeffs(args) -> int:
         f = eq_series(params).e_q
     elif source.startswith("measure:"):
         m = load_measure(source.split(":", 1)[1])
-        if args.klass == "convex":
-            f = convex_from_measure(m, params)
-        else:
-            f = starlike_from_p(p_series(m, params.order - 1), params)
+        build = convex_from_h if args.klass == "convex" else starlike_from_p
+        f = build(p_series(m, params.order - 1), params)
     else:
         raise QschlichtError(f"unknown source {source!r}")
     # move a named generator into the requested class via the q-integral pair

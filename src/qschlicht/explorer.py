@@ -3,7 +3,10 @@
 Samples atomic measures per (q, alpha) group from the PCG64 stream of
 :func:`.caratheodory._fill_rows` for (master seed, group index), evaluates
 the chosen functional on the generated class members, and compares the
-empirical maximum against the stated (or conjectured) bound.  Bound
+empirical maximum against the stated (or conjectured) bound.  Every sample
+is scored once, on the member its p generates (a Bieberbach member is the
+q-integral of the starlike one), so every scored member is in the class;
+candidate extremals outside it are recorded, never scored.  Bound
 violations never abort a run; they are first-class report rows, because
 adjudicating the stated bounds is the whole point of the harness.
 
@@ -72,8 +75,7 @@ MIN_SEPARATION = 1e-3
 PLAN_PASSES = 64
 
 #: rows per work unit of a sweep's scoring pass, fixed so that the work split
-#: does not depend on the worker count; even, so every block starts on the
-#: Bieberbach product route
+#: does not depend on the worker count
 BLOCK = 8192
 
 
@@ -173,53 +175,41 @@ def _starlike_scores(functional, weights, angles, q, alpha, mus):
     return {mu: np.abs(a[2] * a[4] - a[3] ** 2) for mu in mus}
 
 
-def _bieberbach_scores(weights, angles, q, alpha, n_check, route):
-    """Per-row max_{2<=n<=n_check} |a_n| / bound_n.  Each member is the
-    q-integral of its starlike member z (Dq f): the p-route member for route
-    ``convex_h``, else the measure exponent; both read m_1..m_{n_check-1}."""
+def _bieberbach_scores(weights, angles, q, alpha, n_check):
+    """Per-row max_{2<=n<=n_check} |a_n| / bound_n of the q-integral of the
+    p-route member z (Dq f), which reads m_1..m_{n_check-1}.  At alpha = 0
+    that member is z exp(sum_n F_n m_n z^n) (see
+    :func:`.schlicht.convex_from_h`), built here with one series exp; at
+    alpha > 0 it is _starlike_core's."""
     params = ClassParams(q=q, alpha=alpha, order=max(n_check, 4))
     m = _moments(weights, angles, n_check - 1)
-    if route == "convex_h":
-        g = _starlike_core(_p_coeffs(m), q, alpha)
-    else:
+    if alpha == 0.0:
         g = _exponent_core(f_exponent_series(params).coeffs[:n_check], m)
+    else:
+        g = _starlike_core(_p_coeffs(m), q, alpha)
     a = _iq_core(g[1:], q)
     bounds = _bieberbach_bound_table(params)[2:n_check + 1]
     return (np.abs(a[2:]) / bounds[:, None]).max(axis=0, initial=0.0)
 
 
-def _bieberbach_block(weights, angles, lo, q, alpha, n_check):
-    """Scores of the rows with global indices lo, lo + 1, ...: even indices
-    on the product route, odd ones on the measure route.  At alpha = 0 both
-    give the same member to rounding (see :func:`.schlicht.convex_from_h`),
-    so there the split scores each member twice."""
-    out = np.empty(weights.shape[0])
-    for first, route in ((lo % 2, "convex_h"), (1 - lo % 2, "convex_measure")):
-        out[first::2] = _bieberbach_scores(weights[first::2], angles[first::2],
-                                           q, alpha, n_check, route)
-    return out
-
-
-def _cell_scorer(functional, q, alpha, mu, n_check, construction):
+def _cell_scorer(functional, q, alpha, mu, n_check):
     """The batch scorer of one sweep cell: (weights, angles) rows -> values."""
     if functional == "bieberbach":
-        return lambda w, a: _bieberbach_scores(w, a, q, alpha, n_check, construction)
+        return lambda w, a: _bieberbach_scores(w, a, q, alpha, n_check)
     return lambda w, a: _starlike_scores(functional, w, a, q, alpha, (mu,))[mu]
 
 
 def evaluate_measure(functional: str, m: AtomicMeasure, q: float, alpha: float,
-                     mu: complex | None = None, n_check: int = 10,
-                     construction: str = "starlike_p") -> float:
+                     mu: complex | None = None, n_check: int = 10) -> float:
     """Functional value for one measure; the injection and replay target.
 
     The sweep's batch scorer run on one row, so a sampled row scores bitwise
-    the same here as in the sweep.  Bieberbach members are built on the
-    product route for ``construction="convex_h"``, else the measure route.
+    the same here as in the sweep.
     """
     if functional not in FUNCTIONALS:
         raise ConfigError(f"unknown functional {functional!r}")
     ClassParams(q=q, alpha=alpha)  # validates q and alpha
-    score = _cell_scorer(functional, q, alpha, mu, n_check, construction)
+    score = _cell_scorer(functional, q, alpha, mu, n_check)
     return float(score(m.weights[None, :], m.angles[None, :])[0])
 
 
@@ -227,10 +217,8 @@ def replay_cell(cfg: SweepConfig, cell: dict) -> float:
     """Re-evaluate a report cell's argmax measure with evaluate_measure."""
     m = measure_from_dict(cell["argmax_measure"])
     mu = None if cell.get("mu") is None else complex(cell["mu"][0], cell["mu"][1])
-    return evaluate_measure(
-        cfg.functional, m, cell["q"], cell["alpha"], mu=mu,
-        n_check=cfg.n_check,
-        construction=cell.get("argmax_construction", "starlike_p"))
+    return evaluate_measure(cfg.functional, m, cell["q"], cell["alpha"], mu=mu,
+                            n_check=cfg.n_check)
 
 
 # -- refinement ---------------------------------------------------------------
@@ -375,31 +363,34 @@ def _parallel_scores(score_block, total: int, workers: int):
 
 
 def _extremal_rows(functional: str):
-    """Injected extremal generators as (index, measure, construction),
-    indexed below the samples: the one- and two-atom starlike generators,
-    or the q-integral extremal E_q on the measure route."""
+    """Injected extremal generators as (index, measure), indexed below the
+    samples: the one-atom measure (whose Bieberbach member at alpha = 0 is
+    E_q), and for the starlike functionals the two-atom generator."""
     one = AtomicMeasure(np.array([1.0]), np.array([0.0]))
     if functional == "bieberbach":
-        return [(-1, one, "convex_measure")]
+        return [(-1, one)]
     two = AtomicMeasure(np.array([0.5, 0.5]), np.array([0.0, math.pi]))
-    return [(-2, one, "starlike_p"), (-1, two, "starlike_p")]
+    return [(-2, one), (-1, two)]
 
 
-def _stated(functional: str, q: float, alpha: float):
-    """(mu, injected values by row index) -> (stated Bound, extremals) of a
-    cell.  Bieberbach ratios are normalized, so their bound is 1 and the
-    recorded extremal is the injected E_q; the starlike cells record the
-    generators f1 and f2."""
+def _stated(functional: str, q: float, alpha: float, n_check: int):
+    """mu -> (stated Bound, extremals) of a cell.  Bieberbach ratios are
+    normalized, so their bound is 1 and the recorded extremal is E_q's
+    ratio, exactly 1 since the bound table divides as the q-integral does;
+    the starlike cells record the generators f1 and f2."""
     if functional == "bieberbach":
-        return lambda _mu, injected: (Bound(1.0, alpha > 0.0),
-                                      {"eq": injected[-1]} if injected else None)
+        params = ClassParams(q=q, alpha=alpha, order=max(n_check, 4))
+        eq = eq_series(params).e_q.coeffs[2:n_check + 1]
+        bounds = _bieberbach_bound_table(params)[2:n_check + 1]
+        extremals = {"eq": float((np.abs(eq) / bounds).max())}
+        return lambda _mu: (Bound(1.0, alpha > 0.0), extremals)
     params = ClassParams(q=q, alpha=alpha)
     small = ClassParams(q=q, alpha=alpha, order=6)
     f1, f2 = f1_series(small), f2_series(small)
     if functional == "fs":
-        return lambda mu, _injected: (fs_bound(params, mu), {
+        return lambda mu: (fs_bound(params, mu), {
             "f1": fekete_szego_value(f1, mu), "f2": fekete_szego_value(f2, mu)})
-    return lambda _mu, _injected: (hankel_bound(params), {
+    return lambda _mu: (hankel_bound(params), {
         "f1": hankel_value(f1, 2, 2), "f2": hankel_value(f2, 2, 2)})
 
 
@@ -425,38 +416,39 @@ def _run_group(cfg, workers, g_idx, q, alpha, draws):
 
     def score_block(lo, hi):
         w, a = _fill_rows(cfg.seed, (g_idx,), draws, lo, hi)
-        if fn == "bieberbach":
-            return {None: _bieberbach_block(w, a, lo, q, alpha, cfg.n_check)}
-        return _starlike_scores(fn, w, a, q, alpha, keys)
+        if fn != "bieberbach":
+            return _starlike_scores(fn, w, a, q, alpha, keys)
+        # a Bieberbach row carries n_check degrees, and over BLOCK rows the
+        # per-degree contraction reads about 2.4 MB at n_check 10, more than
+        # a 2 MB L2 cache per core; halves stay within it
+        return {None: np.concatenate([
+            _bieberbach_scores(w[i:i + BLOCK // 2], a[i:i + BLOCK // 2], q,
+                               alpha, cfg.n_check)
+            for i in range(0, hi - lo, BLOCK // 2)])}
 
     best = _parallel_scores(score_block, cfg.samples, workers)
     weights, angles = draws[:, cfg.k_atoms:], draws[:, :cfg.k_atoms]
     rows = _extremal_rows(fn) if cfg.include_extremals else []
-    stated = _stated(fn, q, alpha)
+    stated = _stated(fn, q, alpha, cfg.n_check)
     cells = []
     for mu in keys:
         best_val, best_idx = best[mu]
         argmax = _measure_from_row(weights[best_idx], angles[best_idx])
-        source, construction = "sample", "starlike_p"
-        if fn == "bieberbach":  # rows alternate routes, as in _bieberbach_block
-            construction = ("convex_h", "convex_measure")[best_idx % 2]
-        injected = {}
-        for idx, m, route in rows:
-            v = injected[idx] = evaluate_measure(
-                fn, m, q, alpha, mu=mu, n_check=cfg.n_check, construction=route)
+        source = "sample"
+        for idx, m in rows:
+            v = evaluate_measure(fn, m, q, alpha, mu=mu, n_check=cfg.n_check)
             if v > best_val or (v == best_val and idx < best_idx):
-                best_val, best_idx, argmax = v, idx, m
-                construction, source = route, "extremal"
+                best_val, best_idx, argmax, source = v, idx, m, "extremal"
 
         if cfg.refine_iters > 0:
             refined_val, w, ang = _refine_rows(
-                _cell_scorer(fn, q, alpha, mu, cfg.n_check, construction),
+                _cell_scorer(fn, q, alpha, mu, cfg.n_check),
                 argmax.weights, argmax.angles, cfg.refine_iters)
             if refined_val > best_val:
                 best_val, source = refined_val, "refined"
                 argmax = AtomicMeasure(w, ang)
 
-        bound, extremals = stated(mu, injected)
+        bound, extremals = stated(mu)
         slack = bound.value - best_val
         cells.append({
             "q": q, "alpha": alpha,
@@ -468,7 +460,6 @@ def _run_group(cfg, workers, g_idx, q, alpha, draws):
             "violated": bool(slack < -cfg.tol),
             "argmax_measure": argmax.to_dict(),
             "argmax_source": source,
-            "argmax_construction": construction,
             "extremals": extremals,
         })
     return cells

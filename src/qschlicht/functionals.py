@@ -27,22 +27,6 @@ class Bound:
     conjectural: bool
 
 
-@dataclass(frozen=True)
-class BoundComparison:
-    """Empirical functional value against a stated bound."""
-
-    functional_value: float
-    stated_bound: float
-    slack: float
-    attained: bool
-
-
-def compare_bound(value: float, bound: float, tol: float = 1e-9) -> BoundComparison:
-    slack = bound - value
-    return BoundComparison(functional_value=float(value), stated_bound=float(bound),
-                           slack=float(slack), attained=bool(abs(slack) <= tol))
-
-
 def fekete_szego_value(f: TruncatedSeries, mu: complex) -> float:
     """|a3 - mu a2^2| for a normalized series."""
     if f.order < 3:

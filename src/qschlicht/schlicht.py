@@ -186,7 +186,11 @@ def convex_from_h(p: TruncatedSeries, params: ClassParams) -> TruncatedSeries:
 def convex_from_measure(m: AtomicMeasure, params: ClassParams) -> TruncatedSeries:
     """Convex-type member with z (Dq f)(z) = z exp(sum_j t_j F(sigma_j z))
     for the class exponent F, the q-integral of that member over z; a unit
-    mass at angle 0 returns the q-integral extremal exactly."""
+    mass at angle 0 returns the q-integral extremal exactly.
+
+    A class member only at alpha = 0, where it is :func:`convex_from_h` of
+    the measure's p to rounding; for alpha > 0 the ratio of z exp(...)
+    leaves the disk |g - alpha q| <= 1 - alpha near every atom."""
     n = params.order
     a = _exponent_core(f_exponent_series(params).coeffs[:n],
                        _moments(m.weights, m.angles, n - 1))
@@ -225,7 +229,3 @@ def alexander_pair(f_or_g: TruncatedSeries, direction: str,
         return iq(f_or_g.div_z(), params.q)
     raise ConfigError(f"unknown direction {direction!r}")
 
-
-def check_normalized(f: TruncatedSeries, tol: float = 0.0) -> bool:
-    """True when a0 = 0 and a1 = 1 (within tol)."""
-    return bool(abs(f.coeffs[0]) <= tol and abs(f.coeffs[1] - 1.0) <= tol)

@@ -3,8 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from qschlicht.caratheodory import dump_measure, sample_measure
+from qschlicht.caratheodory import AtomicMeasure, dump_measure, \
+    sample_measure
 from qschlicht.cli import main
+from qschlicht.power_series import TruncatedSeries
+from qschlicht.q_calculus import ClassParams
+from qschlicht.schlicht import alexander_pair
 from qschlicht.verify import SUITES
 
 
@@ -44,6 +48,25 @@ class TestCoeffs:
                             "--q", "0.5", "--alpha", "0.3", "--order", "8",
                             "--source", f"measure:{path}")
         assert code == 0 and "a_2" in out
+
+    @pytest.mark.parametrize("alpha", ["0", "0.3"])
+    def test_convex_measure_member_integrates_the_starlike_one(self, capsys,
+                                                              tmp_path, alpha):
+        path = tmp_path / "m.json"
+        dump_measure(AtomicMeasure(np.array([0.6, 0.4]), np.array([0.3, 2.0])),
+                     path)
+        coeffs = {}
+        for klass in ("starlike", "convex"):
+            code, out = run_cli(capsys, "coeffs", "--class", klass, "--q",
+                                "0.5", "--alpha", alpha, "--order", "8",
+                                "--source", f"measure:{path}", "--json")
+            assert code == 0
+            coeffs[klass] = np.array([complex(*c) for c in
+                                      json.loads(out)["coefficients"]])
+        params = ClassParams(q=0.5, alpha=float(alpha), order=8)
+        want = alexander_pair(TruncatedSeries(coeffs["starlike"]), "to_convex",
+                              params).coeffs
+        assert np.abs(coeffs["convex"] - want).max() <= 1e-12
 
     def test_unknown_source_fails_cleanly(self, capsys):
         code = main(["coeffs", "--q", "0.5", "--alpha", "0",

@@ -10,17 +10,19 @@ from hypothesis import strategies as st
 from qschlicht.caratheodory import MAX_ATOMS, AtomicMeasure, _fill_rows, \
     _moments, _p_coeffs, measure_from_dict, p_series
 from qschlicht.errors import ConfigError
-from qschlicht.explorer import (BLOCK, CSV_HEADER, MIN_SEPARATION,
-                                MIN_WEIGHT, TWO_PI, SweepConfig,
-                                _bieberbach_block, _bieberbach_scores,
-                                _cell_scorer, _measure_from_row,
-                                _parallel_scores, _pool, _refine_rows,
-                                _starlike_scores, canonical_json,
+from qschlicht.explorer import (BLOCK, CSV_HEADER, FUNCTIONALS,
+                                MIN_SEPARATION, MIN_WEIGHT, TWO_PI,
+                                SweepConfig, _bieberbach_scores, _cell_scorer,
+                                _measure_from_row, _parallel_scores, _pool,
+                                _refine_rows, _starlike_scores, canonical_json,
                                 evaluate_measure, group_samples,
                                 refine_measure, replay_cell, report_csv,
                                 resolve_workers, run_limit_sweep, run_sweep)
+from qschlicht.functionals import _bieberbach_bound_table, \
+    bieberbach_bound_convex
 from qschlicht.q_calculus import ClassParams, _iq_core
-from qschlicht.schlicht import _starlike_core, convex_from_h
+from qschlicht.schlicht import _starlike_core, convex_from_h, \
+    membership_convex
 from sampler_reference import reference_group_samples
 
 
@@ -236,13 +238,29 @@ class TestBieberbachSweep:
             assert not cell["violated"]
             assert cell["extremals"]["eq"] == 1.0
 
-    def test_replay_uses_recorded_construction(self):
-        cfg = SweepConfig(functional="bieberbach", seed=3, samples=300,
-                          q_grid=(0.5,), refine_iters=0)
-        rep = run_sweep(cfg)
-        cell = rep["cells"][0]
-        assert cell["argmax_construction"] in ("convex_h", "convex_measure")
-        assert abs(replay_cell(cfg, cell) - cell["empirical_max"]) <= 1e-10
+    def test_replay_is_exact(self):
+        for alpha in (0.0, 0.3):
+            cfg = SweepConfig(functional="bieberbach", seed=3, samples=300,
+                              q_grid=(0.5,), alpha_grid=(alpha,),
+                              refine_iters=0)
+            cell = run_sweep(cfg)["cells"][0]
+            assert "argmax_construction" not in cell
+            assert replay_cell(cfg, cell) == cell["empirical_max"]
+
+    def test_alpha_positive_argmax_is_a_class_member(self):
+        cfg = SweepConfig(functional="bieberbach", seed=3, samples=2000,
+                          q_grid=(0.2, 0.5, 0.8), alpha_grid=(0.3, 0.7),
+                          refine_iters=20)
+        for cell in run_sweep(cfg)["cells"]:
+            # the member the cell scored, built alone at order 96
+            params = ClassParams(q=cell["q"], alpha=cell["alpha"], order=96)
+            m = measure_from_dict(cell["argmax_measure"])
+            f = convex_from_h(p_series(m, 96), params)
+            ratio = max(abs(f.coeffs[n]) / bieberbach_bound_convex(params, n)
+                        for n in range(2, cfg.n_check + 1))
+            assert abs(ratio - cell["empirical_max"]) <= 1e-12
+            rep = membership_convex(f, params)
+            assert rep.passed, (cell["q"], cell["alpha"], rep.worst_margin)
 
     @pytest.mark.parametrize("q", [0.2, 0.5, 0.8])
     @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.7])
@@ -272,9 +290,30 @@ class TestBieberbachSweep:
            alpha=st.sampled_from([0.0, 0.3, 0.7]), n_check=st.integers(2, 16))
     @settings(max_examples=40)
     def test_eq_extremal_ratio_is_exactly_one(self, q, alpha, n_check):
+        cfg = SweepConfig(functional="bieberbach", seed=1, samples=1,
+                          q_grid=(q,), alpha_grid=(alpha,), n_check=n_check,
+                          refine_iters=0)
+        assert run_sweep(cfg)["cells"][0]["extremals"] == {"eq": 1.0}
+        # the injected one-atom member is E_q only at alpha = 0
         unit = AtomicMeasure(np.array([1.0]), np.array([0.0]))
-        assert evaluate_measure("bieberbach", unit, q, alpha, n_check=n_check,
-                                construction="convex_measure") == 1.0
+        value = evaluate_measure("bieberbach", unit, q, alpha, n_check=n_check)
+        assert value == 1.0 if alpha == 0.0 else value < 1.0
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), q=st.floats(0.05, 0.95),
+           k_atoms=st.integers(1, 8), n_check=st.integers(2, 16))
+    @settings(max_examples=60)
+    def test_alpha_zero_closed_form_is_the_product_route(self, seed, q,
+                                                         k_atoms, n_check):
+        cfg = SweepConfig(functional="bieberbach", seed=seed, samples=24,
+                          q_grid=(q,), k_atoms=k_atoms)
+        w, a = group_samples(cfg, 0)
+        a_n = _iq_core(_starlike_core(_p_coeffs(_moments(w, a, n_check - 1)),
+                                      q, 0.0)[1:], q)[2:]
+        bounds = _bieberbach_bound_table(
+            ClassParams(q=q, alpha=0.0, order=max(n_check, 4)))[2:n_check + 1]
+        want = (np.abs(a_n) / bounds[:, None]).max(axis=0)
+        got = _bieberbach_scores(w, a, q, 0.0, n_check)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 # rows of one (q, alpha) group; a row scores alone as in any batch
@@ -307,14 +346,9 @@ class TestBatchOfOne:
             assert evaluate_measure("fs", m, q, alpha, mu=mu) == fs[mu][i]
         h22 = _starlike_scores("h22", w, a, q, alpha, (None,))[None]
         assert evaluate_measure("h22", m, q, alpha) == h22[i]
-        for route in ("convex_h", "convex_measure"):
-            batch = _bieberbach_scores(w, a, q, alpha, n_check, route)
-            assert evaluate_measure("bieberbach", m, q, alpha, n_check=n_check,
-                                    construction=route) == batch[i]
-        sweep = _bieberbach_block(w, a, 0, q, alpha, n_check)
-        route = "convex_h" if i % 2 == 0 else "convex_measure"
-        assert evaluate_measure("bieberbach", m, q, alpha, n_check=n_check,
-                                construction=route) == sweep[i]
+        batch = _bieberbach_scores(w, a, q, alpha, n_check)
+        assert evaluate_measure("bieberbach", m, q, alpha,
+                                n_check=n_check) == batch[i]
 
     @given(g=groups, lo=st.integers(0, ROWS - 1), size=st.integers(1, ROWS))
     @settings(max_examples=40)
@@ -327,8 +361,8 @@ class TestBatchOfOne:
             part = _starlike_scores(fn, w[lo:hi], a[lo:hi], q, alpha, mus)
             for mu in mus:
                 assert np.array_equal(part[mu], full[mu][lo:hi])
-        full = _bieberbach_block(w, a, 0, q, alpha, 10)
-        part = _bieberbach_block(w[lo:hi], a[lo:hi], lo, q, alpha, 10)
+        full = _bieberbach_scores(w, a, q, alpha, 10)
+        part = _bieberbach_scores(w[lo:hi], a[lo:hi], q, alpha, 10)
         assert np.array_equal(part, full[lo:hi])
 
 
@@ -449,19 +483,14 @@ def start_measures(draw):
     return AtomicMeasure(weights, np.array(angles))
 
 
-ROUTES = ("fs", "h22", "convex_h", "convex_measure")
-
-
-def route_scorers(route, q, alpha, mu):
+def cell_scorers(fn, q, alpha, mu):
     """(batch scorer the sweep refines with, one-measure scorer)."""
-    fn = route if route in ("fs", "h22") else "bieberbach"
     mu = mu if fn == "fs" else None
-    return (_cell_scorer(fn, q, alpha, mu, 6, route),
-            lambda m: evaluate_measure(fn, m, q, alpha, mu=mu, n_check=6,
-                                       construction=route))
+    return (_cell_scorer(fn, q, alpha, mu, 6),
+            lambda m: evaluate_measure(fn, m, q, alpha, mu=mu, n_check=6))
 
 
-refine_cases = dict(m=start_measures(), route=st.sampled_from(ROUTES),
+refine_cases = dict(m=start_measures(), fn=st.sampled_from(FUNCTIONALS),
                     q=st.floats(0.05, 0.95), alpha=st.sampled_from([0.0, 0.3, 0.7]),
                     mu=st.sampled_from(MUS),
                     iters=st.one_of(st.integers(0, 25), st.just(100)),
@@ -472,9 +501,9 @@ refine_cases = dict(m=start_measures(), route=st.sampled_from(ROUTES),
 class TestRefinement:
     @given(**refine_cases)
     @settings(max_examples=60, deadline=None)
-    def test_batched_ascent_takes_the_sequential_path(self, m, route, q, alpha,
+    def test_batched_ascent_takes_the_sequential_path(self, m, fn, q, alpha,
                                                       mu, iters, step_tol):
-        score_rows, score_fn = route_scorers(route, q, alpha, mu)
+        score_rows, score_fn = cell_scorers(fn, q, alpha, mu)
         best, w, ang = _refine_rows(score_rows, m.weights, m.angles, iters,
                                     step_tol=step_tol)
         ref_best, ref = reference_refine(score_fn, m, iters, step_tol=step_tol)
@@ -485,10 +514,10 @@ class TestRefinement:
 
     @given(**refine_cases)
     @settings(max_examples=30, deadline=None)
-    def test_one_measure_adaptor_scores_the_same_candidates(self, m, route, q,
+    def test_one_measure_adaptor_scores_the_same_candidates(self, m, fn, q,
                                                            alpha, mu, iters,
                                                            step_tol):
-        _, score_fn = route_scorers(route, q, alpha, mu)
+        _, score_fn = cell_scorers(fn, q, alpha, mu)
         seen = {"batched": [], "reference": []}
 
         def recorder(key):
@@ -551,7 +580,13 @@ class TestRefinement:
                           include_extremals=False)
         assert cfg.refine_iters == 100
         reports = [run_sweep(cfg, workers=w) for w in (1, 2, 3)]
-        assert any(c["argmax_source"] == "refined" for c in reports[0]["cells"])
+        cells = reports[0]["cells"]
+        if functional == "bieberbach":
+            # the one-atom member attains each cell's maximum, and refinement
+            # can only rotate it, so the maximum stays a one-atom sample
+            assert all(len(c["argmax_measure"]["atoms"]) == 1 for c in cells)
+        else:
+            assert any(c["argmax_source"] == "refined" for c in cells)
         assert len({canonical_json(r) for r in reports}) == 1
 
     def test_never_worse_than_start(self):

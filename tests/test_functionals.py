@@ -8,7 +8,7 @@ from qschlicht import power_series as ps
 from qschlicht.caratheodory import p_series, sample_measure
 from qschlicht.errors import OrderTooSmallError, RangeError
 from qschlicht.extremal import eq_series, f1_series, f2_series
-from qschlicht.functionals import (bieberbach_bound_convex, compare_bound,
+from qschlicht.functionals import (bieberbach_bound_convex,
                                    fekete_szego_value, fs_bound, hankel_bound,
                                    hankel_value, t4_scalars)
 from qschlicht.q_calculus import ClassParams, QLogRatios
@@ -214,9 +214,3 @@ class TestT4Scalars:
         with pytest.raises(RangeError):
             t4_scalars(1.0, 0.5, 1.0)
 
-
-def test_compare_bound():
-    cmp = compare_bound(1.0, 1.0 + 5e-10, tol=1e-9)
-    assert cmp.attained and cmp.slack == pytest.approx(5e-10)
-    cmp = compare_bound(2.0, 1.0, tol=1e-9)
-    assert not cmp.attained and cmp.slack == -1.0

@@ -12,8 +12,7 @@ from qschlicht.errors import ConfigError, EvaluationSingularityError, \
 from qschlicht.extremal import eq_series, f1_series, f_exponent_series
 from qschlicht.q_calculus import ClassParams, dq, iq
 from qschlicht.schlicht import (CertGrid, _starlike_core, alexander_pair,
-                                check_normalized, convex_from_h,
-                                convex_from_measure,
+                                convex_from_h, convex_from_measure,
                                 membership_convex, membership_starlike,
                                 rho_map, starlike_from_p)
 
@@ -332,7 +331,3 @@ class TestAlexanderPair:
         with pytest.raises(ConfigError):
             alexander_pair(ps.identity(8), "sideways", ClassParams(q=0.5))
 
-
-def test_check_normalized():
-    assert check_normalized(ps.identity(4))
-    assert not check_normalized(ps.one(4))

@@ -19,12 +19,17 @@ from qschlicht.q_calculus import ClassParams
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def load_tracer():
+def load_perfbench(name):
     spec = importlib.util.spec_from_file_location(
-        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
     spec.loader.exec_module(module)
     return module
+
+
+def load_tracer():
+    return load_perfbench("tracer")
 
 
 def test_every_trace_target_resolves():
@@ -34,6 +39,19 @@ def test_every_trace_target_resolves():
         missing += [f"{module}.{name}" for name in names
                     if not callable(getattr(home, name, None))]
     assert not missing
+
+
+def test_benchmark_sweep_check_accepts_small_reports():
+    # the benchmark's correctness check reads the report schema: the cell
+    # count, finite values and extremals, replay, the Hankel exceedance flag
+    workloads = load_perfbench("workloads")
+    for functional, alpha, mus in (("fs", 0.3, (0.0, 0.5)), ("h22", 0.0, ()),
+                                   ("bieberbach", 0.3, ())):
+        cfg = explorer.SweepConfig(functional=functional, seed=5, samples=300,
+                                   q_grid=(0.5,), alpha_grid=(alpha,),
+                                   mu_grid=mus, refine_iters=5)
+        report = explorer.run_sweep(cfg, workers=1)
+        assert workloads._check_sweep(cfg, report) == []
 
 
 def test_traced_refine_measure_counts_every_scored_candidate():

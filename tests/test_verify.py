@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from qschlicht import power_series as ps
 from qschlicht.caratheodory import MAX_ATOMS, AtomicMeasure, p_series, \
     sample_measure
-from qschlicht.explorer import SweepConfig, _bieberbach_block, \
+from qschlicht.explorer import SweepConfig, _bieberbach_scores, \
     _starlike_scores, group_samples
 from qschlicht.extremal import eq_series, f1_series, f2_series, \
     herglotz_starlike
@@ -121,24 +121,25 @@ def _loop_bieberbach(q, alpha, samples, seed):
     params = ClassParams(q=q, alpha=alpha, order=12)
     bounds = {n: bieberbach_bound_convex(params, n) for n in range(2, 11)}
     worst = 0.0
-    multi = {"product": None, "measure": None}
-    for i, m in enumerate(_measures(seed, samples)):
-        if i % 2 == 0:
-            route, f = "product", convex_from_h(p_series(m, params.order), params)
+    multi = None
+    for m in _measures(seed, samples):
+        # the scorer's member: at alpha = 0 the p-route member is the
+        # measure-exponent one, which it builds in closed form
+        if alpha == 0.0:
+            f = convex_from_measure(m, params)
         else:
-            route, f = "measure", convex_from_measure(m, params)
+            f = convex_from_h(p_series(m, params.order), params)
         ratio = max(abs(f.coeffs[n]) / b for n, b in bounds.items())
         worst = max(worst, ratio)
         if m.k > 1:
-            multi[route] = max(ratio, multi[route] or 0.0)
-    routes = ", ".join(f"{route} none" if r is None else f"{route} {r:.12f}"
-                       for route, r in multi.items())
+            multi = max(ratio, multi or 0.0)
+    multi = "none" if multi is None else f"{multi:.12f}"
     res = eq_series(params)
     eq_gap = max(abs(abs(res.e_q.coeffs[n]) - bounds[n]) for n in bounds)
     return [
         CheckResult("sampled members respect the coefficient bounds",
                     worst <= 1.0 + 1e-7,
-                    f"worst ratio {worst:.12f}; multi-atom worst: {routes}"),
+                    f"worst ratio {worst:.12f}; multi-atom worst {multi}"),
         CheckResult("q-integral extremal attains equality",
                     eq_gap <= 1e-9, f"max |gap| {eq_gap:.3e}"),
     ]
@@ -252,15 +253,14 @@ def test_per_sample_scores_match_the_constructors(q, alpha):
     """The suite statistics are extremes that one-atom samples often pin
     (the Bieberbach worst ratio reads 1 exactly), so check every sample."""
     rows = _sample_rows(7, 60)
-    ratios = _bieberbach_block(*rows, 0, q, alpha, 10)
+    ratios = _bieberbach_scores(*rows, q, alpha, 10)
     mus = (-1.0, 0.5 + 0.5j)
     fs = _starlike_scores("fs", *rows, q, alpha, mus)
     h22 = _starlike_scores("h22", *rows, q, alpha, (None,))[None]
     params = ClassParams(q=q, alpha=alpha, order=12)
     for i, m in enumerate(_measures(7, 60)):
         p = p_series(m, params.order)
-        f = convex_from_h(p, params) if i % 2 == 0 else \
-            convex_from_measure(m, params)
+        f = convex_from_h(p, params)
         # numpy's array abs and its scalar abs may differ in the last bit
         assert _agree(ratios[i], max(abs(f.coeffs[n]) / bieberbach_bound_convex(
             params, n) for n in range(2, 11)))
