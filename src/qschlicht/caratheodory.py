@@ -73,21 +73,22 @@ class AtomicMeasure:
 
 
 def _moments(weights, angles, n_max: int) -> np.ndarray:
-    """m_n = sum_j t_j sigma_j^n, n = 0..n_max, on axis 0; atoms on the last
-    input axis.  Powers are a cumulative product and atoms are added in
-    order, so a row gets the same moments alone as in a batch, and
-    zero-weight trailing atoms change nothing: their phase is not computed
-    and stays 1."""
+    """m_n = sum_j t_j sigma_j^n, n = 0..n_max, on axis 0; atoms on input
+    axis 0.  Only positive-weight atoms get a phase, by flat index; the rest
+    keep phase 1 and add 0.  Powers are a cumulative product and each degree
+    adds the atoms in order on contiguous copies, so a sample gets the same
+    moments alone, in a block's slice or as a transposed view."""
     phase = np.ones(np.shape(angles), dtype=np.complex128)
-    np.exp(1j * angles, out=phase, where=weights > 0)
-    out = np.empty((n_max + 1,) + phase.shape[:-1], dtype=np.complex128)
+    on = np.flatnonzero(weights > 0)
+    np.put(phase, on, np.exp(1j * np.take(angles, on)))
+    out = np.empty((n_max + 1,) + phase.shape[1:], dtype=np.complex128)
     out[0] = 1.0
     # einsum would cast the weights to complex on every degree; once is enough
-    weights = np.asarray(weights, dtype=np.complex128)
+    weights = np.ascontiguousarray(weights, dtype=np.complex128)
     cur = np.ones_like(phase)
     for n in range(1, n_max + 1):
         cur = cur * phase  # not in place: that rounds by position in the array
-        out[n] = _einsum("...j,...j->...", weights, cur)
+        out[n] = _einsum("j...,j...->...", weights, cur)
     return out
 
 
@@ -174,46 +175,58 @@ def mm_gap(p: TruncatedSeries, lam: float) -> float:
     return bound - value
 
 
-def _fill_rows(seed: int, spawn_key: tuple, draws, lo: int, hi: int,
+def _atom_sums(w: np.ndarray) -> np.ndarray:
+    """Sum over the k <= 8 atom rows of ``w`` in the order numpy sums a row
+    of k contiguous entries, so a sample normalizes bitwise as a row-major
+    row: left to right below 8 atoms, numpy's pairwise block at 8."""
+    if len(w) < 8:
+        return sum(w[1:], w[0].copy())
+    while len(w) > 1:
+        w = w[0::2] + w[1::2]
+    return w[0]
+
+
+def _fill_rows(seed: int, spawn_key: tuple, cols, lo: int, hi: int,
                ragged: bool = True):
-    """Draw rows lo..hi-1 of a sample stream in place into ``draws``, of
-    shape (rows, 2*k), and return their (weights, angles) views.
+    """Draw samples lo..hi-1 of a sample stream into columns lo..hi-1 of the
+    atom-major buffer ``cols``, of shape (2*k, samples); return their
+    (weights, angles) views, each (k, hi - lo).
 
     The stream is the PCG64 of ``SeedSequence(seed, spawn_key=spawn_key)``,
-    and row i takes its draws 2*k*i onwards, so any split of the rows fills
-    them bitwise alike.  The first k draws of a row are the angles, 2 pi u;
-    the last k are the weights, 0.05 + 0.95 u normalized, which keeps every
-    weight bounded away from zero.  A ``ragged`` row i keeps
-    ``(i % k) + 1`` atoms and zero weight in the slots past them; otherwise
-    every row keeps all k.
+    and sample i takes its draws 2*k*i onwards (they land row by row, then
+    are transposed once), so any split fills the samples bitwise alike.  The
+    first k draws of a sample are the angles, 2 pi u; the last k are the
+    weights, 0.05 + 0.95 u normalized, which keeps every weight bounded away
+    from zero.  A ``ragged`` sample i keeps ``(i % k) + 1`` atoms and zero
+    weight in the slots past them; otherwise every sample keeps all k.
     """
-    k = draws.shape[1] // 2
+    k = cols.shape[0] // 2
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=spawn_key)
     bitgen = np.random.PCG64(ss)
     bitgen.advance(2 * k * lo)
-    block = draws[lo:hi]
-    np.random.Generator(bitgen).random(out=block)
-    angles, weights = block[:, :k], block[:, k:]
+    block = cols[:, lo:hi]
+    block[:] = np.random.Generator(bitgen).random((hi - lo, 2 * k)).T
+    angles, weights = block[:k], block[k:]
     angles *= TWO_PI
     weights *= 0.95
     weights += 0.05
-    for r in range(k - 1 if ragged else 0):  # rows i % k == r keep r + 1 atoms
-        weights[(r - lo) % k::k, r + 1:] = 0.0
-    weights /= weights.sum(axis=1, keepdims=True)
+    for r in range(k - 1 if ragged else 0):  # samples i % k == r keep r + 1 atoms
+        weights[r + 1:, (r - lo) % k::k] = 0.0
+    weights /= _atom_sums(weights)
     return weights, angles
 
 
 def sample_measure(seed: int, k_atoms: int) -> AtomicMeasure:
-    """Deterministic random measure with k_atoms atoms for a seed: row 0 of
-    the sample stream of ``default_rng(seed)`` (see :func:`_fill_rows`).
+    """Deterministic random measure with k_atoms atoms for a seed: sample 0
+    of the sample stream of ``default_rng(seed)`` (see :func:`_fill_rows`).
 
     Angles are uniform on [0, 2 pi); weights are uniform on [0.05, 1],
     normalized."""
     if not 1 <= k_atoms <= MAX_ATOMS:
         raise RangeError(f"k_atoms must lie in [1, {MAX_ATOMS}]")
-    weights, angles = _fill_rows(seed, (), np.empty((1, 2 * k_atoms)), 0, 1,
+    weights, angles = _fill_rows(seed, (), np.empty((2 * k_atoms, 1)), 0, 1,
                                  ragged=False)
-    return AtomicMeasure(weights[0], angles[0])
+    return AtomicMeasure(weights[:, 0], angles[:, 0])
 
 
 # -- measure (de)serialization ----------------------------------------------
@@ -221,8 +234,8 @@ def sample_measure(seed: int, k_atoms: int) -> AtomicMeasure:
 def measure_from_dict(data: dict) -> AtomicMeasure:
     """Parse ``{"atoms": [{"weight": w, "angle": a}, ...]}`` (angles in radians).
 
-    Rejects weight sums deviating from 1 by more than 1e-9, then renormalizes
-    to machine precision.
+    Rejects weight sums off 1 by more than 1e-9 and renormalizes those off by
+    more than 1e-12, so a dumped measure reads back bit for bit.
     """
     try:
         atoms = data["atoms"]
@@ -237,7 +250,9 @@ def measure_from_dict(data: dict) -> AtomicMeasure:
     total = float(weights.sum())
     if abs(total - 1.0) > 1e-9:
         raise RangeError(f"measure weights sum to {total}, outside 1 +- 1e-9")
-    return AtomicMeasure(weights / total, angles)
+    if abs(total - 1.0) > 1e-12:
+        weights = weights / total
+    return AtomicMeasure(weights, angles)
 
 
 def load_measure(path) -> AtomicMeasure:

@@ -11,21 +11,21 @@ violations never abort a run; they are first-class report rows, because
 adjudicating the stated bounds is the whole point of the harness.
 
 Determinism contract:
-  * sample i of group g is row i of the stream with spawn key (g,), so it
-    depends only on (seed, g, i), and each sample consumes 2*k_atoms draws,
-    so enlarging ``samples`` keeps every earlier sample identical; a verify
-    suite at seed s scores the first rows of group 0 of a k_atoms = 4 sweep
-    at seed s;
-  * the sample range is drawn and scored in blocks of ``BLOCK`` rows, the
-    pool's work units, whatever the worker count: the job of rows lo..hi-1
-    advances the group's PCG64 stream 2*k_atoms*lo draws and fills those
-    rows in place in the group's one (samples, 2*k_atoms) buffer.  Scoring
-    is elementwise, so a row scores the same in any block, and one argmax
-    over all the scores picks the maximum value with ties broken by the
-    lowest sample index;
+  * sample i of group g takes draws 2*k_atoms*i onwards of the stream with
+    spawn key (g,), so it depends only on (seed, g, i), and enlarging
+    ``samples`` keeps every earlier sample identical; a verify suite at seed
+    s scores the first samples of group 0 of a k_atoms = 4 sweep at seed s;
+  * the sample range is drawn and scored in blocks of ``BLOCK`` samples,
+    the pool's work units, whatever the worker count: the job of samples
+    lo..hi-1 advances the group's PCG64 stream 2*k_atoms*lo draws and fills
+    columns lo..hi-1 of the group's one atom-major (2*k_atoms, samples)
+    buffer, angles in its first k_atoms rows and weights in the rest.
+    Scoring is elementwise along the sample axis, so a sample scores the
+    same in any block, and one argmax over all the scores picks the maximum
+    value with ties broken by the lowest sample index;
   * single-measure evaluation is a batch of one: extremal injection and
-    replay run the sweep's batch scorer on one row, so a sampled row scores
-    bitwise the same alone as in its block;
+    replay run the sweep's batch scorer on one column, so a sampled measure
+    scores bitwise the same alone as in its block;
   * refinement scores as one batch the valid candidate moves left in a
     pass, with those of the passes that would follow it from the same point,
     and takes the first improving move in the sequential order (pass by
@@ -151,10 +151,10 @@ class SweepConfig:
 
 
 def group_samples(cfg: SweepConfig, group_index: int):
-    """Weights/angles arrays of shape (samples, k_atoms) for one (q, alpha)
-    group: every row of the group's stream at once."""
-    draws = np.empty((cfg.samples, 2 * cfg.k_atoms))
-    return _fill_rows(cfg.seed, (group_index,), draws, 0, cfg.samples)
+    """Atom-major weights/angles arrays of shape (k_atoms, samples) for one
+    (q, alpha) group: every sample of the group's stream at once."""
+    cols = np.empty((2 * cfg.k_atoms, cfg.samples))
+    return _fill_rows(cfg.seed, (group_index,), cols, 0, cfg.samples)
 
 
 def _measure_from_row(weights, angles) -> AtomicMeasure:
@@ -162,12 +162,12 @@ def _measure_from_row(weights, angles) -> AtomicMeasure:
     return AtomicMeasure(weights[mask], angles[mask])
 
 
-# -- batch scorers: one row per sample, columnwise in the series cores --------
+# -- batch scorers: atoms on axis 0, one column per sample --------------------
 
 
 def _starlike_scores(functional, weights, angles, q, alpha, mus):
-    """Per-row |a3 - mu a2^2| (fs, from p_1..p_2) or |a2 a4 - a3^2| (h22,
-    from p_1..p_3), keyed by mu."""
+    """Per-sample |a3 - mu a2^2| (fs, from p_1..p_2) or |a2 a4 - a3^2| (h22,
+    from p_1..p_3) of (k, samples) weights and angles, keyed by mu."""
     n_max = 2 if functional == "fs" else 3
     a = _starlike_core(_p_coeffs(_moments(weights, angles, n_max)), q, alpha)
     if functional == "fs":
@@ -176,9 +176,9 @@ def _starlike_scores(functional, weights, angles, q, alpha, mus):
 
 
 def _bieberbach_scores(weights, angles, q, alpha, n_check):
-    """Per-row max_{2<=n<=n_check} |a_n| / bound_n of the q-integral of the
-    p-route member z (Dq f), which reads m_1..m_{n_check-1}.  At alpha = 0
-    that member is z exp(sum_n F_n m_n z^n) (see
+    """Per-sample max_{2<=n<=n_check} |a_n| / bound_n of the q-integral of
+    the p-route member z (Dq f), which reads m_1..m_{n_check-1}.  At alpha
+    = 0 that member is z exp(sum_n F_n m_n z^n) (see
     :func:`.schlicht.convex_from_h`), built here with one series exp; at
     alpha > 0 it is _starlike_core's."""
     params = ClassParams(q=q, alpha=alpha, order=max(n_check, 4))
@@ -193,18 +193,18 @@ def _bieberbach_scores(weights, angles, q, alpha, n_check):
 
 
 def _cell_scorer(functional, q, alpha, mu, n_check):
-    """The batch scorer of one sweep cell: (weights, angles) rows -> values."""
+    """The batch scorer of one sweep cell: candidate rows -> values."""
     if functional == "bieberbach":
-        return lambda w, a: _bieberbach_scores(w, a, q, alpha, n_check)
-    return lambda w, a: _starlike_scores(functional, w, a, q, alpha, (mu,))[mu]
+        return lambda w, a: _bieberbach_scores(w.T, a.T, q, alpha, n_check)
+    return lambda w, a: _starlike_scores(functional, w.T, a.T, q, alpha, (mu,))[mu]
 
 
 def evaluate_measure(functional: str, m: AtomicMeasure, q: float, alpha: float,
                      mu: complex | None = None, n_check: int = 10) -> float:
     """Functional value for one measure; the injection and replay target.
 
-    The sweep's batch scorer run on one row, so a sampled row scores bitwise
-    the same here as in the sweep.
+    The sweep's batch scorer run on one sample, so a sampled measure scores
+    bitwise the same here as in the sweep.
     """
     if functional not in FUNCTIONALS:
         raise ConfigError(f"unknown functional {functional!r}")
@@ -397,43 +397,46 @@ def _stated(functional: str, q: float, alpha: float, n_check: int):
 def run_sweep(cfg: SweepConfig, workers: int | None = None) -> dict:
     """Run the configured sweep and return the report dictionary."""
     workers = resolve_workers(workers)
-    # every group's blocks overwrite all of its rows, so one buffer serves all
-    draws = np.empty((cfg.samples, 2 * cfg.k_atoms))
+    # every group's blocks overwrite all of its columns, so one buffer serves
+    # all; and freeing a buffer this large raises glibc's mmap threshold, so
+    # the blocks' temporaries come from the heap, not from fresh mappings
+    # (drawing the argmax alone instead faulted 120k pages a pass, not 1)
+    cols = np.empty((2 * cfg.k_atoms, cfg.samples))
     cells = []
     groups = [(q, a) for q in cfg.q_grid for a in cfg.alpha_grid]
     for g_idx, (q, alpha) in enumerate(groups):
-        cells.extend(_run_group(cfg, workers, g_idx, q, alpha, draws))
+        cells.extend(_run_group(cfg, workers, g_idx, q, alpha, cols))
     return {"config": cfg.to_dict(), "cells": cells, "version": __version__}
 
 
-def _run_group(cfg, workers, g_idx, q, alpha, draws):
+def _run_group(cfg, workers, g_idx, q, alpha, cols):
     """One cell per key (each mu of an fs sweep, else None): the sample
     argmax, then the injected extremals under the same lowest-index tie
     rule, then refinement from the winner.  Each pool job draws its own
-    block's rows into ``draws`` before scoring them."""
+    block's samples into columns of ``cols`` before scoring them."""
     fn = cfg.functional
     keys = cfg.mu_grid if fn == "fs" else (None,)
 
     def score_block(lo, hi):
-        w, a = _fill_rows(cfg.seed, (g_idx,), draws, lo, hi)
+        w, a = _fill_rows(cfg.seed, (g_idx,), cols, lo, hi)
         if fn != "bieberbach":
             return _starlike_scores(fn, w, a, q, alpha, keys)
-        # a Bieberbach row carries n_check degrees, and over BLOCK rows the
-        # per-degree contraction reads about 2.4 MB at n_check 10, more than
-        # a 2 MB L2 cache per core; halves stay within it
+        # a Bieberbach sample carries n_check degrees, and over BLOCK samples
+        # the per-degree contraction reads about 2.4 MB at n_check 10, more
+        # than a 2 MB L2 cache per core; halves stay within it
         return {None: np.concatenate([
-            _bieberbach_scores(w[i:i + BLOCK // 2], a[i:i + BLOCK // 2], q,
-                               alpha, cfg.n_check)
+            _bieberbach_scores(w[:, i:i + BLOCK // 2], a[:, i:i + BLOCK // 2],
+                               q, alpha, cfg.n_check)
             for i in range(0, hi - lo, BLOCK // 2)])}
 
     best = _parallel_scores(score_block, cfg.samples, workers)
-    weights, angles = draws[:, cfg.k_atoms:], draws[:, :cfg.k_atoms]
+    weights, angles = cols[cfg.k_atoms:], cols[:cfg.k_atoms]
     rows = _extremal_rows(fn) if cfg.include_extremals else []
     stated = _stated(fn, q, alpha, cfg.n_check)
     cells = []
     for mu in keys:
         best_val, best_idx = best[mu]
-        argmax = _measure_from_row(weights[best_idx], angles[best_idx])
+        argmax = _measure_from_row(weights[:, best_idx], angles[:, best_idx])
         source = "sample"
         for idx, m in rows:
             v = evaluate_measure(fn, m, q, alpha, mu=mu, n_check=cfg.n_check)

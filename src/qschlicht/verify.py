@@ -10,10 +10,10 @@ escapes the scalar-majorant envelope G(2).
 
 Batch contract: a suite draws its samples with the sweeps' sampler and
 scores them in one pass through the axis-0 cores the sweeps use.  At seed s
-they are rows 0..samples-1 of the stream of group 0 of a k_atoms = 4 sweep
-at seed s (row i keeps (i % 4) + 1 atoms), and a batch column equals the
-member built alone, so the rows, limits and verdicts are those of building
-the members one at a time.  Details agree to rounding: the fs scorer
+they are samples 0..samples-1 of the stream of group 0 of a k_atoms = 4
+sweep at seed s (sample i keeps (i % 4) + 1 atoms), and a batch column
+equals the member built alone, so the rows, limits and verdicts are those
+of building the members one at a time.  Details agree to rounding: the fs scorer
 computes mu*a2**2 where ``fekete_szego_value`` computes mu*a2*a2.
 """
 
@@ -46,9 +46,9 @@ class CheckResult:
 
 
 def _sample_rows(seed: int, count: int):
-    """(weights, angles) rows of a suite's samples: rows 0..count-1 of the
-    sample stream of group 0 of a k_atoms = 4 sweep at this seed."""
-    return _fill_rows(seed, (0,), np.empty((count, 2 * 4)), 0, count)
+    """(4, count) weights and angles: samples 0..count-1 of the stream of
+    group 0 of a k_atoms = 4 sweep at this seed."""
+    return _fill_rows(seed, (0,), np.empty((2 * 4, count)), 0, count)
 
 
 def run_suite(suite: str, q: float, alpha: float, samples: int,
@@ -149,7 +149,7 @@ def _suite_bieberbach(q, alpha, samples, seed) -> list[CheckResult]:
     # one-atom samples are rotations of the one-atom member, which at
     # alpha = 0 is E_q and attains every bound, so the multi-atom rows show
     # on their own how close the members come
-    multi = ratios[(weights > 0).sum(axis=1) > 1]
+    multi = ratios[(weights > 0).sum(axis=0) > 1]
     multi_worst = f"{multi.max():.12f}" if multi.size else "none"
     res = eq_series(params)
     eq_gap = max(abs(abs(res.e_q.coeffs[n]) - bounds[n]) for n in bounds)

@@ -3,14 +3,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qschlicht import power_series as ps
-from qschlicht.caratheodory import (AtomicMeasure, dump_measure, extend_p23,
-                                    load_measure, measure_from_dict, mm_gap,
-                                    p_series, recover_xi_zeta,
-                                    rotation_normalized, sample_measure)
+from qschlicht.caratheodory import (MAX_ATOMS, AtomicMeasure, dump_measure,
+                                    extend_p23, load_measure,
+                                    measure_from_dict, mm_gap, p_series,
+                                    recover_xi_zeta, rotation_normalized,
+                                    sample_measure)
 from qschlicht.errors import (DegenerateParametrizationError,
                               OrderTooSmallError, RangeError)
+from qschlicht.explorer import refine_measure
 
 
 def single_atom(angle=0.0):
@@ -173,6 +177,21 @@ class TestMeasureJson:
         back = load_measure(path)
         assert np.allclose(back.weights, m.weights)
         assert np.allclose(back.angles, m.angles)
+
+    @given(seed=st.integers(0, 2 ** 64 - 1), k=st.integers(1, MAX_ATOMS),
+           iters=st.integers(0, 6))
+    @settings(max_examples=60)
+    def test_sampled_and_refined_measures_read_back_bitwise(self, seed, k,
+                                                            iters):
+        m = sample_measure(seed, k)
+        # refinement's weight moves renormalize, so their sums may sit a few
+        # ulp off 1; within AtomicMeasure's tolerance they are kept as read
+        _, refined = refine_measure(
+            lambda meas: abs(complex(p_series(meas, 2).coeffs[2])), m, iters)
+        for meas in (m, refined):
+            back = measure_from_dict(json.loads(json.dumps(meas.to_dict())))
+            assert back.weights.tobytes() == meas.weights.tobytes()
+            assert back.angles.tobytes() == meas.angles.tobytes()
 
     def test_schema_shape(self, tmp_path):
         path = tmp_path / "m.json"

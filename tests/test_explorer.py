@@ -96,12 +96,12 @@ class TestSampling:
         cfg_large = fs_config(samples=300)
         w1, a1 = group_samples(cfg_small, 0)
         w2, a2 = group_samples(cfg_large, 0)
-        assert np.array_equal(w1, w2[:100])
-        assert np.array_equal(a1, a2[:100])
+        assert np.array_equal(w1, w2[:, :100])
+        assert np.array_equal(a1, a2[:, :100])
 
     def test_atom_count_cycles(self):
         w, _ = group_samples(fs_config(samples=16, k_atoms=4), 0)
-        counts = (w > 0).sum(axis=1)
+        counts = (w > 0).sum(axis=0)
         assert list(counts[:8]) == [1, 2, 3, 4, 1, 2, 3, 4]
 
 
@@ -128,24 +128,24 @@ class TestBlockSampler:
         lo = data.draw(st.integers(0, samples - 1))
         hi = data.draw(st.integers(lo + 1, samples))
         ref_w, ref_a = reference_group_samples(seed, group, samples, k)
-        draws = np.full((samples, 2 * k), np.nan)
-        w, a = _fill_rows(seed, (group,), draws, lo, hi)
-        assert np.array_equal(w, ref_w[lo:hi])
-        assert np.array_equal(a, ref_a[lo:hi])
-        # only rows lo..hi-1 of the buffer were written
-        assert np.isnan(draws[:lo]).all() and np.isnan(draws[hi:]).all()
+        cols = np.full((2 * k, samples), np.nan)
+        w, a = _fill_rows(seed, (group,), cols, lo, hi)
+        assert np.array_equal(w, ref_w[lo:hi].T)
+        assert np.array_equal(a, ref_a[lo:hi].T)
+        # only columns lo..hi-1 of the buffer were written
+        assert np.isnan(cols[:, :lo]).all() and np.isnan(cols[:, hi:]).all()
 
     @pytest.mark.parametrize("k", range(1, MAX_ATOMS + 1))
     def test_blocks_fill_the_whole_group(self, k):
         cfg = fs_config(seed=k, samples=2 * BLOCK + 5, k_atoms=k)
-        draws = np.empty((cfg.samples, 2 * k))
+        cols = np.empty((2 * k, cfg.samples))
         for lo in range(0, cfg.samples, BLOCK):
-            _fill_rows(cfg.seed, (3,), draws, lo, min(lo + BLOCK, cfg.samples))
+            _fill_rows(cfg.seed, (3,), cols, lo, min(lo + BLOCK, cfg.samples))
         ref_w, ref_a = reference_group_samples(cfg.seed, 3, cfg.samples, k)
-        assert np.array_equal(draws[:, k:], ref_w)
-        assert np.array_equal(draws[:, :k], ref_a)
+        assert np.array_equal(cols[k:], ref_w.T)
+        assert np.array_equal(cols[:k], ref_a.T)
         w, a = group_samples(cfg, 3)
-        assert np.array_equal(w, ref_w) and np.array_equal(a, ref_a)
+        assert np.array_equal(w, ref_w.T) and np.array_equal(a, ref_a.T)
 
     @given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 40),
            k=st.integers(1, MAX_ATOMS), n_max=st.integers(1, 16))
@@ -156,7 +156,7 @@ class TestBlockSampler:
         weights = 0.05 + rng.random((rows, k))
         weights /= weights.sum(axis=1, keepdims=True)
         angles = TWO_PI * rng.random((rows, k))
-        assert np.array_equal(_moments(weights, angles, n_max),
+        assert np.array_equal(_moments(weights.T, angles.T, n_max),
                               reference_moments(weights, angles, n_max))
 
 
@@ -226,6 +226,26 @@ class TestHankelSweep:
         assert abs(cell["empirical_max"] - 1.0) <= 2e-3
 
 
+class TestReplay:
+    # raw sample argmaxes (several multi-atom) and refined or injected ones
+    @pytest.mark.parametrize("refine_iters", [0, 20])
+    @pytest.mark.parametrize("functional", FUNCTIONALS)
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_replay_of_a_saved_report_is_exact(self, functional, seed,
+                                               refine_iters):
+        cfg = SweepConfig(functional=functional, seed=seed, samples=400,
+                          q_grid=(0.2, 0.5, 0.8), alpha_grid=(0.0, 0.3),
+                          mu_grid=(0.0, 1.0) if functional == "fs" else (),
+                          refine_iters=refine_iters,
+                          include_extremals=refine_iters > 0)
+        report = json.loads(canonical_json(run_sweep(cfg)))
+        for cell in report["cells"]:
+            assert replay_cell(cfg, cell) == cell["empirical_max"]
+            # the argmax measure parses to the weights it was written from
+            atoms = cell["argmax_measure"]
+            assert measure_from_dict(atoms).to_dict() == atoms
+
+
 class TestBieberbachSweep:
     def test_ratios_within_bound_and_extremal_attains(self):
         cfg = SweepConfig(functional="bieberbach", seed=3, samples=400,
@@ -273,7 +293,7 @@ class TestBieberbachSweep:
             _p_coeffs(_moments(weights, angles, n_max - 1)), q, alpha)[1:], q)
         params = ClassParams(q=q, alpha=alpha, order=n_max)
         for i in range(cfg.samples):
-            m = _measure_from_row(weights[i], angles[i])
+            m = _measure_from_row(weights[:, i], angles[:, i])
             f = convex_from_h(p_series(m, n_max), params).coeffs
             rel = np.abs(batch[:, i] - f).max() / np.abs(f).max()
             assert rel <= 1e-12, (i, rel)
@@ -340,7 +360,7 @@ class TestBatchOfOne:
     def test_row_scores_alone_as_in_batch(self, g, i, n_check):
         w, a = group_rows(g)
         q, alpha = g["q"], g["alpha"]
-        m = _measure_from_row(w[i], a[i])
+        m = _measure_from_row(w[:, i], a[:, i])
         fs = _starlike_scores("fs", w, a, q, alpha, MUS)
         for mu in MUS:
             assert evaluate_measure("fs", m, q, alpha, mu=mu) == fs[mu][i]
@@ -358,12 +378,55 @@ class TestBatchOfOne:
         hi = min(lo + size, ROWS)
         for fn, mus in (("fs", MUS), ("h22", (None,))):
             full = _starlike_scores(fn, w, a, q, alpha, mus)
-            part = _starlike_scores(fn, w[lo:hi], a[lo:hi], q, alpha, mus)
+            part = _starlike_scores(fn, w[:, lo:hi], a[:, lo:hi], q, alpha,
+                                    mus)
             for mu in mus:
                 assert np.array_equal(part[mu], full[mu][lo:hi])
         full = _bieberbach_scores(w, a, q, alpha, 10)
-        part = _bieberbach_scores(w[lo:hi], a[lo:hi], q, alpha, 10)
+        part = _bieberbach_scores(w[:, lo:hi], a[:, lo:hi], q, alpha, 10)
         assert np.array_equal(part, full[lo:hi])
+
+
+class TestAtomMajorLayout:
+    """A sample gives bitwise the same moments and scores in every layout a
+    scorer sees: alone, as columns lo..hi-1 of the group buffer a sweep job
+    fills, and as a transposed view of row-major refinement candidates."""
+
+    @given(g=groups, extra=st.integers(0, 20), data=st.data(),
+           n_check=st.integers(2, 12))
+    @settings(max_examples=60)
+    def test_sample_is_the_same_alone_in_a_block_and_transposed(self, g, extra,
+                                                               data, n_check):
+        k, q, alpha = g["k_atoms"], g["q"], g["alpha"]
+        lo = data.draw(st.integers(0, ROWS - 1))
+        hi = data.draw(st.integers(lo + 1, ROWS))
+        i = data.draw(st.integers(lo, hi - 1))
+        cols = np.full((2 * k, ROWS + extra), np.nan)
+        w, a = _fill_rows(g["seed"], (0,), cols, lo, hi)
+        rows_w, rows_a = np.ascontiguousarray(w.T), np.ascontiguousarray(a.T)
+        layouts = {"block": (w, a, i - lo),
+                   "alone": (w[:, i - lo:i - lo + 1].copy(),
+                             a[:, i - lo:i - lo + 1].copy(), 0),
+                   "transposed": (rows_w.T, rows_a.T, i - lo)}
+        want = None
+        for name, (lw, la, j) in layouts.items():
+            got = [_moments(lw, la, 12)[:, j]]
+            for fn, mus in (("fs", MUS), ("h22", (None,))):
+                scores = _starlike_scores(fn, lw, la, q, alpha, mus)
+                got += [scores[mu][j] for mu in mus]
+            got.append(_bieberbach_scores(lw, la, q, alpha, n_check)[j])
+            if want is None:
+                want = got
+            for x, y in zip(got, want):
+                assert np.array_equal(x, y), name
+
+    @given(g=groups, i=st.integers(0, ROWS - 1))
+    @settings(max_examples=30)
+    def test_measure_moments_at_order_192_are_its_batch_column(self, g, i):
+        w, a = group_rows(g)
+        m = _measure_from_row(w[:, i], a[:, i])
+        assert np.array_equal(_moments(m.weights, m.angles, 192),
+                              _moments(w, a, 192)[:, i])
 
 
 class TestBlocks:

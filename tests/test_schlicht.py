@@ -35,7 +35,7 @@ class TestStarlikeFromP:
         # coefficients of the member built from a longer p, bit for bit
         weights = np.array([[0.6, 0.4], [0.2, 0.8], [1.0, 0.0]])
         angles = np.array([[0.3, 2.5], [1.0, 4.0], [5.0, 0.0]])
-        p_long = _p_coeffs(_moments(weights, angles, 12))
+        p_long = _p_coeffs(_moments(weights.T, angles.T, 12))
         for q in Q_GRID:
             long = _starlike_core(p_long, q, alpha)
             assert long.shape == (14, 3)

@@ -54,6 +54,25 @@ def test_benchmark_sweep_check_accepts_small_reports():
         assert workloads._check_sweep(cfg, report) == []
 
 
+def test_benchmark_set_up_builds_every_workload():
+    # the set-up probe builds each workload's first inputs; if it breaks,
+    # a benchmark run ends as run_failed
+    workloads = load_perfbench("workloads")
+    for workload in workloads.WORKLOADS:
+        inputs = workloads.first_inputs(workload, 1)
+        if workload == "certify":
+            assert inputs and all(callable(op.run) for op in inputs)
+            continue
+        ops, (weights, angles) = inputs
+        configs = workloads.sweep_configs(workload, 1)
+        assert len(ops) == len(configs)
+        # group_samples is atom-major: (k_atoms, samples), one sample a column
+        cfg = configs[0]
+        assert weights.shape == angles.shape == (cfg.k_atoms, cfg.samples)
+        assert list((weights[:, :8] > 0).sum(axis=0)) == [1, 2, 3, 4] * 2
+        assert np.abs(weights.sum(axis=0) - 1.0).max() <= 1e-15
+
+
 def test_traced_refine_measure_counts_every_scored_candidate():
     # the tracer passes its counting scorer as the first positional argument
     tracer_mod = load_tracer()

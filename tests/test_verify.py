@@ -291,13 +291,13 @@ def test_qcalc_single_draw_is_the_sequential_stream(samples):
 def test_suite_rows_are_the_first_rows_of_a_sweep_group(seed, count):
     weights, angles = _sample_rows(seed, count)
     ref_w, ref_a = reference_group_samples(seed, 0, count, 4)
-    assert np.array_equal(weights, ref_w)
-    assert np.array_equal(angles, ref_a)
+    assert np.array_equal(weights, ref_w.T)
+    assert np.array_equal(angles, ref_a.T)
     cfg = SweepConfig(functional="h22", seed=seed, samples=count + 3,
                       q_grid=(0.5,))
     sweep_w, sweep_a = group_samples(cfg, 0)
-    assert np.array_equal(weights, sweep_w[:count])
-    assert np.array_equal(angles, sweep_a[:count])
+    assert np.array_equal(weights, sweep_w[:, :count])
+    assert np.array_equal(angles, sweep_a[:, :count])
 
 
 @given(seed=st.integers(0, 2**64 - 1), k=st.integers(1, MAX_ATOMS))
