@@ -14,7 +14,10 @@ f(qz) = f(z) * G(z) with G = (1-alpha) exp((ln q) p) + alpha q, or through a
 measure exponent.  Every convex-type member is the Jackson q-integral of its
 starlike-type member over z.
 
-Certificates evaluate the ratio on a polar grid.  Because the inputs are
+Certificates evaluate the ratio on a polar grid of A half-step offset
+angles, by one inverse FFT of c_n r^n e^{i pi n/A} per radius r: that is u at
+the exact angles, within 4.3e-16 sum |c_n| r^n for f1 and f2 at order 192
+(Horner at the rounded grid points: 1.0e-15).  Because the inputs are
 truncated series, every evaluation carries a truncation-error estimate; a
 grid point only counts as a violation when the excess
 |g - alpha q| - (1 - alpha) exceeds the tolerance by more than the estimated
@@ -51,6 +54,13 @@ class CertGrid:
     radii: tuple = tuple(np.round(np.arange(1, 19) * 0.05, 2))
     n_angles: int = 256
 
+    def __post_init__(self):
+        r = np.asarray(self.radii, dtype=np.float64)
+        if (not isinstance(self.n_angles, (int, np.integer)) or self.n_angles < 1
+                or r.ndim != 1 or r.size == 0 or not np.all((r >= 0) & (r < 1))):
+            raise RangeError("a CertGrid needs an integer n_angles >= 1 and radii"
+                             f" in [0, 1); got {self.n_angles!r}, {self.radii!r}")
+
     def points(self) -> np.ndarray:
         angles = (np.arange(self.n_angles) + 0.5) * (2.0 * math.pi / self.n_angles)
         r = np.asarray(self.radii, dtype=np.float64)
@@ -59,6 +69,17 @@ class CertGrid:
     def to_dict(self) -> dict:
         return {"radii": [float(r) for r in self.radii],
                 "n_angles": int(self.n_angles), "angle_offset": 0.5}
+
+
+def _polar_values(u: TruncatedSeries, radii: np.ndarray, n_angles: int) -> np.ndarray:
+    """u at r e^{i(2j + 1) pi/n_angles}, one row per radius r: the inverse
+    DFT of c_n r^n e^{i pi n/n_angles}, degree n in bin n mod n_angles."""
+    n = np.arange(u.order + 1)
+    terms = u.coeffs * np.exp(1j * math.pi / n_angles * n) * np.power(radii[:, None], n)
+    bins = np.zeros((radii.size, n_angles), dtype=np.complex128)
+    for k in range(0, n.size, n_angles):
+        bins[:, :n.size - k] += terms[:, k:k + n_angles]
+    return np.fft.ifft(bins, norm="forward")
 
 
 @dataclass(frozen=True)
@@ -89,28 +110,29 @@ def _certify(u: TruncatedSeries, params: ClassParams, grid: CertGrid | None,
     error of g at a point of radius r comes from the tail estimates of u at
     radius q r (numerator) and r (denominator).  A real-coefficient u has
     g(conj z) = conj g(z), so z and conj z tie and the worst point is
-    reported as the one with Im z >= 0, whichever rounding picked.
+    reported as the one with Im z >= 0, whichever rounding picked.  An even u
+    also has g(-z) = g(z); on an even grid the point then has Re z >= 0 too.
     """
     grid = grid or CertGrid()
     q, alpha = params.q, params.alpha
     z = grid.points()
-    den = ps.eval_grid(u, z)
+    radii = np.outer((1.0, q), grid.radii).ravel()  # denominator, numerator
+    den, num = np.split(_polar_values(u, radii, grid.n_angles), 2)
     den_abs = np.abs(den)
     if np.any(den_abs < _DENOM_FLOOR):
         idx = int(np.argmin(den_abs))
         raise EvaluationSingularityError(
             f"denominator vanished at grid point {z.ravel()[idx]:.6f}")
-    g = q * ps.eval_grid(u, q * z) / den
-    num_tail, den_tail = (
-        np.array([ps.tail_estimate(u, float(r)) for r in radii])[:, None]
-        for radii in ([q * float(r) for r in grid.radii], grid.radii))
+    g = q * num / den
+    den_tail, num_tail = np.split(ps.tail_estimate(u, radii)[:, None], 2)
     excess = np.abs(g - alpha * q) - (1.0 - alpha)
     err = (q * num_tail + np.abs(g) * den_tail) / den_abs
     flat = (excess - err).ravel()
     idx = int(np.argmax(flat))
     point = complex(z.ravel()[idx])
-    if point.imag < 0.0 and not np.any(u.coeffs.imag):
-        point = point.conjugate()
+    if not np.any(u.coeffs.imag):
+        even = grid.n_angles % 2 == 0 and not np.any(u.coeffs[1::2])
+        point = complex(abs(point.real) if even else point.real, abs(point.imag))
     return CertReport(
         passed=not np.any(flat > tol),
         worst_margin=float(flat[idx]),

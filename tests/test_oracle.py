@@ -5,7 +5,9 @@ ratio G, which sums the infinite q-product exactly.  The oracle here is
 independent of that pairing: it multiplies the literal factors
 ((1-alpha) h(q^m z) + alpha q)/q at 50 significant digits, taking enough of
 them that the dropped tail is below 1e-40, then inverts and q-integrates.  The exp/log/recip cores are checked
-against the same recursions run at 60 digits on the binary64 inputs.
+against the same recursions run at 60 digits on the binary64 inputs.  The
+certificates' polar evaluator is checked at the exact grid angles against
+the same sums in 170-bit fixed point, with the angles from 50-digit mpmath.
 """
 
 import mpmath as mp
@@ -14,8 +16,9 @@ import pytest
 
 from qschlicht import power_series as ps
 from qschlicht.caratheodory import p_series, sample_measure
+from qschlicht.extremal import f1_series, f2_series
 from qschlicht.q_calculus import ClassParams
-from qschlicht.schlicht import convex_from_h
+from qschlicht.schlicht import CertGrid, _polar_values, convex_from_h
 
 ORDER = 16
 DIGITS = 50
@@ -116,3 +119,99 @@ def test_series_cores_match_mpmath(name, n):
             exact = np.array([complex(x) for x in exact])
         rel = np.abs(single - exact).max() / np.abs(exact).max()
         assert rel <= 1e-12, rel
+
+
+# -- the polar certificate evaluator at the exact grid angles -----------------
+
+BITS = 170  # fixed-point fraction bits, about 51 significant digits
+
+
+def fixed(x):
+    """x as the nearest integer multiple of 2^-BITS."""
+    return int(mp.nint(mp.ldexp(mp.mpf(x), BITS)))
+
+
+def fixed_dft(xr, xi, wr, wi, stride=1):
+    """X_j = sum_k x_k e^{2 pi i jk/A} along axis 0 in fixed point, A = len(xr).
+
+    wr + i wi holds e^{2 pi i e/A0}, e < A0, for the outermost length A0 =
+    A stride.  Mixed-radix Cooley-Tukey on the smallest prime factor."""
+    size = xr.shape[0]
+    if size == 1:
+        return xr, xi
+    p = next(d for d in range(2, size + 1) if size % d == 0)
+    outr, outi = np.zeros_like(xr), np.zeros_like(xi)
+    j = np.arange(size)
+    for s in range(p):
+        yr, yi = fixed_dft(xr[s::p], xi[s::p], wr, wi, stride * p)
+        e = (s * j * stride) % wr.size
+        cr, ci = wr[e][:, None], wi[e][:, None]
+        yr, yi = np.tile(yr, (p, 1)), np.tile(yi, (p, 1))
+        outr += (cr * yr - ci * yi) >> BITS
+        outi += (cr * yi + ci * yr) >> BITS
+    return outr, outi
+
+
+def exact_polar_values(series, radii, n_angles):
+    """u at r e^{i(2j+1) pi/n_angles} for each series, radius and j, rounded
+    to binary64 from 170-bit fixed point: sum_n c_n r^n e^{i pi n/n_angles}
+    e^{2 pi i nj/n_angles}, folded modulo n_angles, with the phases from
+    50-digit mpmath."""
+    with mp.workdps(DIGITS):
+        half = [mp.expjpi(mp.mpf(m) / n_angles) for m in range(2 * n_angles)]
+    hr = np.array([fixed(w.real) for w in half], dtype=object)
+    hi = np.array([fixed(w.imag) for w in half], dtype=object)
+    size = max(c.size for c in series)
+    rn = np.empty((len(radii), size), dtype=object)
+    rn[:, 0] = 1 << BITS
+    r = np.array([fixed(float(x)) for x in radii], dtype=object)
+    for n in range(1, size):
+        rn[:, n] = (rn[:, n - 1] * r) >> BITS
+    rows_r, rows_i = [], []
+    for c in series:
+        n = np.arange(c.size)
+        cr = np.array([fixed(x) for x in c.real], dtype=object)
+        ci = np.array([fixed(x) for x in c.imag], dtype=object)
+        pr, pi = hr[n % (2 * n_angles)], hi[n % (2 * n_angles)]
+        br = ((cr * pr - ci * pi) >> BITS) * rn[:, : c.size] >> BITS
+        bi = ((cr * pi + ci * pr) >> BITS) * rn[:, : c.size] >> BITS
+        fr = np.zeros((len(radii), n_angles), dtype=object)
+        fi = np.zeros_like(fr)
+        for k in range(c.size):
+            fr[:, k % n_angles] += br[:, k]
+            fi[:, k % n_angles] += bi[:, k]
+        rows_r.append(fr)
+        rows_i.append(fi)
+    xr, xi = fixed_dft(np.concatenate(rows_r).T, np.concatenate(rows_i).T,
+                       hr[::2].copy(), hi[::2].copy())
+    scale = 1 << BITS
+    out = np.array([[complex(a / scale, b / scale) for a, b in zip(ar, ai)]
+                    for ar, ai in zip(xr.T, xi.T)])
+    return out.reshape(len(series), len(radii), n_angles)
+
+
+def polar_test_series():
+    """u = f/z of f1 and f2 at order 192 and a random complex series."""
+    out = []
+    for q in (0.2, 0.5, 0.8):
+        for alpha in (0.0, 0.3):
+            params = ClassParams(q=q, alpha=alpha, order=192)
+            out += [f1_series(params).div_z(), f2_series(params).div_z()]
+    rng = np.random.default_rng(192)
+    out.append(ps.TruncatedSeries(rng.standard_normal(193)
+                                  + 1j * rng.standard_normal(193)))
+    return out
+
+
+@pytest.mark.parametrize("n_angles", [256, 64, 255])
+def test_polar_values_match_exact_angles(n_angles):
+    # 256: the default grid; 64: degrees fold into bins n mod 64; 255: odd
+    series = polar_test_series()
+    radii = np.asarray(CertGrid(n_angles=n_angles).radii)
+    exact = exact_polar_values([u.coeffs for u in series], radii, n_angles)
+    eps = np.finfo(np.float64).eps
+    for u, want in zip(series, exact):
+        got = _polar_values(u, radii, n_angles)
+        scale = (np.abs(u.coeffs) * np.power(radii[:, None],
+                                              np.arange(u.order + 1))).sum(axis=1)
+        assert np.all(np.abs(got - want) <= 16 * eps * scale[:, None])

@@ -179,6 +179,19 @@ class TestDilateDerivativeEval:
         assert abs(lhs - rhs) <= 1e-12
 
 
+class TestTailEstimate:
+    def test_array_of_radii_equals_scalar_calls(self):
+        rng = np.random.default_rng(11)
+        a = ps.from_coeffs(rng.standard_normal(193) + 1j * rng.standard_normal(193))
+        radii = np.round(np.arange(1, 19) * 0.05, 2)
+        for rs in (radii, 0.3 * radii):
+            vec = ps.tail_estimate(a, rs)
+            assert vec.shape == rs.shape
+            scalar = [ps.tail_estimate(a, float(r)) for r in rs]
+            assert all(type(v) is float for v in scalar)
+            assert np.array_equal(vec, scalar)
+
+
 class TestInvariants:
     def test_min_order_propagation(self):
         a, b = series(1, 2, 3, 4, 5), series(1, 1)

@@ -9,9 +9,12 @@ from qschlicht.caratheodory import AtomicMeasure, _moments, _p_coeffs, \
     p_series, sample_measure
 from qschlicht.errors import ConfigError, EvaluationSingularityError, \
     ZeroConstantTermError
-from qschlicht.extremal import eq_series, f1_series, f_exponent_series
+from qschlicht.errors import RangeError
+from qschlicht.extremal import eq_series, f1_series, f2_series, \
+    f_exponent_series
 from qschlicht.q_calculus import ClassParams, dq, iq
-from qschlicht.schlicht import (CertGrid, _starlike_core, alexander_pair,
+from qschlicht.schlicht import (CertGrid, _polar_values, _starlike_core,
+                                alexander_pair,
                                 convex_from_h, convex_from_measure,
                                 membership_convex, membership_starlike,
                                 rho_map, starlike_from_p)
@@ -257,12 +260,19 @@ class TestMembershipCertificates:
             assert rep.passed, (q, rep.worst_margin)
 
     @staticmethod
-    def _grid_margins(u, params, grid):
-        """Error-adjusted excess and error estimate at every grid point."""
+    def _grid_margins(u, params, grid, horner=False):
+        """Error-adjusted excess and error estimate at every grid point,
+        from the polar evaluator at the exact angles or, with ``horner``,
+        from Horner at the rounded grid points."""
         q, alpha = params.q, params.alpha
         z = grid.points()
-        den = ps.eval_grid(u, z)
-        g = q * ps.eval_grid(u, q * z) / den
+        if horner:
+            den, num = ps.eval_grid(u, z), ps.eval_grid(u, q * z)
+        else:
+            radii = np.asarray(grid.radii)
+            den, num = (_polar_values(u, s * radii, grid.n_angles)
+                        for s in (1.0, q))
+        g = q * num / den
         tails = [np.array([ps.tail_estimate(u, s * float(r))
                            for r in grid.radii])[:, None] for s in (q, 1.0)]
         err = (q * tails[0] + np.abs(g) * tails[1]) / np.abs(den)
@@ -285,6 +295,30 @@ class TestMembershipCertificates:
         assert rep.unresolved == int(np.count_nonzero(err > rep.tol))
         assert np.min(np.abs(z - rep.worst_point.conjugate())) < 1e-12
 
+    def test_horner_and_polar_margins_agree(self):
+        # Horner evaluates at the rounded grid points, the polar evaluator
+        # at the exact angles; near the rim the two differ by about 1e-12
+        params = ClassParams(q=0.2, alpha=0.3, order=192)
+        u = f1_series(params).div_z()
+        _, polar, _ = self._grid_margins(u, params, CertGrid())
+        _, horner, _ = self._grid_margins(u, params, CertGrid(), horner=True)
+        assert np.abs(polar - horner).max() <= 1e-10
+
+    @pytest.mark.parametrize("q", Q_GRID)
+    @pytest.mark.parametrize("alpha", [0.0, 0.3])
+    def test_even_real_member_reports_the_first_quadrant_of_the_tie(
+            self, q, alpha):
+        # f2/z is even with real coefficients: z, conj z, -z and -conj z tie
+        params = ClassParams(q=q, alpha=alpha, order=192)
+        f = f2_series(params)
+        rep = membership_starlike(f, params)
+        z, margins, _ = self._grid_margins(f.div_z(), params, CertGrid())
+        assert rep.worst_point.real >= 0.0 and rep.worst_point.imag >= 0.0
+        assert rep.worst_margin == margins.max()
+        ties = (z, z.conjugate(), -z, -z.conjugate())
+        idx = np.argmax(margins)
+        assert min(abs(t.ravel()[idx] - rep.worst_point) for t in ties) < 1e-12
+
     def test_complex_member_reports_its_grid_point(self):
         params = ClassParams(q=0.5, alpha=0.3, order=64)
         f = starlike_from_p(p_series(sample_measure(5, 3), params.order), params)
@@ -301,6 +335,24 @@ class TestMembershipCertificates:
         b = membership_starlike(f, params)
         assert a.worst_point == b.worst_point
         assert a.worst_margin == b.worst_margin
+
+
+class TestCertGrid:
+    def test_default_grid(self):
+        grid = CertGrid()
+        assert grid.points().shape == (18, 256)
+        assert grid.radii[0] == 0.05 and grid.radii[-1] == 0.9
+
+    @pytest.mark.parametrize("n_angles", [0, -4, 2.5, "256"])
+    def test_rejects_bad_angle_counts(self, n_angles):
+        with pytest.raises(RangeError):
+            CertGrid(n_angles=n_angles)
+
+    @pytest.mark.parametrize("radii", [(), (0.5, 1.0), (-0.1, 0.5),
+                                       (0.5, float("nan")), ((0.1, 0.2),)])
+    def test_rejects_bad_radii(self, radii):
+        with pytest.raises(RangeError):
+            CertGrid(radii=radii)
 
 
 class TestAlexanderPair:

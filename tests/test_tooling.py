@@ -9,10 +9,11 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from qschlicht import explorer
 from qschlicht import power_series as ps
-from qschlicht import schlicht
+from qschlicht import schlicht, verify
 from qschlicht.caratheodory import AtomicMeasure
 from qschlicht.q_calculus import ClassParams
 
@@ -101,6 +102,30 @@ def test_membership_reports_carry_the_grid_the_tracer_reads():
         grid = getattr(schlicht, name)(ps.identity(8), params).grid
         assert len(grid["radii"]) * grid["n_angles"] == schlicht.CertGrid().points().size
         assert grid["criterion"] == name.removeprefix("membership_")
+
+
+def test_traced_membership_suite_counts_certificate_points():
+    # points per certificate and the unresolved total, against the reports
+    # of the same suite run without the tracer
+    reports = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("membership_starlike", "membership_convex"):
+            def recorded(*args, _fn=getattr(verify, name), **kwargs):
+                reports.append(_fn(*args, **kwargs))
+                return reports[-1]
+            mp.setattr(verify, name, recorded)
+        untraced = verify.run_suite("membership", 0.5, 0.3, 20, 1)
+    tracer_mod = load_tracer()
+    with tracer_mod.Tracer().installed() as tracer:
+        traced = verify.run_suite("membership", 0.5, 0.3, 20, 1)
+    assert traced == untraced
+    rows = tracer_mod.summarize(tracer.spans)
+    certs = [rows[f"schlicht.{n}"] for n in ("membership_starlike",
+                                              "membership_convex")]
+    assert sum(row["calls"] for row in certs) == len(reports) == 4
+    assert sum(row["points"] for row in certs) == 18 * 256 * len(reports)
+    assert sum(row["unresolved"] for row in certs) == sum(
+        rep.unresolved for rep in reports)
 
 
 def test_bare_pytest_collects_without_pythonpath():
