@@ -208,6 +208,8 @@ def evaluate_measure(functional: str, m: AtomicMeasure, q: float, alpha: float,
     """
     if functional not in FUNCTIONALS:
         raise ConfigError(f"unknown functional {functional!r}")
+    if functional == "fs" and (mu is None or not cmath.isfinite(complex(mu))):
+        raise ConfigError(f"fs needs a finite mu, got {mu!r}")
     ClassParams(q=q, alpha=alpha)  # validates q and alpha
     score = _cell_scorer(functional, q, alpha, mu, n_check)
     return float(score(m.weights[None, :], m.angles[None, :])[0])

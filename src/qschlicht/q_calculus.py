@@ -86,17 +86,15 @@ class QLogRatios:
 
 
 def q_powers(q: float, n_max: int) -> np.ndarray:
-    """[1, q, q^2, ..., q^n_max] by cumulative multiplication.
+    """[1, q, q^2, ..., q^n_max] by cumulative multiplication, in order.
 
     Every bracket-type quantity in the library derives its powers from this
     one routine; mixing it with libm/vectorized pow would break the exact
     (bitwise) round-trip identities between the q-integral and the bounds.
     """
-    out = np.empty(n_max + 1)
+    out = np.full(n_max + 1, float(q))
     out[0] = 1.0
-    for k in range(1, n_max + 1):
-        out[k] = out[k - 1] * q
-    return out
+    return np.multiply.accumulate(out, out=out)
 
 
 def q_bracket(n: int, q: float) -> float:

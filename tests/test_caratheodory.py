@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qschlicht import power_series as ps
-from qschlicht.caratheodory import (MAX_ATOMS, AtomicMeasure, dump_measure,
-                                    extend_p23, load_measure,
-                                    measure_from_dict, mm_gap, p_series,
-                                    recover_xi_zeta, rotation_normalized,
-                                    sample_measure)
+from qschlicht.caratheodory import (_COS, _SIN, MAX_ATOMS, AtomicMeasure,
+                                    _phase, dump_measure, extend_p23,
+                                    load_measure, measure_from_dict, mm_gap,
+                                    p_series, recover_xi_zeta,
+                                    rotation_normalized, sample_measure)
 from qschlicht.errors import (DegenerateParametrizationError,
                               OrderTooSmallError, RangeError)
 from qschlicht.explorer import refine_measure
@@ -54,6 +55,58 @@ class TestPSeries:
             p = p_series(m, 200)
             vals = ps.eval_grid(p, zs)
             assert vals.real.min() >= -1e-12
+
+
+def bits(z):
+    """The bytes of an array, so that signed zeros count as different."""
+    return np.ascontiguousarray(z).view(np.uint64)
+
+
+class TestPhase:
+    @given(angles=hnp.arrays(np.float64, st.integers(1, 200),
+                             elements=st.floats(-32 * math.pi, 32 * math.pi)),
+           start=st.integers(0, 40), step=st.integers(1, 9),
+           offset=st.integers(1, 15))
+    @settings(max_examples=60)
+    def test_phase_depends_on_the_angle_alone(self, angles, start, step,
+                                              offset):
+        alone = np.concatenate([_phase(angles[i:i + 1])
+                                for i in range(angles.size)])
+        assert np.array_equal(bits(_phase(angles)), bits(alone))
+        assert np.array_equal(bits(_phase(angles[start::step])),
+                              bits(alone[start::step]))
+        # the same angles at a byte offset, aligned or not
+        raw = bytearray(8 * angles.size + 16)
+        shifted = np.frombuffer(raw, np.float64, angles.size, offset)
+        shifted[:] = angles
+        assert np.array_equal(bits(_phase(shifted)), bits(alone))
+        # as columns of a transposed 2-d view
+        cols = np.tile(angles, (3, 1)).T
+        assert np.array_equal(bits(_phase(cols.T)[1]), bits(alone))
+
+    def test_axes_and_negative_angles(self):
+        quarter = [0.0, math.pi / 2, math.pi, 1.5 * math.pi, 2 * math.pi]
+        z = _phase(np.array(quarter))
+        assert np.abs(z - np.array([1, 1j, -1, -1j, 1])).max() <= 5e-16
+        # every knot and half step of the table up to |theta| = 32 pi
+        a = np.arange(-8192, 8193) * (math.pi / 256)
+        assert np.array_equal(_phase(-a), np.conj(_phase(a)))
+
+    def test_table_has_the_symmetries_of_cos_and_sin(self):
+        k = np.arange(256)
+        assert np.array_equal(_COS[-k % 256], _COS[k])
+        assert np.array_equal(_SIN[-k % 256], -_SIN[k])
+        assert np.array_equal(_COS[(128 - k) % 256], -_COS[k])
+        assert np.array_equal(_SIN[(64 - k) % 256], _COS[k])
+
+    def test_atoms_are_the_phases(self):
+        m = sample_measure(11, 5)
+        assert np.array_equal(m.atoms(), _phase(m.angles))
+
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_rejected(self, angle):
+        with pytest.raises(RangeError, match="finite"):
+            AtomicMeasure(np.array([0.5, 0.5]), np.array([0.1, angle]))
 
 
 class TestCoefficientParametrization:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qschlicht.caratheodory import MAX_ATOMS, AtomicMeasure, _fill_rows, \
-    _moments, _p_coeffs, measure_from_dict, p_series
+    _moments, _p_coeffs, _phase, measure_from_dict, p_series
 from qschlicht.errors import ConfigError
 from qschlicht.explorer import (BLOCK, CSV_HEADER, FUNCTIONALS,
                                 MIN_SEPARATION, MIN_WEIGHT, TWO_PI,
@@ -82,6 +82,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match="not finite"):
             fs_config(mu_grid=(0.5, mu))
 
+    @pytest.mark.parametrize("mu", [None, math.nan, complex(math.inf, 0.0)])
+    def test_evaluate_measure_needs_a_finite_mu_for_fs(self, mu):
+        m = AtomicMeasure(np.array([1.0]), np.array([0.3]))
+        with pytest.raises(ConfigError, match="finite mu"):
+            evaluate_measure("fs", m, 0.5, 0.0, mu=mu)
+
     def test_workers_resolution(self, monkeypatch):
         monkeypatch.setenv("QSCHLICHT_THREADS", "3")
         assert resolve_workers() == 3
@@ -106,8 +112,8 @@ class TestSampling:
 
 
 def reference_moments(weights, angles, n_max):
-    """_moments with the phase of every atom computed, zero weight or not."""
-    phase = np.exp(1j * angles)
+    """_moments on row-major (rows, k) arrays, by the plain formula."""
+    phase = _phase(angles)
     out = np.empty((n_max + 1,) + phase.shape[:-1], dtype=np.complex128)
     out[0] = 1.0
     cur = np.ones_like(phase)

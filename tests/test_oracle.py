@@ -8,6 +8,7 @@ them that the dropped tail is below 1e-40, then inverts and q-integrates.  The e
 against the same recursions run at 60 digits on the binary64 inputs.  The
 certificates' polar evaluator is checked at the exact grid angles against
 the same sums in 170-bit fixed point, with the angles from 50-digit mpmath.
+The atom phase kernel and its table are checked against 50-digit cos/sin.
 """
 
 import mpmath as mp
@@ -15,7 +16,8 @@ import numpy as np
 import pytest
 
 from qschlicht import power_series as ps
-from qschlicht.caratheodory import p_series, sample_measure
+from qschlicht.caratheodory import (TWO_PI, _COS, _SIN, _phase, p_series,
+                                    sample_measure)
 from qschlicht.extremal import f1_series, f2_series
 from qschlicht.q_calculus import ClassParams
 from qschlicht.schlicht import CertGrid, _polar_values, convex_from_h
@@ -59,6 +61,45 @@ def test_convex_from_h_matches_literal_product(q, alpha):
     oracle = literal_product_member(p.coeffs, q, alpha, ORDER)
     rel = np.abs(f.coeffs - oracle).max() / np.abs(oracle).max()
     assert rel <= 1e-13
+
+
+# -- the atom phase kernel against 50-digit mpmath ----------------------------
+
+
+def test_phase_table_is_within_one_ulp():
+    with mp.workdps(DIGITS):
+        for k in range(256):
+            for got, exact in ((_COS[k], mp.cospi(mp.mpf(k) / 128)),
+                               (_SIN[k], mp.sinpi(mp.mpf(k) / 128))):
+                ulp = np.spacing(abs(float(exact)))
+                assert abs(mp.mpf(float(got)) - exact) <= ulp, (k, got)
+
+
+def phase_test_angles():
+    """20k uniform angles in |theta| <= 32 pi, mostly in [-2 pi, 4 pi), and
+    0, +-pi/2, +-pi, +-2 pi and every table knot j 2 pi/256 (|j| <= 512),
+    each +-1 ulp and at the half steps where the rounding of j turns."""
+    rng = np.random.default_rng(2026)
+    step = TWO_PI / 256
+    knots = np.arange(-512, 513) * step
+    return np.concatenate([
+        rng.uniform(-2 * np.pi, 4 * np.pi, 16000),
+        rng.uniform(-32 * np.pi, 32 * np.pi, 4000),
+        [0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi, TWO_PI, -TWO_PI],
+        knots, np.nextafter(knots, np.inf), np.nextafter(knots, -np.inf),
+        knots + step / 2, np.nextafter(knots + step / 2, -np.inf)])
+
+
+def test_phase_matches_mpmath():
+    angles = phase_test_angles()
+    assert angles.size >= 20000
+    got = _phase(angles)
+    one = _phase(np.zeros(1))[0]
+    assert one == 1.0 and not np.signbit(one.imag)
+    with mp.workdps(DIGITS):
+        err = max(abs(mp.mpc(complex(z)) - mp.expj(mp.mpf(float(a))))
+                  for a, z in zip(angles, got))
+    assert err <= 2.5e-16, err
 
 
 # -- the series cores against 60-digit mpmath ---------------------------------

@@ -1,10 +1,28 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qschlicht import power_series as ps
 from qschlicht.errors import NonConvergenceError, RangeError
 from qschlicht.q_calculus import (ClassParams, QLogRatios, dq, iq, jackson_sum,
-                                  q_bracket)
+                                  q_bracket, q_powers)
+
+
+def loop_q_powers(q, n_max):
+    """[1, q, ..., q^n_max], each power the previous one times q."""
+    out = np.empty(n_max + 1)
+    out[0] = 1.0
+    for k in range(1, n_max + 1):
+        out[k] = out[k - 1] * q
+    return out
+
+
+@given(q=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       n_max=st.sampled_from([0, 1, 5, 16, 192, 256]))
+@settings(max_examples=200)
+def test_q_powers_equal_the_sequential_products(q, n_max):
+    assert np.array_equal(q_powers(q, n_max), loop_q_powers(q, n_max))
 
 
 class TestBracket:

@@ -135,3 +135,15 @@ def test_bare_pytest_collects_without_pythonpath():
          "no:cacheprovider", "tests/test_q_calculus.py"],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_library_imports_without_mpmath():
+    # mpmath is a test-only oracle; no module of the library may need it
+    modules = sorted(path.stem for path in
+                     (ROOT / "src" / "qschlicht").glob("[!_]*.py"))
+    code = ("import sys; sys.modules['mpmath'] = None; import qschlicht; "
+            + "; ".join(f"import qschlicht.{name}" for name in modules))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
