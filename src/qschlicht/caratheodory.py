@@ -20,11 +20,13 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateParametrizationError, OrderTooSmallError, RangeError
+from .errors import ConfigError, DegenerateParametrizationError, \
+    OrderTooSmallError, RangeError
 from .power_series import TruncatedSeries, _einsum
 
 MAX_ATOMS = 8
@@ -221,13 +223,12 @@ def extend_p23(p1: float, xi: complex, zeta: complex) -> tuple[complex, complex]
     return p2, p3
 
 
-def recover_xi_zeta(p1: float, p2: complex, p3: complex,
-                    xi_guard: float = 1e-6) -> tuple[complex, complex]:
+def recover_xi_zeta(p1: float, p2: complex, p3: complex) -> tuple[complex, complex]:
     """Invert :func:`extend_p23` for interior p1 and well-conditioned xi.
 
     Raises DegenerateParametrizationError on the p1 boundary (the map
-    collapses there) and when |xi| approaches 1 (the zeta coefficient
-    vanishes).
+    collapses there) and when |xi| >= 1 - 1e-6 (the zeta coefficient
+    vanishes at |xi| = 1).
     """
     p1 = float(p1)
     if p1 <= 1e-9 or p1 >= 2.0 - 1e-9:
@@ -235,7 +236,7 @@ def recover_xi_zeta(p1: float, p2: complex, p3: complex,
             f"parametrization is degenerate at p1 = {p1}")
     s = 4.0 - p1 * p1
     xi = (2.0 * complex(p2) - p1 * p1) / s
-    if abs(xi) >= 1.0 - xi_guard:
+    if abs(xi) >= 1.0 - 1e-6:
         raise DegenerateParametrizationError(
             f"|xi| = {abs(xi):.9f} is too close to 1 to solve for zeta")
     denom = 2.0 * s * (1.0 - abs(xi) ** 2)
@@ -257,15 +258,14 @@ def mm_gap(p: TruncatedSeries, lam: float) -> float:
     return bound - value
 
 
-def _atom_sums(w: np.ndarray) -> np.ndarray:
-    """Sum over the k <= 8 atom rows of ``w`` in the order numpy sums a row
-    of k contiguous entries, so a sample normalizes bitwise as a row-major
-    row: left to right below 8 atoms, numpy's pairwise block at 8."""
-    if len(w) < 8:
-        return sum(w[1:], w[0].copy())
-    while len(w) > 1:
-        w = w[0::2] + w[1::2]
-    return w[0]
+def _check_seed(seed) -> int:
+    """The seed as an int; ConfigError unless it is a non-negative integer."""
+    try:
+        if operator.index(seed) >= 0:
+            return operator.index(seed)
+    except TypeError:
+        pass
+    raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 def _fill_rows(seed: int, spawn_key: tuple, cols, lo: int, hi: int,
@@ -278,12 +278,13 @@ def _fill_rows(seed: int, spawn_key: tuple, cols, lo: int, hi: int,
     and sample i takes its draws 2*k*i onwards (they land row by row, then
     are transposed once), so any split fills the samples bitwise alike.  The
     first k draws of a sample are the angles, 2 pi u; the last k are the
-    weights, 0.05 + 0.95 u normalized, which keeps every weight bounded away
-    from zero.  A ``ragged`` sample i keeps ``(i % k) + 1`` atoms and zero
-    weight in the slots past them; otherwise every sample keeps all k.
+    weights, 0.05 + 0.95 u, which keeps every weight bounded away from zero,
+    divided by their sum taken left to right in atom-index order.  A
+    ``ragged`` sample i keeps ``(i % k) + 1`` atoms and zero weight in the
+    slots past them; otherwise every sample keeps all k.
     """
     k = cols.shape[0] // 2
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=spawn_key)
+    ss = np.random.SeedSequence(entropy=_check_seed(seed), spawn_key=spawn_key)
     bitgen = np.random.PCG64(ss)
     bitgen.advance(2 * k * lo)
     block = cols[:, lo:hi]
@@ -294,7 +295,7 @@ def _fill_rows(seed: int, spawn_key: tuple, cols, lo: int, hi: int,
     weights += 0.05
     for r in range(k - 1 if ragged else 0):  # samples i % k == r keep r + 1 atoms
         weights[r + 1:, (r - lo) % k::k] = 0.0
-    weights /= _atom_sums(weights)
+    weights /= sum(weights[1:], weights[0].copy())
     return weights, angles
 
 

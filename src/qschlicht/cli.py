@@ -11,6 +11,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -44,11 +45,15 @@ def _parse_mu(token: str) -> complex:
 
 
 def _parse_grid(spec: str) -> tuple:
-    """Parse "a:b:step" (inclusive, tolerant endpoint) or "v1,v2,...";"""
+    """Parse "a:b:step" (inclusive, tolerant endpoint; finite a and b, a
+    finite positive step) or "v1,v2,..."."""
     if ":" in spec:
-        a, b, step = (float(t) for t in spec.split(":"))
-        if step <= 0:
-            raise QschlichtError("grid step must be positive")
+        try:
+            a, b, step = (float(t) for t in spec.split(":"))
+        except ValueError:  # not three parts, or a part is not a number
+            a = b = step = math.nan
+        if not (step > 0 and all(map(math.isfinite, (a, b, step)))):
+            raise QschlichtError(f"grid spec {spec!r} must be a:b:step or v1,v2,...")
         return tuple(np.round(np.arange(a, b + step / 2, step), 12).tolist())
     return tuple(float(t) for t in spec.split(",") if t.strip())
 

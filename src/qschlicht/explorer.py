@@ -50,8 +50,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__
-from .caratheodory import MAX_ATOMS, RNG_NAME, AtomicMeasure, _fill_rows, \
-    _moments, _p_coeffs, measure_from_dict
+from .caratheodory import MAX_ATOMS, RNG_NAME, AtomicMeasure, _check_seed, \
+    _fill_rows, _moments, _p_coeffs, measure_from_dict
 from .errors import ConfigError
 from .extremal import _exponent_core, eq_series, f1_series, f2_series, \
     f_exponent_series
@@ -70,7 +70,7 @@ FUNCTIONALS = ("fs", "h22", "bieberbach")
 MIN_WEIGHT = 1e-4
 MIN_SEPARATION = 1e-3
 
-#: most refinement passes scored in one call; from the default step 0.1 the
+#: most refinement passes scored in one call; from the first step 0.1 the
 #: step falls below its 1e-12 floor within 37 halvings
 PLAN_PASSES = 64
 
@@ -116,6 +116,7 @@ class SweepConfig:
             raise ConfigError("fs sweeps need a non-empty mu_grid")
         if self.functional != "fs" and self.mu_grid:
             raise ConfigError("mu_grid applies only to fs sweeps")
+        object.__setattr__(self, "seed", _check_seed(self.seed))
         if self.samples < 1:
             raise ConfigError("samples must be positive")
         if self.refine_iters < 0:
@@ -260,15 +261,14 @@ def _moves(w, ang, steps, first):
             angles.reshape(-1, k)[keep])
 
 
-def _refine_rows(score_rows, w, ang, iters: int, step0: float = 0.1,
-                 step_tol: float = 1e-12):
+def _refine_rows(score_rows, w, ang, iters: int, step_tol: float = 1e-12):
     """Coordinate ascent over atom angles and weights from (w, ang).
 
     A pass goes through the moves of :func:`_moves` in slot order and accepts
     the first that beats the best value, then goes on from the new point
-    with the later slots; a pass that accepts nothing halves the step, and
-    the ascent stops after ``iters`` passes or when the step falls below
-    ``step_tol``.
+    with the later slots; the first pass steps by 0.1, a pass that accepts
+    nothing halves the step, and the ascent stops after ``iters`` passes or
+    when the step falls below ``step_tol``.
 
     ``score_rows(weights, angles)`` scores candidate rows (angles mod 2 pi,
     as AtomicMeasure holds them).  Each call gets every valid move left in
@@ -293,7 +293,7 @@ def _refine_rows(score_rows, w, ang, iters: int, step0: float = 0.1,
                 return None
         return (it + 1, step) if it + 1 < iters else None
 
-    it, step, first, improved = 0, step0, 0, False
+    it, step, first, improved = 0, 0.1, 0, False
     while True:
         plan = [(it, step)]
         nxt = after(it, step, improved)
@@ -315,7 +315,7 @@ def _refine_rows(score_rows, w, ang, iters: int, step0: float = 0.1,
 
 
 def refine_measure(score_fn, m: AtomicMeasure, iters: int,
-                   step0: float = 0.1, step_tol: float = 1e-12):
+                   step_tol: float = 1e-12):
     """:func:`_refine_rows` for a scorer of one measure: the candidates are
     scored one at a time, lazily, so score_fn sees them in the ascent's
     order and none past an accepted move.  Returns the best (value, measure)
@@ -323,8 +323,7 @@ def refine_measure(score_fn, m: AtomicMeasure, iters: int,
     def score_rows(weights, angles):
         return (score_fn(AtomicMeasure(wr, ar)) for wr, ar in zip(weights, angles))
 
-    best, w, ang = _refine_rows(score_rows, m.weights, m.angles, iters, step0,
-                                step_tol)
+    best, w, ang = _refine_rows(score_rows, m.weights, m.angles, iters, step_tol)
     return best, AtomicMeasure(w, ang)
 
 
@@ -473,10 +472,10 @@ def _run_group(cfg, workers, g_idx, q, alpha, cols):
 # -- classical limits ---------------------------------------------------------
 
 
-def run_limit_sweep(q_list, alpha: float,
-                    mu_grid=(-1.0, 0.0, 0.5, 1.0, 2.0),
-                    n_bieberbach: int = 8, n_cn: int = 6) -> list[dict]:
-    """Bound values along q -> 1 against their classical targets.
+def run_limit_sweep(q_list, alpha: float) -> list[dict]:
+    """Bound values along q -> 1 against their classical targets: the
+    Fekete-Szego bound at mu = -1, 0, 0.5, 1, 2, the Hankel bound, the
+    coefficient bounds for n = 2..8 and the extremal's c_n for n = 2..6.
 
     At alpha = 0 the targets are max{1, |3-4mu|} (Fekete-Szego), 1 (Hankel)
     and 1 (coefficient bound); the c_n target prod_{k=2..n}(k-2 alpha)/(n-1)!
@@ -486,10 +485,9 @@ def run_limit_sweep(q_list, alpha: float,
         raise ConfigError("q_list must be non-empty")
     rows = []
     for q in q_list:
-        params = ClassParams(q=float(q), alpha=float(alpha),
-                             order=max(16, n_bieberbach + 2, n_cn + 2))
+        params = ClassParams(q=float(q), alpha=float(alpha), order=16)
         fs_rows = []
-        for mu in mu_grid:
+        for mu in (-1.0, 0.0, 0.5, 1.0, 2.0):
             mu = complex(mu)
             value = fs_bound(params, mu).value
             target = max(1.0, abs(3.0 - 4.0 * mu)) if alpha == 0.0 else None
@@ -499,14 +497,14 @@ def run_limit_sweep(q_list, alpha: float,
         hk = hankel_bound(params).value
         hk_target = 1.0 if alpha == 0.0 else None
         bieb_rows = []
-        for n in range(2, n_bieberbach + 1):
+        for n in range(2, 9):
             b = bieberbach_bound_convex(params, n)
             t = 1.0 if alpha == 0.0 else None
             bieb_rows.append({"n": n, "bound": b, "target": t,
                               "abs_err": None if t is None else abs(b - t)})
         res = eq_series(params)
         cn_rows = []
-        for n in range(2, n_cn + 1):
+        for n in range(2, 7):
             target = math.prod(k - 2.0 * alpha for k in range(2, n + 1)) \
                 / math.factorial(n - 1)
             cn_rows.append({"n": n, "c_n": float(res.c[n]), "target": target,

@@ -33,7 +33,7 @@ from .q_calculus import ClassParams, QLogRatios, _iq_core
 def f_exponent_series(params: ClassParams) -> TruncatedSeries:
     """The class exponent F: coefficient n is 2 L_alpha/(q^n - 1), n >= 1.
     Memoized per params; the coefficients are read-only."""
-    ratios = QLogRatios.from_params(params)
+    ratios = QLogRatios(params.q, params.alpha)
     n = np.arange(params.order + 1, dtype=np.float64)
     coeffs = np.zeros(params.order + 1, dtype=np.complex128)
     coeffs[1:] = 2.0 * ratios.lalpha / (np.power(params.q, n[1:]) - 1.0)
@@ -49,7 +49,7 @@ def f1_series(params: ClassParams) -> TruncatedSeries:
 def f2_series(params: ClassParams) -> TruncatedSeries:
     """Two-atom candidate extremal: exponent supported on even powers only,
     so every even coefficient of f vanishes."""
-    ratios = QLogRatios.from_params(params)
+    ratios = QLogRatios(params.q, params.alpha)
     coeffs = np.zeros(params.order, dtype=np.complex128)
     for n in range(2, params.order, 2):
         coeffs[n] = 2.0 * ratios.lalpha / (params.q ** n - 1.0)

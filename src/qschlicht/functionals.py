@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OrderTooSmallError, RangeError
+from .extremal import eq_series
 from .power_series import TruncatedSeries
 from .q_calculus import ClassParams, QLogRatios, _brackets, _check_q
 
@@ -45,7 +46,7 @@ def fs_bound(params: ClassParams, mu: complex) -> Bound:
     mu = complex(mu)
     if not cmath.isfinite(mu):
         raise RangeError(f"mu must be finite, got {mu}")
-    r = QLogRatios.from_params(params)
+    r = QLogRatios(params.q, params.alpha)
     q = params.q
     r1 = r.lalpha / (q - 1.0)
     r2 = r.lalpha / (q * q - 1.0)
@@ -76,7 +77,7 @@ def hankel_value(f: TruncatedSeries, k: int, n: int, signed: bool = False):
 
 def hankel_bound(params: ClassParams) -> Bound:
     """Stated bound 4 (L_alpha/(q^2-1))^2 for |a2 a4 - a3^2|."""
-    r = QLogRatios.from_params(params)
+    r = QLogRatios(params.q, params.alpha)
     value = 4.0 * (r.lalpha / (params.q ** 2 - 1.0)) ** 2
     return Bound(value=float(value), conjectural=params.alpha > 0.0)
 
@@ -85,8 +86,6 @@ def hankel_bound(params: ClassParams) -> Bound:
 def _bieberbach_bound_table(params: ClassParams) -> np.ndarray:
     """Read-only bounds (1-q)/(1-q^n) c_n for n = 0..order from one
     eq_series call; entries 0 and 1 are unused.  Memoized per params."""
-    from .extremal import eq_series  # local import to avoid a cycle
-
     c = eq_series(params).c
     table = np.full(params.order + 1, np.nan)
     # same division the q-integral performs, so the extremal attains the

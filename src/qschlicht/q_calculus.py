@@ -80,10 +80,6 @@ class QLogRatios:
             raise RangeError(f"log-ratio argument {ratio} escaped (0, 1)")
         object.__setattr__(self, "lalpha", math.log(ratio))
 
-    @classmethod
-    def from_params(cls, params: ClassParams) -> "QLogRatios":
-        return cls(params.q, params.alpha)
-
 
 def q_powers(q: float, n_max: int) -> np.ndarray:
     """[1, q, q^2, ..., q^n_max] by cumulative multiplication, in order.

@@ -102,7 +102,7 @@ class CertReport:
 
 
 def _certify(u: TruncatedSeries, params: ClassParams, grid: CertGrid | None,
-             tol: float, criterion: str) -> CertReport:
+             criterion: str) -> CertReport:
     """Certify |g - alpha q| <= 1 - alpha for g(z) = q u(qz)/u(z) on the grid.
 
     u is f/z for the starlike-type condition and Dq f for the convex-type
@@ -114,6 +114,7 @@ def _certify(u: TruncatedSeries, params: ClassParams, grid: CertGrid | None,
     also has g(-z) = g(z); on an even grid the point then has Re z >= 0 too.
     """
     grid = grid or CertGrid()
+    tol = 1e-7  # on the error-adjusted excess
     q, alpha = params.q, params.alpha
     z = grid.points()
     radii = np.outer((1.0, q), grid.radii).ravel()  # denominator, numerator
@@ -137,26 +138,24 @@ def _certify(u: TruncatedSeries, params: ClassParams, grid: CertGrid | None,
         passed=not np.any(flat > tol),
         worst_margin=float(flat[idx]),
         worst_point=point,
-        tol=float(tol),
+        tol=tol,
         unresolved=int(np.count_nonzero(err > tol)),
         grid=dict(grid.to_dict(), criterion=criterion, q=q, alpha=alpha),
     )
 
 
 def membership_starlike(f: TruncatedSeries, params: ClassParams,
-                        grid: CertGrid | None = None,
-                        tol: float = 1e-7) -> CertReport:
+                        grid: CertGrid | None = None) -> CertReport:
     """Grid certificate for the starlike-type condition of order alpha:
-    |f(qz)/f(z) - alpha q| <= 1 - alpha.  f must have a_0 = 0."""
-    return _certify(ps.div_z(f), params, grid, tol, "starlike")
+    |f(qz)/f(z) - alpha q| <= 1 - alpha within 1e-7.  f must have a_0 = 0."""
+    return _certify(ps.div_z(f), params, grid, "starlike")
 
 
 def membership_convex(f: TruncatedSeries, params: ClassParams,
-                      grid: CertGrid | None = None,
-                      tol: float = 1e-7) -> CertReport:
+                      grid: CertGrid | None = None) -> CertReport:
     """Grid certificate for the convex-type condition of order alpha:
-    |q (Dq f)(qz)/(Dq f)(z) - alpha q| <= 1 - alpha."""
-    return _certify(dq(f, params.q), params, grid, tol, "convex")
+    |q (Dq f)(qz)/(Dq f)(z) - alpha q| <= 1 - alpha within 1e-7."""
+    return _certify(dq(f, params.q), params, grid, "convex")
 
 
 # -- constructions: public wrappers over axis-0 array cores (see power_series)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import power_series as ps
-from .caratheodory import _fill_rows, _moments, _p_coeffs
+from .caratheodory import _check_seed, _fill_rows, _moments, _p_coeffs
 from .errors import RangeError
 from .explorer import _bieberbach_scores, _starlike_scores
 from .extremal import _exponent_core, eq_series, f1_series, f2_series, \
@@ -59,7 +59,7 @@ def run_suite(suite: str, q: float, alpha: float, samples: int,
         raise RangeError(f"samples must be at least 1, got {samples}")
     ClassParams(q=q, alpha=alpha)  # validates q and alpha for every suite
     fn = globals()[f"_suite_{suite}"]
-    return fn(q, alpha, samples, seed)
+    return fn(q, alpha, samples, _check_seed(seed))
 
 
 def _suite_qcalc(q, alpha, samples, seed) -> list[CheckResult]:

@@ -13,7 +13,7 @@ from qschlicht.caratheodory import (_COS, _SIN, MAX_ATOMS, AtomicMeasure,
                                     load_measure, measure_from_dict, mm_gap,
                                     p_series, recover_xi_zeta,
                                     rotation_normalized, sample_measure)
-from qschlicht.errors import (DegenerateParametrizationError,
+from qschlicht.errors import (ConfigError, DegenerateParametrizationError,
                               OrderTooSmallError, RangeError)
 from qschlicht.explorer import refine_measure
 
@@ -213,6 +213,12 @@ class TestSampling:
             sample_measure(1, 0)
         with pytest.raises(RangeError):
             sample_measure(1, 9)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        # int(1.5) would draw seed 1's measure
+        with pytest.raises(ConfigError, match="seed"):
+            sample_measure(seed, 4)
 
     def test_rotation_normalization(self):
         for seed in range(50):

@@ -182,6 +182,16 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err.startswith("error: samples must be at least 1")
 
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_negative_seed_exits_cleanly(self, capsys, suite):
+        code = main(["verify", "--suite", suite, "--q", "0.5",
+                     "--samples", "5", "--seed", "-3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == ("error: seed must be a non-negative integer,"
+                                " got -3\n")
+
 
 class TestSearch:
     def test_writes_canonical_report(self, capsys, tmp_path):
@@ -213,6 +223,31 @@ class TestSearch:
                      "--out", str(tmp_path / "rep.json")])
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("spec", ["0.5:0.9", "0.5:0.9:nan", "0.5::0.1",
+                                      "0.5:0.9:0", "0.5:0.9:-0.1",
+                                      "0.5:0.9:inf", "nan:0.9:0.1"])
+    def test_malformed_grid_spec_exits_cleanly(self, capsys, tmp_path, spec):
+        out_path = tmp_path / "rep.json"
+        code = main(["search", "--functional", "h22", "--q-grid", spec,
+                     "--samples", "10", "--seed", "9", "--out", str(out_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (f"error: grid spec {spec!r} must be a:b:step"
+                                " or v1,v2,...\n")
+        assert not out_path.exists()
+
+    def test_negative_seed_exits_cleanly(self, capsys, tmp_path):
+        out_path = tmp_path / "rep.json"
+        code = main(["search", "--functional", "h22", "--q-grid", "0.5",
+                     "--samples", "10", "--seed", "-1", "--out", str(out_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == ("error: seed must be a non-negative integer,"
+                                " got -1\n")
+        assert not out_path.exists()
 
     def test_unwritable_output_exits_cleanly(self, capsys, tmp_path):
         code = main(["search", "--functional", "fs", "--q-grid", "0.5",

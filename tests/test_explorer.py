@@ -55,6 +55,17 @@ class TestConfig:
         with pytest.raises(ConfigError, match="tol"):
             fs_config(tol=tol)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            fs_config(seed=seed)
+
+    def test_integer_seed_types_are_stored_as_int(self):
+        cfg = fs_config(seed=np.uint32(7), samples=10)
+        assert type(cfg.seed) is int and cfg.seed == 7
+        assert canonical_json(run_sweep(cfg, workers=1)) == canonical_json(
+            run_sweep(fs_config(seed=7, samples=10), workers=1))
+
     def test_negative_refine_iters(self):
         with pytest.raises(ConfigError):
             fs_config(refine_iters=-5)
@@ -152,6 +163,20 @@ class TestBlockSampler:
         assert np.array_equal(cols[:k], ref_a.T)
         w, a = group_samples(cfg, 3)
         assert np.array_equal(w, ref_w.T) and np.array_equal(a, ref_a.T)
+
+    def test_eight_atom_rows_divide_by_the_index_order_sum(self):
+        # at seed 0, rows 6 and 7 of group 0 (7 and 8 atoms) sum differently
+        # left to right than by numpy's pairwise sum of an 8-entry row
+        k = MAX_ATOMS
+        ref_w, ref_a = reference_group_samples(0, 0, k, k)
+        w, a = _fill_rows(0, (0,), np.empty((2 * k, k)), 0, k)
+        assert np.array_equal(w, ref_w.T) and np.array_equal(a, ref_a.T)
+        draws = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence(0, spawn_key=(0,)))).random((k, 2 * k))
+        raw = np.where(ref_w > 0, 0.05 + 0.95 * draws[:, k:], 0.0)
+        pairwise = raw / raw.sum(axis=1, keepdims=True)
+        differ = [r for r in range(k) if not np.array_equal(pairwise[r], ref_w[r])]
+        assert differ == [6, 7]
 
     @given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 40),
            k=st.integers(1, MAX_ATOMS), n_max=st.integers(1, 16))
@@ -486,7 +511,7 @@ class TestBlocks:
         assert len(seen) <= 2
 
 
-def reference_refine(score_fn, m, iters, step0=0.1, step_tol=1e-12):
+def reference_refine(score_fn, m, iters, step_tol=1e-12):
     """The ascent as written before batching: one candidate per call."""
     def separation_ok(angles):
         for i in range(angles.size):
@@ -499,7 +524,7 @@ def reference_refine(score_fn, m, iters, step0=0.1, step_tol=1e-12):
     w = m.weights.copy()
     ang = m.angles.copy()
     best = score_fn(AtomicMeasure(w, ang))
-    step = step0
+    step = 0.1
     for _ in range(iters):
         improved = False
         for idx in range(ang.size):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qschlicht import extremal
+from qschlicht import functionals
 from qschlicht import power_series as ps
 from qschlicht.caratheodory import p_series, sample_measure
 from qschlicht.errors import OrderTooSmallError, RangeError
@@ -162,7 +162,7 @@ class TestBieberbachBound:
 
     def test_one_table_per_params(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(extremal, "eq_series",
+        monkeypatch.setattr(functionals, "eq_series",
                             lambda params: calls.append(params) or eq_series(params))
         params = ClassParams(q=0.4375, alpha=0.125, order=11)
         first = [bieberbach_bound_convex(params, n) for n in range(2, 12)]

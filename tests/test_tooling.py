@@ -1,6 +1,7 @@
 """The benchmark's tracer wraps library functions by name; each must exist.
 A bare ``python -m pytest`` from the checkout finds the package."""
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -147,3 +148,23 @@ def test_library_imports_without_mpmath():
     proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def _imports_package_module(node) -> bool:
+    if isinstance(node, ast.ImportFrom):
+        return node.level > 0 or (node.module or "").split(".")[0] == "qschlicht"
+    return isinstance(node, ast.Import) and any(
+        alias.name.split(".")[0] == "qschlicht" for alias in node.names)
+
+
+def test_no_function_imports_a_package_module():
+    # package imports sit at module level, where the import graph shows
+    # them; the package has no import cycle that a call-time import could
+    # be needed to break
+    found = []
+    for path in sorted((ROOT / "src" / "qschlicht").glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [f"{path.name}:{node.lineno} in {fn.name}"
+                          for node in ast.walk(fn) if _imports_package_module(node)]
+    assert not found

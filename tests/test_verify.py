@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from qschlicht import power_series as ps
 from qschlicht.caratheodory import MAX_ATOMS, AtomicMeasure, p_series, \
     sample_measure
+from qschlicht.errors import ConfigError
 from qschlicht.explorer import SweepConfig, _bieberbach_scores, \
     _starlike_scores, group_samples
 from qschlicht.extremal import eq_series, f1_series, f2_series, \
@@ -231,6 +232,14 @@ def test_batch_matches_one_at_a_time(suite, q, alpha, seed):
         assert all(_agree(float(x), float(y)) for x, y in pairs), (g, w)
 
 
+@pytest.mark.parametrize("seed", [-3, 1.5, np.float64(2.0)])
+@pytest.mark.parametrize("suite", SUITES)
+def test_seed_must_be_a_non_negative_integer(suite, seed):
+    # 1.5 would otherwise draw seed 1's samples (qcalc: a numpy TypeError)
+    with pytest.raises(ConfigError, match="seed"):
+        run_suite(suite, 0.5, 0.0, 5, seed)
+
+
 @pytest.mark.parametrize("alpha", [0.0, 0.3])
 @pytest.mark.parametrize("q", [0.2, 0.5, 0.8])
 def test_membership_extremal_row_is_the_one_atom_certificate(q, alpha):
@@ -307,6 +316,9 @@ def test_sample_measure_is_the_documented_draw(seed, k):
     # the seed-to-measure map as documented, computed alone
     draws = np.random.default_rng(seed).random(2 * k)
     raw = 0.05 + 0.95 * draws[k:]
-    assert np.array_equal(m.weights, raw / raw.sum())
+    total = 0.0
+    for w in raw:  # the weights' sum in atom-index order
+        total += float(w)
+    assert np.array_equal(m.weights, raw / total)
     assert np.array_equal(m.angles, np.mod(2.0 * math.pi * draws[:k],
                                            2.0 * math.pi))
