@@ -21,10 +21,10 @@ for mu in (0.0, 0.5, 1.0):
 # Second Hankel determinant: the two-atom generator attains the stated bound
 # 4 (ln q / (q^2-1))^2 ...
 b = hankel_bound(params)
-print(f"\n|a2 a4 - a3^2|(F2) = {hankel_value(f2, 2, 2):.7f} vs bound {b.value:.7f}")
+print(f"\n|a2 a4 - a3^2|(F2) = {hankel_value(f2):.7f} vs bound {b.value:.7f}")
 
 # ... but the one-atom generator, a member of the same class, exceeds it.
-v1 = hankel_value(f1, 2, 2)
+v1 = hankel_value(f1)
 print(f"|a2 a4 - a3^2|(F1) = {v1:.7f}  <-- exceeds the stated bound")
 
 # The scalar majorants show where the tension lives: the chain bounds the

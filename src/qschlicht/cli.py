@@ -178,8 +178,16 @@ def _cmd_limits(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises its usage errors, so ``main`` prints them as one ``error:``
+    line; --help and --version still exit 0."""
+
+    def error(self, message):
+        raise QschlichtError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qschlicht",
         description="q-starlike / q-convex class workbench")
     parser.add_argument("--version", action="version", version=__version__)
@@ -236,9 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (QschlichtError, ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import json
 import math
 import os
@@ -52,10 +53,10 @@ import numpy as np
 from . import __version__
 from .caratheodory import MAX_ATOMS, RNG_NAME, AtomicMeasure, _check_seed, \
     _fill_rows, _moments, _p_coeffs, measure_from_dict
-from .errors import ConfigError
+from .errors import ConfigError, RangeError
 from .extremal import _exponent_core, eq_series, f1_series, f2_series, \
     f_exponent_series
-from .functionals import Bound, _bieberbach_bound_table, \
+from .functionals import Bound, _bieberbach_bound_table, _fs, _h2, \
     bieberbach_bound_convex, fekete_szego_value, fs_bound, hankel_bound, \
     hankel_value
 from .power_series import MAX_ORDER
@@ -138,6 +139,12 @@ class SweepConfig:
         for mu in self.mu_grid:
             if not cmath.isfinite(complex(mu)):
                 raise ConfigError(f"mu grid value {mu} is not finite")
+            for q, a in itertools.product(self.q_grid, self.alpha_grid):
+                try:
+                    fs_bound(ClassParams(q=q, alpha=a), mu)
+                except RangeError as exc:
+                    raise ConfigError(
+                        f"mu grid value {mu} at q = {q}, alpha = {a}: {exc}") from exc
         object.__setattr__(self, "q_grid", tuple(float(q) for q in self.q_grid))
         object.__setattr__(self, "alpha_grid", tuple(float(a) for a in self.alpha_grid))
         object.__setattr__(self, "mu_grid", tuple(complex(m) for m in self.mu_grid))
@@ -172,8 +179,8 @@ def _starlike_scores(functional, weights, angles, q, alpha, mus):
     n_max = 2 if functional == "fs" else 3
     a = _starlike_core(_p_coeffs(_moments(weights, angles, n_max)), q, alpha)
     if functional == "fs":
-        return {mu: np.abs(a[3] - mu * a[2] ** 2) for mu in mus}
-    return {mu: np.abs(a[2] * a[4] - a[3] ** 2) for mu in mus}
+        return {mu: _fs(a, mu) for mu in mus}
+    return {mu: np.abs(_h2(a, 2)) for mu in mus}
 
 
 def _bieberbach_scores(weights, angles, q, alpha, n_check):
@@ -392,7 +399,7 @@ def _stated(functional: str, q: float, alpha: float, n_check: int):
         return lambda mu: (fs_bound(params, mu), {
             "f1": fekete_szego_value(f1, mu), "f2": fekete_szego_value(f2, mu)})
     return lambda _mu: (hankel_bound(params), {
-        "f1": hankel_value(f1, 2, 2), "f2": hankel_value(f2, 2, 2)})
+        "f1": hankel_value(f1), "f2": hankel_value(f2)})
 
 
 def run_sweep(cfg: SweepConfig, workers: int | None = None) -> dict:
@@ -539,6 +546,8 @@ def _emit(obj, out: list):
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
+        if not math.isfinite(obj):
+            raise ConfigError(f"cannot canonically serialize the float {obj}")
         out.append(_fmt_float(obj))
     elif isinstance(obj, dict):
         keys = sorted(obj.keys())
@@ -594,8 +603,10 @@ def report_csv(report: dict) -> str:
 
 
 def save_report(report: dict, path, csv_path=None) -> None:
+    """Serializes first, so a report canonical_json refuses writes no file."""
+    text = canonical_json(report)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(report))
+        fh.write(text)
     if csv_path:
         with open(csv_path, "w", encoding="utf-8") as fh:
             fh.write(report_csv(report))

@@ -43,7 +43,7 @@ def f_exponent_series(params: ClassParams) -> TruncatedSeries:
 def f1_series(params: ClassParams) -> TruncatedSeries:
     """One-atom candidate extremal z exp(F(z))."""
     exponent = ps.truncate(f_exponent_series(params), params.order - 1)
-    return ps.exp(exponent).times_z()
+    return ps.times_z(ps.exp(exponent))
 
 
 def f2_series(params: ClassParams) -> TruncatedSeries:
@@ -53,7 +53,7 @@ def f2_series(params: ClassParams) -> TruncatedSeries:
     coeffs = np.zeros(params.order, dtype=np.complex128)
     for n in range(2, params.order, 2):
         coeffs[n] = 2.0 * ratios.lalpha / (params.q ** n - 1.0)
-    return ps.exp(TruncatedSeries(coeffs)).times_z()
+    return ps.times_z(ps.exp(TruncatedSeries(coeffs)))
 
 
 def _exponent_core(f_exp: np.ndarray, moments: np.ndarray) -> np.ndarray:

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import cmath
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import OrderTooSmallError, RangeError
 from .extremal import eq_series
-from .power_series import TruncatedSeries
+from .power_series import TruncatedSeries, _columns
 from .q_calculus import ClassParams, QLogRatios, _brackets, _check_q
 
 
@@ -28,12 +29,22 @@ class Bound:
     conjectural: bool
 
 
+def _fs(a, mu):
+    """|a3 - mu a2^2| along axis 0; the one Fekete-Szego expression."""
+    return np.abs(a[3] - mu * a[2] ** 2)
+
+
+def _h2(a, n):
+    """a_n a_{n+2} - a_{n+1}^2 along axis 0; the one Hankel expression."""
+    return a[n] * a[n + 2] - a[n + 1] ** 2
+
+
 def fekete_szego_value(f: TruncatedSeries, mu: complex) -> float:
-    """|a3 - mu a2^2| for a normalized series."""
+    """|a3 - mu a2^2| for a normalized series, bitwise the sweep's score of
+    the same member."""
     if f.order < 3:
         raise OrderTooSmallError("need coefficients up to a3")
-    a2, a3 = f.coeffs[2], f.coeffs[3]
-    return float(abs(a3 - complex(mu) * a2 * a2))
+    return float(_fs(_columns(f.coeffs), complex(mu))[0])
 
 
 def fs_bound(params: ClassParams, mu: complex) -> Bound:
@@ -50,29 +61,26 @@ def fs_bound(params: ClassParams, mu: complex) -> Bound:
     q = params.q
     r1 = r.lalpha / (q - 1.0)
     r2 = r.lalpha / (q * q - 1.0)
-    first = abs(2.0 * (1.0 - 2.0 * mu) * r1 * r1 + 2.0 * r2)
-    value = max(first, 2.0 * r2)
+    try:
+        value = max(abs(2.0 * (1.0 - 2.0 * mu) * r1 * r1 + 2.0 * r2), 2.0 * r2)
+    except OverflowError:  # the modulus of a finite complex can overflow
+        value = math.inf
+    if not math.isfinite(value):
+        raise RangeError(f"fs bound at mu = {mu} is not finite")
     return Bound(value=float(value), conjectural=params.alpha > 0.0)
 
 
-def hankel_value(f: TruncatedSeries, k: int, n: int, signed: bool = False):
-    """Determinant of the k x k matrix with entries a_{n+i+j}.
-
-    Returns |det| by default; with ``signed=True`` the complex determinant
-    (useful for sign checks such as the classical value -1 of the k=2, n=2
-    determinant of the Koebe-limit coefficients).
-    """
-    if k < 1 or n < 1:
-        raise RangeError("need k >= 1 and n >= 1")
-    if f.order < n + 2 * k - 2:
+def hankel_value(f: TruncatedSeries, n: int = 2, *, signed: bool = False):
+    """|a_n a_{n+2} - a_{n+1}^2|, bitwise the sweep's h22 score at n = 2;
+    ``signed=True`` gives the complex determinant (-1 for the Koebe-limit
+    coefficients at n = 2)."""
+    if n < 1:
+        raise RangeError("need n >= 1")
+    if f.order < n + 2:
         raise OrderTooSmallError(
-            f"need coefficients up to a_{n + 2 * k - 2}, have order {f.order}")
-    m = np.empty((k, k), dtype=np.complex128)
-    for i in range(k):
-        for j in range(k):
-            m[i, j] = f.coeffs[n + i + j]
-    det = complex(np.linalg.det(m)) if k > 1 else complex(m[0, 0])
-    return det if signed else float(abs(det))
+            f"need coefficients up to a_{n + 2}, have order {f.order}")
+    det = _h2(_columns(f.coeffs), n)
+    return complex(det[0]) if signed else float(np.abs(det)[0])
 
 
 def hankel_bound(params: ClassParams) -> Bound:

@@ -70,44 +70,6 @@ class TruncatedSeries:
         tail = ", ..." if self.order >= 4 else ""
         return f"TruncatedSeries(order={self.order}, [{head}{tail}])"
 
-    # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, TruncatedSeries):
-            n = min(self.order, other.order)
-            return TruncatedSeries(self.coeffs[: n + 1] + other.coeffs[: n + 1])
-        c = self.coeffs.copy()
-        c[0] += other
-        return TruncatedSeries(c)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TruncatedSeries(-self.coeffs)
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, TruncatedSeries) else -complex(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, TruncatedSeries):
-            return mul(self, other)
-        return TruncatedSeries(self.coeffs * complex(other))
-
-    __rmul__ = __mul__
-
-    def __call__(self, z0: complex) -> complex:
-        return eval_at(self, z0)
-
-    # conveniences used throughout the class constructions
-    def times_z(self):
-        return times_z(self)
-
-    def div_z(self):
-        return div_z(self)
-
 
 def from_coeffs(values) -> TruncatedSeries:
     return TruncatedSeries(np.asarray(values, dtype=np.complex128))

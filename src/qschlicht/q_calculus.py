@@ -76,7 +76,9 @@ class QLogRatios:
         object.__setattr__(self, "l2", lnq / (q * q - 1.0))
         object.__setattr__(self, "l3", lnq / (q ** 3 - 1.0))
         ratio = q / (1.0 - alpha * (1.0 - q))
-        if not (0.0 < ratio < 1.0):  # guaranteed for valid (q, alpha)
+        # in (0, 1) in exact arithmetic, but it can round to 1.0 as
+        # alpha -> 1 (it does at q 0.5, alpha 1 - 2**-53)
+        if not (0.0 < ratio < 1.0):
             raise RangeError(f"log-ratio argument {ratio} escaped (0, 1)")
         object.__setattr__(self, "lalpha", math.log(ratio))
 
@@ -105,13 +107,18 @@ def _brackets(n_max: int, q: float) -> np.ndarray:
     return (1.0 - q_powers(q, n_max)) / (1.0 - q)
 
 
+def _dq_core(c: np.ndarray, q: float) -> np.ndarray:
+    """q-difference along axis 0: out[n] = c[n+1] [n+1]_q."""
+    br = _brackets(c.shape[0] - 1, q)[1:]
+    return c[1:] * br.reshape(br.shape + (1,) * (c.ndim - 1))
+
+
 def dq(a: TruncatedSeries, q: float) -> TruncatedSeries:
     """q-difference operator on a series; order drops by one."""
     q = _check_q(q)
     if a.order == 0:
         return zero(0)
-    br = _brackets(a.order, q)
-    return TruncatedSeries(a.coeffs[1:] * br[1:])
+    return TruncatedSeries(_dq_core(a.coeffs, q))
 
 
 def _iq_core(d: np.ndarray, q: float) -> np.ndarray:

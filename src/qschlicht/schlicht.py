@@ -245,8 +245,8 @@ def alexander_pair(f_or_g: TruncatedSeries, direction: str,
     inverse up to truncation.
     """
     if direction == "to_starlike":
-        return dq(f_or_g, params.q).times_z()
+        return ps.times_z(dq(f_or_g, params.q))
     if direction == "to_convex":
-        return iq(f_or_g.div_z(), params.q)
+        return iq(ps.div_z(f_or_g), params.q)
     raise ConfigError(f"unknown direction {direction!r}")
 

@@ -13,8 +13,7 @@ scores them in one pass through the axis-0 cores the sweeps use.  At seed s
 they are samples 0..samples-1 of the stream of group 0 of a k_atoms = 4
 sweep at seed s (sample i keeps (i % 4) + 1 atoms), and a batch column
 equals the member built alone, so the rows, limits and verdicts are those
-of building the members one at a time.  Details agree to rounding: the fs scorer
-computes mu*a2**2 where ``fekete_szego_value`` computes mu*a2*a2.
+of building the members one at a time.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from .extremal import _exponent_core, eq_series, f1_series, f2_series, \
     f_exponent_series
 from .functionals import bieberbach_bound_convex, fekete_szego_value, fs_bound, \
     hankel_bound, hankel_value, t4_scalars
-from .q_calculus import ClassParams, _brackets, _iq_core, iq, jackson_sum
+from .q_calculus import ClassParams, _dq_core, _iq_core, iq, jackson_sum
 from .schlicht import _starlike_core, membership_convex, membership_starlike
 
 SUITES = ("qcalc", "fs", "hankel", "bieberbach", "herglotz", "membership")
@@ -67,11 +66,11 @@ def _suite_qcalc(q, alpha, samples, seed) -> list[CheckResult]:
     # the same stream as one real and one imaginary draw of 33 per series
     draws = rng.standard_normal((max(samples, 10), 2, 33))
     coeffs = (draws[:, 0] + 1j * draws[:, 1]).T  # one column per series
-    back = _iq_core(coeffs[1:] * _brackets(32, q)[1:, None], q)  # iq(dq f)
+    back = _iq_core(_dq_core(coeffs, q), q)  # iq(dq f)
     target = coeffs.copy()
     target[0] = 0.0
     worst_round = float(np.abs(back - target).max())
-    forward = _iq_core(coeffs, q)[1:] * _brackets(33, q)[1:, None]  # dq(iq f)
+    forward = _dq_core(_iq_core(coeffs, q), q)  # dq(iq f)
     worst_inv = float(np.abs(forward - coeffs).max())
     cubic = ps.from_coeffs(rng.standard_normal(4))
     x = 0.7
@@ -113,8 +112,8 @@ def _suite_hankel(q, alpha, samples, seed) -> list[CheckResult]:
     bound = hankel_bound(params)
     f1 = f1_series(params)
     f2 = f2_series(params)
-    v1 = hankel_value(f1, 2, 2)
-    v2 = hankel_value(f2, 2, 2)
+    v1 = hankel_value(f1)
+    v2 = hankel_value(f2)
     _, g2, _ = t4_scalars(2.0, 1.0, q)
     scores = _starlike_scores("h22", *_sample_rows(seed, samples), q, alpha,
                               (None,))

@@ -123,6 +123,22 @@ class TestBounds:
         assert captured.out == ""
         assert captured.err.startswith(message)
 
+    def test_non_finite_bound_exits_cleanly(self, capsys):
+        code = main(["bounds", "--q", "0.5", "--mu", "1e308,1e308"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1
+
+    def test_alpha_whose_log_ratio_rounds_to_one_exits_cleanly(self, capsys):
+        # q / (1 - alpha (1 - q)) rounds to 1.0 at alpha = 1 - 2**-53
+        code = main(["bounds", "--q", "0.5", "--alpha", repr(1 - 2 ** -53)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: log-ratio argument 1.0 escaped (0, 1)\n"
+
     @pytest.mark.parametrize("n_max", ["1", "300"])
     def test_n_max_out_of_range_prints_nothing(self, capsys, n_max):
         code = main(["bounds", "--q", "0.5", "--n-max", n_max])
@@ -287,6 +303,47 @@ class TestSearch:
         assert captured.out == ""
         assert captured.err.startswith("error:")
         assert not out_path.exists()
+
+
+    def test_non_finite_fs_bound_exits_cleanly(self, capsys, tmp_path):
+        out_path = tmp_path / "rep.json"
+        code = main(["search", "--functional", "fs", "--q-grid", "0.5",
+                     "--mu-grid", "1e308", "--samples", "10", "--seed", "1",
+                     "--out", str(out_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1
+        assert not out_path.exists()
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--suite", "qcalc", "--q", "0.5", "--seed", "1.5"],
+        ["search", "--functional", "h22", "--q-grid", "0.5",
+         "--samples", "x", "--seed", "1", "--out", "rep.json"],
+        ["verify", "--suite", "bogus", "--q", "0.5"],
+        ["search", "--functional", "cn", "--q-grid", "0.5",
+         "--samples", "10", "--seed", "1", "--out", "rep.json"],
+        ["verify", "--suite", "qcalc"],
+        ["bounds"],
+        [],
+    ])
+    def test_parser_errors_return_two_with_one_line(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_exit_zero(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([flag])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out
 
 
 class TestLimits:

@@ -17,7 +17,8 @@ from qschlicht.explorer import (BLOCK, CSV_HEADER, FUNCTIONALS,
                                 _refine_rows, _starlike_scores, canonical_json,
                                 evaluate_measure, group_samples,
                                 refine_measure, replay_cell, report_csv,
-                                resolve_workers, run_limit_sweep, run_sweep)
+                                resolve_workers, run_limit_sweep, run_sweep,
+                                save_report)
 from qschlicht.functionals import _bieberbach_bound_table, \
     bieberbach_bound_convex
 from qschlicht.q_calculus import ClassParams, _iq_core
@@ -91,6 +92,12 @@ class TestConfig:
     @pytest.mark.parametrize("mu", [math.nan, complex(0.0, math.inf)])
     def test_non_finite_mu_rejected(self, mu):
         with pytest.raises(ConfigError, match="not finite"):
+            fs_config(mu_grid=(0.5, mu))
+
+    @pytest.mark.parametrize("mu", [1e308, complex(1e308, 1e308),
+                                    complex(2e307, 2e307)])
+    def test_mu_without_a_finite_fs_bound_rejected(self, mu):
+        with pytest.raises(ConfigError, match="fs bound .* is not finite"):
             fs_config(mu_grid=(0.5, mu))
 
     @pytest.mark.parametrize("mu", [None, math.nan, complex(math.inf, 0.0)])
@@ -734,6 +741,18 @@ class TestSerialization:
     def test_sorted_keys_and_types(self):
         text = canonical_json({"b": [1, 2.5, None, True], "a": "s"})
         assert text == '{"a":"s","b":[1,2.5,null,true]}\n'
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf,
+                                       np.float64("nan")])
+    def test_non_finite_floats_are_refused(self, value):
+        with pytest.raises(ConfigError, match="cannot canonically serialize"):
+            canonical_json({"cells": [{"slack": value}]})
+
+    def test_unserializable_report_writes_no_file(self, tmp_path):
+        path = tmp_path / "rep.json"
+        with pytest.raises(ConfigError):
+            save_report({"x": math.nan}, path, csv_path=tmp_path / "rep.csv")
+        assert list(tmp_path.iterdir()) == []
 
     def test_report_is_valid_json(self):
         rep = run_sweep(fs_config(samples=50))

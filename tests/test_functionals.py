@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qschlicht import functionals
 from qschlicht import power_series as ps
-from qschlicht.caratheodory import p_series, sample_measure
+from qschlicht.caratheodory import MAX_ATOMS, p_series, sample_measure
 from qschlicht.errors import OrderTooSmallError, RangeError
+from qschlicht.explorer import _starlike_scores
 from qschlicht.extremal import eq_series, f1_series, f2_series
 from qschlicht.functionals import (bieberbach_bound_convex,
                                    fekete_szego_value, fs_bound, hankel_bound,
@@ -94,27 +97,30 @@ class TestHankel:
         for _ in range(20):
             coeffs = np.r_[0.0, 1.0, rng.standard_normal(4)]
             f = ps.from_coeffs(coeffs)
-            assert hankel_value(f, 2, 1) == pytest.approx(
+            assert hankel_value(f, 1) == pytest.approx(
                 fekete_szego_value(f, 1.0), abs=1e-13)
 
     def test_two_atom_value(self):
         f = f2_series(ClassParams(q=0.5, order=6))
-        assert hankel_value(f, 2, 2) == pytest.approx(3.4165547656405435,
-                                                      abs=1e-11)
+        assert hankel_value(f) == pytest.approx(3.4165547656405435, abs=1e-11)
 
     def test_one_atom_value(self):
         f = f1_series(ClassParams(q=0.5, order=6))
-        assert hankel_value(f, 2, 2) == pytest.approx(3.9483235986370536,
-                                                      abs=1e-10)
+        assert hankel_value(f) == pytest.approx(3.9483235986370536, abs=1e-10)
 
     def test_signed_classical_koebe(self):
         koebe = ps.from_coeffs(np.arange(7, dtype=float))
-        det = hankel_value(koebe, 2, 2, signed=True)
+        det = hankel_value(koebe, signed=True)
         assert det == pytest.approx(-1.0)
 
     def test_order_guard(self):
         with pytest.raises(OrderTooSmallError):
-            hankel_value(ps.identity(3), 2, 2)
+            hankel_value(ps.identity(3))
+
+    def test_signed_is_keyword_only(self):
+        # the removed k x k form took (f, k, n, signed); such a call must fail
+        with pytest.raises(TypeError):
+            hankel_value(f2_series(ClassParams(q=0.5, order=6)), 2, 2)
 
     def test_bound_values(self):
         assert hankel_bound(ClassParams(q=0.5)).value == pytest.approx(
@@ -137,7 +143,24 @@ class TestHankel:
             p1, p2, p3 = p.coeffs[1], p.coeffs[2], p.coeffs[3]
             target = abs(p1 * p3 * r.l1 * r.l3 - p2 ** 2 * r.l2 ** 2
                          - p1 ** 4 * r.l1 ** 4 / 12)
-            assert hankel_value(f, 2, 2) == pytest.approx(target, abs=1e-9)
+            assert hankel_value(f) == pytest.approx(target, abs=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32), k=st.integers(1, MAX_ATOMS),
+       q=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       alpha=st.sampled_from((0.0, 0.3, 0.7)),
+       mu=st.one_of(st.floats(-3.0, 3.0),
+                    st.complex_numbers(max_magnitude=3.0, allow_nan=False,
+                                       allow_infinity=False)))
+def test_series_scores_bitwise_as_its_sweep_column(seed, k, q, alpha, mu):
+    m = sample_measure(seed, k)
+    f = starlike_from_p(p_series(m, 7), ClassParams(q, alpha, order=8))
+    w, a = m.weights[:, None], m.angles[:, None]
+    assert fekete_szego_value(f, mu) == _starlike_scores(
+        "fs", w, a, q, alpha, (mu,))[mu][0]
+    assert hankel_value(f) == _starlike_scores(
+        "h22", w, a, q, alpha, (None,))[None][0]
 
 
 class TestBieberbachBound:

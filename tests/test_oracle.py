@@ -237,7 +237,7 @@ def polar_test_series():
     for q in (0.2, 0.5, 0.8):
         for alpha in (0.0, 0.3):
             params = ClassParams(q=q, alpha=alpha, order=192)
-            out += [f1_series(params).div_z(), f2_series(params).div_z()]
+            out += [ps.div_z(f1_series(params)), ps.div_z(f2_series(params))]
     rng = np.random.default_rng(192)
     out.append(ps.TruncatedSeries(rng.standard_normal(193)
                                   + 1j * rng.standard_normal(193)))

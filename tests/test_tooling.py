@@ -56,6 +56,15 @@ def test_benchmark_sweep_check_accepts_small_reports():
         assert workloads._check_sweep(cfg, report) == []
 
 
+def test_benchmark_certify_checks_pass():
+    # every verify row the benchmark's reference requires still passes, and
+    # the limit sweeps stay finite and shrink toward q -> 1
+    workloads = load_perfbench("workloads")
+    problems = {op.label: op.check(op.run())
+                for op in workloads.build_ops("certify", 1, 1)}
+    assert {label: p for label, p in problems.items() if p} == {}
+
+
 def test_benchmark_set_up_builds_every_workload():
     # the set-up probe builds each workload's first inputs; if it breaks,
     # a benchmark run ends as run_failed

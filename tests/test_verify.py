@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qschlicht import power_series as ps
+from qschlicht import q_calculus, verify
 from qschlicht.caratheodory import MAX_ATOMS, AtomicMeasure, p_series, \
     sample_measure
 from qschlicht.errors import ConfigError
@@ -92,13 +93,13 @@ def _loop_fs(q, alpha, samples, seed):
 def _loop_hankel(q, alpha, samples, seed):
     params = ClassParams(q=q, alpha=alpha, order=8)
     bound = hankel_bound(params)
-    v1 = hankel_value(f1_series(params), 2, 2)
-    v2 = hankel_value(f2_series(params), 2, 2)
+    v1 = hankel_value(f1_series(params))
+    v2 = hankel_value(f2_series(params))
     _, g2, _ = t4_scalars(2.0, 1.0, q)
     emp = 0.0
     for m in _measures(seed, samples):
         f = starlike_from_p(p_series(m, params.order), params)
-        emp = max(emp, hankel_value(f, 2, 2))
+        emp = max(emp, hankel_value(f))
     results = [
         CheckResult("two-atom generator attains the stated bound",
                     abs(v2 - bound.value) <= 1e-8, f"|gap| {abs(v2 - bound.value):.3e}"),
@@ -162,7 +163,7 @@ def _loop_herglotz(q, alpha, samples, seed):
     for m in _measures(seed + 1, samples):
         p = p_series(m, params.order)
         f = starlike_from_p(p, params)
-        phi = ps.log(f.div_z())
+        phi = ps.log(ps.div_z(f))
         target = p.coeffs[1:params.order] * lnq / (
             np.power(q, np.arange(1, params.order)) - 1.0)
         worst_log = max(worst_log, float(np.abs(phi.coeffs[1:] - target).max()))
@@ -275,8 +276,21 @@ def test_per_sample_scores_match_the_constructors(q, alpha):
             params, n) for n in range(2, 11)))
         f = starlike_from_p(p, params)
         for mu in mus:
-            assert _agree(fs[mu][i], fekete_szego_value(f, mu))
-        assert _agree(h22[i], hankel_value(f, 2, 2))
+            assert fs[mu][i] == fekete_szego_value(f, mu)
+        assert h22[i] == hankel_value(f)
+
+
+def test_qcalc_suite_fails_on_a_wrong_dq_core(monkeypatch):
+    # the round trips run the core dq runs, so a broken dq fails them
+    assert verify._dq_core is q_calculus._dq_core
+
+    def wrong(c, q):  # [n]_q one degree off
+        br = q_calculus._brackets(c.shape[0] - 1, q)[:-1]
+        return c[1:] * br.reshape(br.shape + (1,) * (c.ndim - 1))
+
+    monkeypatch.setattr(verify, "_dq_core", wrong)
+    rows = run_suite("qcalc", 0.5, 0.0, 10, 1)
+    assert [r.passed for r in rows] == [False, False, True]
 
 
 @pytest.mark.parametrize("samples", [1, 10, 37])
