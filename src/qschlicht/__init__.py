@@ -19,15 +19,14 @@ from .extremal import (EqResult, eq_series, f1_series, f2_series,
 from .functionals import (Bound, bieberbach_bound_convex, fekete_szego_value,
                           fs_bound, hankel_bound, hankel_value, t4_scalars)
 from .power_series import TruncatedSeries
-from .q_calculus import (ClassParams, QLogRatios, dq, iq, jackson_sum,
-                         q_bracket)
+from .q_calculus import ClassParams, dq, iq, jackson_sum, q_bracket
 from .schlicht import (CertGrid, CertReport, alexander_pair, convex_from_h,
                        convex_from_measure, membership_convex,
                        membership_starlike, rho_map, starlike_from_p)
 
 __all__ = [
     "AtomicMeasure", "Bound", "CertGrid", "CertReport", "ClassParams",
-    "EqResult", "QLogRatios", "QschlichtError", "SweepConfig",
+    "EqResult", "QschlichtError", "SweepConfig",
     "TruncatedSeries", "alexander_pair", "bieberbach_bound_convex",
     "canonical_json", "convex_from_h", "convex_from_measure", "dq",
     "dump_measure", "eq_series", "extend_p23", "f1_series", "f2_series",

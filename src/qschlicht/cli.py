@@ -30,8 +30,12 @@ from .verify import SUITES, run_suite
 
 
 def _parse_complex(token: str) -> complex:
+    """A complex literal; a trailing imaginary unit may be written i."""
+    text = token.strip().replace(" ", "")
+    if text.endswith("i"):
+        text = text[:-1] + "j"
     try:
-        return complex(token.strip().replace("i", "j").replace(" ", ""))
+        return complex(text)
     except ValueError as exc:
         raise QschlichtError(f"cannot parse complex value {token.strip()!r}") from exc
 

@@ -381,17 +381,13 @@ def _extremal_rows(functional: str):
     return [(-2, one), (-1, two)]
 
 
-def _stated(functional: str, q: float, alpha: float, n_check: int):
+def _stated(functional: str, q: float, alpha: float):
     """mu -> (stated Bound, extremals) of a cell.  Bieberbach ratios are
     normalized, so their bound is 1 and the recorded extremal is E_q's
-    ratio, exactly 1 since the bound table divides as the q-integral does;
-    the starlike cells record the generators f1 and f2."""
+    ratio, exactly 1 since the bound table is E_q's own coefficients; the
+    starlike cells record the generators f1 and f2."""
     if functional == "bieberbach":
-        params = ClassParams(q=q, alpha=alpha, order=max(n_check, 4))
-        eq = eq_series(params).e_q.coeffs[2:n_check + 1]
-        bounds = _bieberbach_bound_table(params)[2:n_check + 1]
-        extremals = {"eq": float((np.abs(eq) / bounds).max())}
-        return lambda _mu: (Bound(1.0, alpha > 0.0), extremals)
+        return lambda _mu: (Bound(1.0, alpha > 0.0), {"eq": 1.0})
     params = ClassParams(q=q, alpha=alpha)
     small = ClassParams(q=q, alpha=alpha, order=6)
     f1, f2 = f1_series(small), f2_series(small)
@@ -440,7 +436,7 @@ def _run_group(cfg, workers, g_idx, q, alpha, cols):
     best = _parallel_scores(score_block, cfg.samples, workers)
     weights, angles = cols[cfg.k_atoms:], cols[:cfg.k_atoms]
     rows = _extremal_rows(fn) if cfg.include_extremals else []
-    stated = _stated(fn, q, alpha, cfg.n_check)
+    stated = _stated(fn, q, alpha)
     cells = []
     for mu in keys:
         best_val, best_idx = best[mu]
@@ -468,7 +464,9 @@ def _run_group(cfg, workers, g_idx, q, alpha, cols):
             "stated_bound": bound.value,
             "conjectural": bound.conjectural,
             "slack": slack,
-            "violated": bool(slack < -cfg.tol),
+            # tol is relative to bounds above 1: an fs bound grows with |mu|,
+            # and so does the rounding of its slack
+            "violated": bool(slack < -cfg.tol * max(1.0, bound.value)),
             "argmax_measure": argmax.to_dict(),
             "argmax_source": source,
             "extremals": extremals,

@@ -1,13 +1,18 @@
 """Closed-form candidate extremals and the q-integral extremal.
 
-All of them are exponentials of explicit series built from the log-ratio
-constant L_alpha = ln(q/(1 - alpha(1-q))):
+All of them are exponentials of one explicit series, the class exponent F
+built from the log-ratio constant L_alpha = ln(q/(1 - alpha(1-q))):
 
-    exponent F(z)   : coefficients 2 L_alpha / (q^n - 1)          (n >= 1)
+    exponent F(z)   : coefficients F_n = 2 L_alpha / (q^n - 1)    (n >= 1)
     one-atom  F1    : z exp(F(z))
-    two-atom  F2    : z exp(sum_n 2 L_alpha/(q^{2n}-1) z^{2n})
+    two-atom  F2    : z exp(sum_n F_{2n} z^{2n}), F with its odd terms zeroed
     q-integral E_q  : Jackson integral of exp(F), with coefficients
                       b_n = (1-q)/(1-q^n) c_n where c_n comes from z exp(F).
+
+:func:`f_exponent_series` is the one place L_alpha and F_n are computed, and
+every bound formula of the functionals module reads its table.  q^n is libm
+``pow`` (Python's ``q ** n``), so F does not depend on which SIMD kernel
+numpy dispatches ``np.power`` to.
 
 At alpha = 0 these specialize to the sharp extremals of the starlike-type
 coefficient bounds; for alpha > 0 they are candidate extremals only and the
@@ -18,26 +23,31 @@ module.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import power_series as ps
 from .caratheodory import AtomicMeasure, _moments
-from .errors import AlphaUnsupportedError
+from .errors import AlphaUnsupportedError, RangeError
 from .power_series import TruncatedSeries
-from .q_calculus import ClassParams, QLogRatios, _iq_core
+from .q_calculus import ClassParams, _iq_core
 
 
 @functools.lru_cache(maxsize=None)
 def f_exponent_series(params: ClassParams) -> TruncatedSeries:
-    """The class exponent F: coefficient n is 2 L_alpha/(q^n - 1), n >= 1.
-    Memoized per params; the coefficients are read-only."""
-    ratios = QLogRatios(params.q, params.alpha)
-    n = np.arange(params.order + 1, dtype=np.float64)
-    coeffs = np.zeros(params.order + 1, dtype=np.complex128)
-    coeffs[1:] = 2.0 * ratios.lalpha / (np.power(params.q, n[1:]) - 1.0)
-    return TruncatedSeries(coeffs)
+    """The class exponent F: coefficient n is 2 L_alpha/(q^n - 1), n >= 1,
+    all positive.  Memoized per params; the coefficients are read-only."""
+    q = float(params.q)
+    ratio = q / (1.0 - params.alpha * (1.0 - q))
+    # in (0, 1) in exact arithmetic, but it can round to 1.0 as
+    # alpha -> 1 (it does at q 0.5, alpha 1 - 2**-53)
+    if not (0.0 < ratio < 1.0):
+        raise RangeError(f"log-ratio argument {ratio} escaped (0, 1)")
+    two_l = 2.0 * math.log(ratio)
+    return TruncatedSeries(np.array(
+        [0.0] + [two_l / (q ** n - 1.0) for n in range(1, params.order + 1)]))
 
 
 def f1_series(params: ClassParams) -> TruncatedSeries:
@@ -47,12 +57,11 @@ def f1_series(params: ClassParams) -> TruncatedSeries:
 
 
 def f2_series(params: ClassParams) -> TruncatedSeries:
-    """Two-atom candidate extremal: exponent supported on even powers only,
-    so every even coefficient of f vanishes."""
-    ratios = QLogRatios(params.q, params.alpha)
-    coeffs = np.zeros(params.order, dtype=np.complex128)
-    for n in range(2, params.order, 2):
-        coeffs[n] = 2.0 * ratios.lalpha / (params.q ** n - 1.0)
+    """Two-atom candidate extremal z exp(sum_n F_{2n} z^{2n}): the exponent
+    is F with its odd terms zeroed, so every even coefficient of f
+    vanishes."""
+    coeffs = f_exponent_series(params).coeffs[:params.order].copy()
+    coeffs[1::2] = 0.0
     return ps.times_z(ps.exp(TruncatedSeries(coeffs)))
 
 

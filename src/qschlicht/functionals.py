@@ -1,9 +1,11 @@
 """Coefficient functionals and the stated bound formulas.
 
-Values are computed from series coefficients; bounds from the log-ratio
-constants.  For alpha > 0 every bound is a conjectured formula (the candidate
-extremals are not proven sharp) and carries ``conjectural=True``; the library
-never reports a conjecture as a theorem.
+Values are computed from series coefficients; bounds from the class
+exponent F_n = 2 L_alpha/(q^n - 1) of :func:`.extremal.f_exponent_series`,
+read as Python floats from its memoized table.  For alpha > 0 every bound is
+a conjectured formula (the candidate extremals are not proven sharp) and
+carries ``conjectural=True``; the library never reports a conjecture as a
+theorem.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OrderTooSmallError, RangeError
-from .extremal import eq_series
+from .extremal import eq_series, f_exponent_series
 from .power_series import TruncatedSeries, _columns
-from .q_calculus import ClassParams, QLogRatios, _brackets, _check_q
+from .q_calculus import ClassParams
 
 
 @dataclass(frozen=True)
@@ -47,9 +49,14 @@ def fekete_szego_value(f: TruncatedSeries, mu: complex) -> float:
     return float(_fs(_columns(f.coeffs), complex(mu))[0])
 
 
+def _exponent_terms(params: ClassParams, count: int) -> list[float]:
+    """F_1..F_count of the class exponent, as Python floats."""
+    return [float(f) for f in f_exponent_series(params).coeffs.real[1:count + 1]]
+
+
 def fs_bound(params: ClassParams, mu: complex) -> Bound:
     """Stated Fekete-Szego bound:
-    max{ |2(1-2mu) (L/(q-1))^2 + 2 L/(q^2-1)| , 2 L/(q^2-1) } with L = L_alpha.
+    max{ |2(1-2mu) r_1^2 + 2 r_2| , 2 r_2 } with r_n = F_n/2 = L_alpha/(q^n-1).
 
     Sharp at alpha = 0 (attained by the one- and two-atom extremals);
     conjectural otherwise.
@@ -57,10 +64,7 @@ def fs_bound(params: ClassParams, mu: complex) -> Bound:
     mu = complex(mu)
     if not cmath.isfinite(mu):
         raise RangeError(f"mu must be finite, got {mu}")
-    r = QLogRatios(params.q, params.alpha)
-    q = params.q
-    r1 = r.lalpha / (q - 1.0)
-    r2 = r.lalpha / (q * q - 1.0)
+    r1, r2 = (f / 2.0 for f in _exponent_terms(params, 2))
     try:
         value = max(abs(2.0 * (1.0 - 2.0 * mu) * r1 * r1 + 2.0 * r2), 2.0 * r2)
     except OverflowError:  # the modulus of a finite complex can overflow
@@ -84,21 +88,18 @@ def hankel_value(f: TruncatedSeries, n: int = 2, *, signed: bool = False):
 
 
 def hankel_bound(params: ClassParams) -> Bound:
-    """Stated bound 4 (L_alpha/(q^2-1))^2 for |a2 a4 - a3^2|."""
-    r = QLogRatios(params.q, params.alpha)
-    value = 4.0 * (r.lalpha / (params.q ** 2 - 1.0)) ** 2
-    return Bound(value=float(value), conjectural=params.alpha > 0.0)
+    """Stated bound F_2^2 = 4 (L_alpha/(q^2-1))^2 for |a2 a4 - a3^2|."""
+    _, f2 = _exponent_terms(params, 2)
+    return Bound(value=f2 * f2, conjectural=params.alpha > 0.0)
 
 
 @functools.lru_cache(maxsize=None)
 def _bieberbach_bound_table(params: ClassParams) -> np.ndarray:
-    """Read-only bounds (1-q)/(1-q^n) c_n for n = 0..order from one
-    eq_series call; entries 0 and 1 are unused.  Memoized per params."""
-    c = eq_series(params).c
-    table = np.full(params.order + 1, np.nan)
-    # same division the q-integral performs, so the extremal attains the
-    # bound bitwise
-    table[2:] = c[2:] / _brackets(params.order, params.q)[2:]
+    """Read-only bounds (1-q)/(1-q^n) c_n for n = 0..order: the real
+    coefficients of E_q from one eq_series call, so the extremal attains
+    every bound bitwise (the Jackson integral performs that very division).
+    Entries 0 and 1 are unused.  Memoized per params."""
+    table = eq_series(params).e_q.coeffs.real.copy()
     table.setflags(write=False)
     return table
 
@@ -124,27 +125,28 @@ def t4_scalars(c: float, rho: float, q: float) -> tuple[float, float, float]:
                  + (4-c^2)/4 [ (4-c^2) S + c(c-2) P ] rho^2
         G(c)   = F(1) = c^4/12 (L1^4 - 12P + 12S) + c^2 (3P - 4S) + 4S
 
-    G(0) = 4 L2^2 is the stated bound; note G(2) = (4/3) A exceeds it for
-    0 < q < 1, and the one-atom generator attains G(2) -- the harness reports
-    that tension instead of hiding it.
+    with L_n = F_n/2 = ln q/(q^n - 1) of the alpha = 0 class exponent.
+    G(0) = 4 L2^2 is the stated bound, bitwise hankel_bound at alpha = 0;
+    note G(2) = (4/3) A exceeds it for 0 < q < 1, and the one-atom generator
+    attains G(2) -- the harness reports that tension instead of hiding it.
     """
-    q = _check_q(q)
+    l1, l2, l3 = (f / 2.0 for f in
+                  _exponent_terms(ClassParams(q, 0.0, order=4), 3))
     c = float(c)
     rho = float(rho)
     if not (0.0 <= c <= 2.0):
         raise RangeError("c must lie in [0, 2]")
     if not (0.0 <= rho <= 1.0):
         raise RangeError("rho must lie in [0, 1]")
-    r = QLogRatios(q, 0.0)
-    p_term = r.l1 * r.l3
-    s_term = r.l2 * r.l2
-    a_val = r.l1 ** 4 - 3.0 * p_term + 3.0 * s_term
+    p_term = l1 * l3
+    s_term = l2 * l2
+    a_val = l1 ** 4 - 3.0 * p_term + 3.0 * s_term
     s4 = 4.0 - c * c
     f_val = (c ** 4 / 12.0 * a_val
              + s4 * c / 2.0 * p_term
              + c * c / 2.0 * s4 * (p_term - s_term) * rho
              + s4 / 4.0 * (s4 * s_term + c * (c - 2.0) * p_term) * rho * rho)
-    g_val = (c ** 4 / 12.0 * (r.l1 ** 4 - 12.0 * p_term + 12.0 * s_term)
+    g_val = (c ** 4 / 12.0 * (l1 ** 4 - 12.0 * p_term + 12.0 * s_term)
              + c * c * (3.0 * p_term - 4.0 * s_term)
              + 4.0 * s_term)
     return f_val, g_val, a_val

@@ -14,7 +14,7 @@ hold without losing the top coefficient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,43 +52,11 @@ class ClassParams:
         object.__setattr__(self, "order", int(self.order))
 
 
-@dataclass(frozen=True)
-class QLogRatios:
-    """The log-ratio constants every bound formula is built from.
-
-    l1, l2, l3 = ln q / (q^n - 1) for n = 1, 2, 3 (all positive on (0,1));
-    lalpha = ln(q / (1 - alpha(1-q))), which equals ln q at alpha = 0 and is
-    negative throughout because the argument sits in (0, 1).
-    """
-
-    q: float
-    alpha: float
-    l1: float = field(init=False)
-    l2: float = field(init=False)
-    l3: float = field(init=False)
-    lalpha: float = field(init=False)
-
-    def __post_init__(self):
-        q = _check_q(self.q)
-        alpha = _check_alpha(self.alpha)
-        lnq = math.log(q)
-        object.__setattr__(self, "l1", lnq / (q - 1.0))
-        object.__setattr__(self, "l2", lnq / (q * q - 1.0))
-        object.__setattr__(self, "l3", lnq / (q ** 3 - 1.0))
-        ratio = q / (1.0 - alpha * (1.0 - q))
-        # in (0, 1) in exact arithmetic, but it can round to 1.0 as
-        # alpha -> 1 (it does at q 0.5, alpha 1 - 2**-53)
-        if not (0.0 < ratio < 1.0):
-            raise RangeError(f"log-ratio argument {ratio} escaped (0, 1)")
-        object.__setattr__(self, "lalpha", math.log(ratio))
-
-
 def q_powers(q: float, n_max: int) -> np.ndarray:
     """[1, q, q^2, ..., q^n_max] by cumulative multiplication, in order.
 
-    Every bracket-type quantity in the library derives its powers from this
-    one routine; mixing it with libm/vectorized pow would break the exact
-    (bitwise) round-trip identities between the q-integral and the bounds.
+    Every q-bracket in the library derives its powers from this one routine,
+    so dq and iq multiply and divide by the same brackets.
     """
     out = np.full(n_max + 1, float(q))
     out[0] = 1.0

@@ -18,7 +18,6 @@ of building the members one at a time.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,7 +174,9 @@ def _suite_herglotz(q, alpha, samples, seed) -> list[CheckResult]:
     worst = float((np.abs(f_a - f_b) / np.maximum(1.0, np.abs(f_a))).max())
     p = _p_coeffs(_moments(*_sample_rows(seed + 1, samples), n - 1))
     phi = ps._log_core(_starlike_core(p, q, 0.0)[1:])  # log(f/z), order N - 1
-    target = p[1:n] * math.log(q) / (np.power(q, np.arange(1, n)) - 1.0)[:, None]
+    # log(f/z) has coefficients p_n F_n/2 = p_n ln q/(q^n - 1)
+    half_f = f_exponent_series(params).coeffs.real[1:n] / 2.0
+    target = p[1:n] * half_f[:, None]
     worst_log = float(np.abs(phi[1:] - target).max())
     return [
         CheckResult("functional-equation and exponent routes agree",

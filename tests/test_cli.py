@@ -1,11 +1,12 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from qschlicht.caratheodory import AtomicMeasure, dump_measure, \
     sample_measure
-from qschlicht.cli import main
+from qschlicht.cli import _parse_complex, main
 from qschlicht.power_series import TruncatedSeries
 from qschlicht.q_calculus import ClassParams
 from qschlicht.schlicht import alexander_pair
@@ -114,7 +115,7 @@ class TestBounds:
 
     @pytest.mark.parametrize("mu, message", [
         ("nan,0", "error: mu must be finite"),
-        ("inf", "error: cannot parse complex value 'inf'"),
+        ("inf", "error: mu must be finite"),
     ])
     def test_non_finite_mu_exits_cleanly(self, capsys, mu, message):
         code = main(["bounds", "--q", "0.5", "--mu", mu])
@@ -122,6 +123,14 @@ class TestBounds:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith(message)
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("mu, value", [
+        ("1+1i", 1 + 1j), ("-0.5i", -0.5j), ("0.5 + 2i", 0.5 + 2j),
+        ("-inf", complex(-math.inf)), ("infj", complex(0, math.inf)),
+    ])
+    def test_only_a_trailing_i_is_the_imaginary_unit(self, mu, value):
+        assert _parse_complex(mu) == value
 
     def test_non_finite_bound_exits_cleanly(self, capsys):
         code = main(["bounds", "--q", "0.5", "--mu", "1e308,1e308"])
@@ -293,6 +302,7 @@ class TestSearch:
         ["--functional", "fs", "--mu-grid", "1e400"],
         ["--functional", "h22", "--mu-grid", "0.5"],
         ["--functional", "bieberbach", "--mu-grid", "0.5"],
+        ["--functional", "fs", "--mu-grid", "inf"],
     ])
     def test_inconsistent_config_exits_cleanly(self, capsys, tmp_path, extra):
         out_path = tmp_path / "rep.json"
@@ -302,6 +312,7 @@ class TestSearch:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1
         assert not out_path.exists()
 
 

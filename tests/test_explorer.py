@@ -207,6 +207,16 @@ class TestFsSweep:
         # the winner is a one-atom measure, i.e. a rotation of the extremal
         assert len(cell["argmax_measure"]["atoms"]) == 1
 
+    @pytest.mark.parametrize("mu", [1e10, 1e12, 1e300])
+    def test_rounding_at_large_mu_is_not_a_violation(self, mu):
+        # the sharp alpha = 0 bound grows with |mu|, and so does the rounding
+        # of its slack (-3.05e-05 at mu 1e10); tol is relative above 1
+        cfg = fs_config(seed=1, samples=1000, refine_iters=0, mu_grid=(mu,))
+        cell = run_sweep(cfg, workers=1)["cells"][0]
+        assert cell["slack"] < -cfg.tol
+        assert abs(cell["slack"]) <= 1e-15 * cell["stated_bound"]
+        assert not cell["violated"]
+
     def test_identical_configs_identical_bytes(self):
         a = canonical_json(run_sweep(fs_config()))
         b = canonical_json(run_sweep(fs_config()))
@@ -256,6 +266,15 @@ class TestHankelSweep:
         assert cell["empirical_max"] >= cell["extremals"]["f1"] - 1e-12
         rep2 = run_sweep(cfg)
         assert canonical_json(rep) == canonical_json(rep2)
+
+    def test_conjectured_bound_violation_stays_flagged(self):
+        # at q 0.2, alpha 0.3 the conjectured Hankel bound is exceeded by
+        # 0.088, far beyond the relative tolerance
+        cfg = SweepConfig(functional="h22", seed=1, samples=2000,
+                          q_grid=(0.2,), alpha_grid=(0.3,))
+        cell = run_sweep(cfg, workers=1)["cells"][0]
+        assert cell["conjectural"] and cell["violated"]
+        assert cell["slack"] == pytest.approx(-0.0881371670, abs=1e-9)
 
     def test_classical_limit(self):
         cfg = SweepConfig(functional="h22", seed=7, samples=4000,

@@ -10,14 +10,22 @@ from qschlicht import power_series as ps
 from qschlicht.caratheodory import MAX_ATOMS, p_series, sample_measure
 from qschlicht.errors import OrderTooSmallError, RangeError
 from qschlicht.explorer import _starlike_scores
-from qschlicht.extremal import eq_series, f1_series, f2_series
+from qschlicht.extremal import eq_series, f1_series, f2_series, \
+    f_exponent_series
 from qschlicht.functionals import (bieberbach_bound_convex,
                                    fekete_szego_value, fs_bound, hankel_bound,
                                    hankel_value, t4_scalars)
-from qschlicht.q_calculus import ClassParams, QLogRatios
+from qschlicht.q_calculus import ClassParams
 from qschlicht.schlicht import starlike_from_p
 
 MU_GRID = (-1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 2.0, 0.5 + 0.5j)
+
+
+def half_exponent(q):
+    """ln q/(q^n - 1) = F_n/2 at alpha = 0 for n = 1, 2, 3, as Python
+    floats."""
+    f = f_exponent_series(ClassParams(q)).coeffs.real
+    return tuple(float(x) / 2.0 for x in f[1:4])
 
 
 class TestFeketeSzego:
@@ -68,11 +76,11 @@ class TestFsBound:
         # one-atom generator attains the first branch, two-atom the second
         for q in (0.2, 0.5, 0.8):
             params = ClassParams(q=q, order=6)
-            r = QLogRatios(q, 0.0)
+            l1, l2 = half_exponent(q)[:2]
             f1, f2 = f1_series(params), f2_series(params)
             for mu in (0.0, 0.25, 0.5, 1.0):
-                first = abs(2 * (1 - 2 * mu) * r.l1 ** 2 + 2 * r.l2)
-                second = 2 * r.l2
+                first = abs(2 * (1 - 2 * mu) * l1 ** 2 + 2 * l2)
+                second = 2 * l2
                 assert abs(fekete_szego_value(f1, mu) - first) <= 1e-8
                 assert abs(fekete_szego_value(f2, mu) - second) <= 1e-8
 
@@ -81,13 +89,13 @@ class TestFsBound:
         # the functional for measure-generated members at alpha = 0
         q = 0.5
         params = ClassParams(q=q, order=8)
-        r = QLogRatios(q, 0.0)
+        l1, l2 = half_exponent(q)[:2]
         for seed in range(200):
             f = starlike_from_p(p_series(sample_measure(seed, 1 + seed % 4), 8),
                                 params)
             for mu in (-0.5, 0.0, 0.5, 1.0):
-                lam = (2 * mu - 1) * r.l1 ** 2 / (2 * r.l2)
-                majorant = r.l2 * 2 * max(1.0, abs(2 * lam - 1))
+                lam = (2 * mu - 1) * l1 ** 2 / (2 * l2)
+                majorant = l2 * 2 * max(1.0, abs(2 * lam - 1))
                 assert fekete_szego_value(f, mu) <= majorant + 1e-9
 
 
@@ -135,14 +143,14 @@ class TestHankel:
     def test_p_coefficient_identity(self):
         # a2 a4 - a3^2 collapses to p1 p3 L1 L3 - p2^2 L2^2 - p1^4 L1^4/12
         q = 0.5
-        r = QLogRatios(q, 0.0)
+        l1, l2, l3 = half_exponent(q)
         params = ClassParams(q=q, order=8)
         for seed in range(200):
             p = p_series(sample_measure(seed, 1 + seed % 4), 8)
             f = starlike_from_p(p, params)
             p1, p2, p3 = p.coeffs[1], p.coeffs[2], p.coeffs[3]
-            target = abs(p1 * p3 * r.l1 * r.l3 - p2 ** 2 * r.l2 ** 2
-                         - p1 ** 4 * r.l1 ** 4 / 12)
+            target = abs(p1 * p3 * l1 * l3 - p2 ** 2 * l2 ** 2
+                         - p1 ** 4 * l1 ** 4 / 12)
             assert hankel_value(f) == pytest.approx(target, abs=1e-9)
 
 
@@ -199,9 +207,9 @@ class TestBieberbachBound:
 class TestT4Scalars:
     def test_g_at_zero_is_stated_bound(self):
         for q in (0.2, 0.5, 0.8):
-            r = QLogRatios(q, 0.0)
+            l2 = half_exponent(q)[1]
             _, g, _ = t4_scalars(0.0, 1.0, q)
-            assert g == 4.0 * (r.l2 * r.l2)
+            assert g == 4.0 * (l2 * l2) == hankel_bound(ClassParams(q)).value
 
     def test_f_at_one_equals_g(self):
         for q in (0.1, 0.3, 0.5, 0.7, 0.9):
@@ -237,3 +245,42 @@ class TestT4Scalars:
         with pytest.raises(RangeError):
             t4_scalars(1.0, 0.5, 1.0)
 
+
+def t4_closed_form(c, rho, l1, l2, l3):
+    """t4_scalars' (F(rho; c), G(c), A) in L_n = F_n/2, term for term."""
+    p_term, s_term = l1 * l3, l2 * l2
+    a_val = l1 ** 4 - 3.0 * p_term + 3.0 * s_term
+    s4 = 4.0 - c * c
+    f_val = (c ** 4 / 12.0 * a_val
+             + s4 * c / 2.0 * p_term
+             + c * c / 2.0 * s4 * (p_term - s_term) * rho
+             + s4 / 4.0 * (s4 * s_term + c * (c - 2.0) * p_term) * rho * rho)
+    g_val = (c ** 4 / 12.0 * (l1 ** 4 - 12.0 * p_term + 12.0 * s_term)
+             + c * c * (3.0 * p_term - 4.0 * s_term)
+             + 4.0 * s_term)
+    return f_val, g_val, a_val
+
+
+@settings(max_examples=200, deadline=None)
+@given(q=st.floats(0.01, 0.999), alpha=st.sampled_from((0.0, 0.3, 0.7)),
+       mu=st.one_of(st.floats(-3.0, 3.0),
+                    st.complex_numbers(max_magnitude=3.0, allow_nan=False,
+                                       allow_infinity=False)),
+       c=st.floats(0.0, 2.0), rho=st.floats(0.0, 1.0))
+def test_every_bound_reads_the_class_exponent(q, alpha, mu, c, rho):
+    # bitwise: each bound is its closed form in F_1..F_3 of the one table
+    params = ClassParams(q, alpha, order=12)
+    f = f_exponent_series(params).coeffs
+    f1, f2 = (float(x) for x in f.real[1:3])
+    r1, r2 = f1 / 2.0, f2 / 2.0
+    mu = complex(mu)
+    assert fs_bound(params, mu).value == max(
+        abs(2.0 * (1.0 - 2.0 * mu) * r1 * r1 + 2.0 * r2), 2.0 * r2)
+    assert hankel_bound(params).value == f2 * f2
+    assert t4_scalars(c, rho, q) == t4_closed_form(c, rho, *half_exponent(q))
+    even = f[:params.order].copy()
+    even[1::2] = 0.0
+    assert np.array_equal(f2_series(params).coeffs,
+                          ps.times_z(ps.exp(ps.TruncatedSeries(even))).coeffs)
+    table = [bieberbach_bound_convex(params, n) for n in range(2, 13)]
+    assert table == eq_series(params).e_q.coeffs.real[2:].tolist()

@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 from qschlicht import power_series as ps
 from qschlicht.errors import NonConvergenceError, RangeError
-from qschlicht.q_calculus import (ClassParams, QLogRatios, dq, iq, jackson_sum,
-                                  q_bracket, q_powers)
+from qschlicht.extremal import f_exponent_series
+from qschlicht.q_calculus import (ClassParams, dq, iq, jackson_sum, q_bracket,
+                                  q_powers)
 
 
 def loop_q_powers(q, n_max):
@@ -129,29 +130,38 @@ class TestParamsAndRatios:
         with pytest.raises(RangeError):
             ClassParams(q=0.5, order=2)
 
+    # the log ratios L_alpha/(q^n - 1) are F_n/2 of the class exponent
+
     def test_ratios_are_positive(self):
         for q in (0.05, 0.2, 0.5, 0.8, 0.95):
-            r = QLogRatios(q, 0.0)
-            assert r.l1 > 0 and r.l2 > 0 and r.l3 > 0
+            half_f = f_exponent_series(ClassParams(q)).coeffs[1:4] / 2
+            assert np.all(half_f.real > 0) and not np.any(half_f.imag)
 
     def test_ratios_classical_limits(self):
-        r = QLogRatios(1 - 1e-6, 0.0)
-        assert r.l1 == pytest.approx(1.0, abs=1e-5)
-        assert r.l2 == pytest.approx(0.5, abs=1e-5)
-        assert r.l3 == pytest.approx(1 / 3, abs=1e-5)
+        half_f = f_exponent_series(ClassParams(1 - 1e-6)).coeffs.real / 2
+        assert half_f[1] == pytest.approx(1.0, abs=1e-5)
+        assert half_f[2] == pytest.approx(0.5, abs=1e-5)
+        assert half_f[3] == pytest.approx(1 / 3, abs=1e-5)
 
     def test_lalpha_reduces_to_ln_q(self):
         import math
-        r = QLogRatios(0.37, 0.0)
-        assert r.lalpha == pytest.approx(math.log(0.37), abs=0)
+        f = f_exponent_series(ClassParams(0.37)).coeffs.real
+        assert f[1] == 2.0 * math.log(0.37) / (0.37 - 1.0)
 
     def test_lalpha_negative(self):
+        # L_alpha < 0 and q^n - 1 < 0, so every F_n is positive
         for q in (0.1, 0.5, 0.9):
             for alpha in (0.0, 0.3, 0.7, 0.99):
-                assert QLogRatios(q, alpha).lalpha < 0
+                f = f_exponent_series(ClassParams(q, alpha)).coeffs.real
+                assert np.all(f[1:] > 0)
 
     def test_ratios_reject_bad_q(self):
         with pytest.raises(RangeError):
-            QLogRatios(0.0, 0.0)
+            f_exponent_series(ClassParams(0.0, 0.0))
         with pytest.raises(RangeError):
-            QLogRatios(1.0, 0.0)
+            f_exponent_series(ClassParams(1.0, 0.0))
+
+    def test_log_ratio_that_rounds_to_one_is_rejected(self):
+        # q / (1 - alpha (1 - q)) rounds to 1.0 at alpha = 1 - 2**-53
+        with pytest.raises(RangeError, match=r"log-ratio argument 1.0 escaped"):
+            f_exponent_series(ClassParams(0.5, 1 - 2 ** -53))

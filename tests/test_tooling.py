@@ -159,6 +159,48 @@ def test_library_imports_without_mpmath():
     assert proc.returncode == 0, proc.stderr
 
 
+_DISPATCH_SCRIPT = """
+import hashlib
+import qschlicht as qs
+from qschlicht.extremal import f_exponent_series
+
+def show(name, text):
+    print(name, hashlib.sha256(text.encode()).hexdigest())
+
+show("exponent", repr([f_exponent_series(qs.ClassParams(q / 20, a, 64)).coeffs
+                       .tobytes() for q in range(1, 20) for a in (0.0, 0.3)]))
+for fn, mus in (("fs", (0.0, 0.5, 1.0)), ("h22", ()), ("bieberbach", ())):
+    cfg = qs.SweepConfig(functional=fn, seed=1, samples=2000, q_grid=(0.8,),
+                         alpha_grid=(0.0, 0.3), mu_grid=mus)
+    show(fn, qs.canonical_json(qs.run_sweep(cfg, workers=1)))
+for a in (0.0, 0.3):
+    show(f"limits {a}", qs.canonical_json(
+        {"rows": qs.run_limit_sweep([0.9, 0.99, 0.999], a)}))
+"""
+
+
+def test_reports_do_not_depend_on_numpy_simd_dispatch():
+    # numpy's AVX-512 kernels round some results differently from its
+    # baseline ones (np.power did, and moved the q = 0.8 reports); a run
+    # with them switched off must print the same hashes
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    features = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)
+                and (f == "X86_V4" or f.startswith("AVX512"))]
+    if not features:
+        pytest.skip("numpy dispatches no AVX-512 kernels on this CPU")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    runs = [subprocess.run([sys.executable, "-c", _DISPATCH_SCRIPT], cwd=ROOT,
+                           env=dict(env, **extra), capture_output=True,
+                           text=True, timeout=120)
+            for extra in ({}, {"NPY_DISABLE_CPU_FEATURES": " ".join(features)})]
+    assert [run.returncode for run in runs] == [0, 0], runs[1].stderr
+    assert runs[0].stdout.count("\n") == 6
+    assert runs[0].stdout == runs[1].stdout
+
+
 def _imports_package_module(node) -> bool:
     if isinstance(node, ast.ImportFrom):
         return node.level > 0 or (node.module or "").split(".")[0] == "qschlicht"
