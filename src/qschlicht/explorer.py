@@ -54,7 +54,7 @@ from . import __version__
 from .caratheodory import MAX_ATOMS, RNG_NAME, AtomicMeasure, _check_seed, \
     _fill_rows, _moments, _p_coeffs, measure_from_dict
 from .errors import ConfigError, RangeError
-from .extremal import _exponent_core, eq_series, f1_series, f2_series, \
+from .extremal import _exponent_core, _generators, eq_series, \
     f_exponent_series
 from .functionals import Bound, _bieberbach_bound_table, _fs, _h2, \
     bieberbach_bound_convex, fekete_szego_value, fs_bound, hankel_bound, \
@@ -390,7 +390,7 @@ def _stated(functional: str, q: float, alpha: float):
         return lambda _mu: (Bound(1.0, alpha > 0.0), {"eq": 1.0})
     params = ClassParams(q=q, alpha=alpha)
     small = ClassParams(q=q, alpha=alpha, order=6)
-    f1, f2 = f1_series(small), f2_series(small)
+    f1, f2 = _generators(small)
     if functional == "fs":
         return lambda mu: (fs_bound(params, mu), {
             "f1": fekete_szego_value(f1, mu), "f2": fekete_szego_value(f2, mu)})

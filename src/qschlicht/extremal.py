@@ -50,19 +50,25 @@ def f_exponent_series(params: ClassParams) -> TruncatedSeries:
         [0.0] + [two_l / (q ** n - 1.0) for n in range(1, params.order + 1)]))
 
 
+def _generators(params: ClassParams) -> tuple[TruncatedSeries, TruncatedSeries]:
+    """f1 and f2, the members of a unit mass at 0 and of half masses at 0 and
+    pi, as two columns of one exp; each equals the exp of its exponent alone."""
+    moments = np.ones((params.order, 2))
+    moments[1::2, 1] = 0.0
+    a = _exponent_core(f_exponent_series(params).coeffs[:params.order], moments)
+    return TruncatedSeries(a[:, 0]), TruncatedSeries(a[:, 1])
+
+
 def f1_series(params: ClassParams) -> TruncatedSeries:
     """One-atom candidate extremal z exp(F(z))."""
-    exponent = ps.truncate(f_exponent_series(params), params.order - 1)
-    return ps.times_z(ps.exp(exponent))
+    return _generators(params)[0]
 
 
 def f2_series(params: ClassParams) -> TruncatedSeries:
     """Two-atom candidate extremal z exp(sum_n F_{2n} z^{2n}): the exponent
     is F with its odd terms zeroed, so every even coefficient of f
     vanishes."""
-    coeffs = f_exponent_series(params).coeffs[:params.order].copy()
-    coeffs[1::2] = 0.0
-    return ps.times_z(ps.exp(TruncatedSeries(coeffs)))
+    return _generators(params)[1]
 
 
 def _exponent_core(f_exp: np.ndarray, moments: np.ndarray) -> np.ndarray:

@@ -28,7 +28,9 @@ they are tallied as unresolved.
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,6 +62,7 @@ class CertGrid:
                 or r.ndim != 1 or r.size == 0 or not np.all((r >= 0) & (r < 1))):
             raise RangeError("a CertGrid needs an integer n_angles >= 1 and radii"
                              f" in [0, 1); got {self.n_angles!r}, {self.radii!r}")
+        object.__setattr__(self, "radii", tuple(r.tolist()))  # hashable, immutable
 
     def points(self) -> np.ndarray:
         angles = (np.arange(self.n_angles) + 0.5) * (2.0 * math.pi / self.n_angles)
@@ -71,15 +74,46 @@ class CertGrid:
                 "n_angles": int(self.n_angles), "angle_offset": 0.5}
 
 
-def _polar_values(u: TruncatedSeries, radii: np.ndarray, n_angles: int) -> np.ndarray:
-    """u at r e^{i(2j + 1) pi/n_angles}, one row per radius r: the inverse
-    DFT of c_n r^n e^{i pi n/n_angles}, degree n in bin n mod n_angles."""
-    n = np.arange(u.order + 1)
-    terms = u.coeffs * np.exp(1j * math.pi / n_angles * n) * np.power(radii[:, None], n)
-    bins = np.zeros((radii.size, n_angles), dtype=np.complex128)
-    for k in range(0, n.size, n_angles):
-        bins[:, :n.size - k] += terms[:, k:k + n_angles]
-    return np.fft.ifft(bins, norm="forward")
+_DEFAULT_GRID = CertGrid()
+_SCRATCH = threading.local()
+
+
+@functools.lru_cache(maxsize=32)
+def _grid_tables(grid: CertGrid, q: float, order: int) -> tuple:
+    """Read-only points, (denominator, numerator) radii, e^{i pi n/A} and r^n."""
+    radii = np.outer((1.0, q), grid.radii).ravel()
+    n = np.arange(order + 1)
+    tables = (grid.points(), radii, np.exp(1j * math.pi / grid.n_angles * n),
+              np.power(radii[:, None], n).astype(np.complex128))  # no cast buffer
+    for t in tables:
+        t.setflags(write=False)
+    return tables
+
+
+def _scratch(name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+    """This thread's buffer `name`, grown but never freed, so that no
+    certificate allocates (and glibc trims and faults back) its planes."""
+    size = math.prod(shape)
+    if getattr(_SCRATCH, name, np.empty(0)).size < size:
+        setattr(_SCRATCH, name, np.empty(size, dtype))
+    return getattr(_SCRATCH, name)[:size].reshape(shape)
+
+
+def _polar_values(u: TruncatedSeries, ramp: np.ndarray, powers: np.ndarray,
+                  n_angles: int) -> np.ndarray:
+    """u at r e^{i(2j + 1) pi/n_angles}, one row per row r^0..r^N of powers:
+    the inverse DFT of c_n r^n e^{i pi n/n_angles} (ramp), degree n in bin n
+    mod n_angles, in this thread's scratch until its next call."""
+    rows, m = powers.shape
+    terms = _scratch("terms", (rows, m), np.complex128)
+    terms[:] = u.coeffs * ramp
+    terms *= powers  # contiguous and complex: numpy needs no buffer for it
+    bins = _scratch("bins", (rows, n_angles), np.complex128)
+    bins[:, :m] = terms[:, :n_angles]  # degrees below n_angles, zeros above
+    bins[:, m:] = 0.0
+    for k in range(n_angles, m, n_angles):
+        bins[:, :m - k] += terms[:, k:k + n_angles]
+    return np.fft.ifft(bins, norm="forward", out=bins)
 
 
 @dataclass(frozen=True)
@@ -113,22 +147,25 @@ def _certify(u: TruncatedSeries, params: ClassParams, grid: CertGrid | None,
     reported as the one with Im z >= 0, whichever rounding picked.  An even u
     also has g(-z) = g(z); on an even grid the point then has Re z >= 0 too.
     """
-    grid = grid or CertGrid()
+    grid = grid or _DEFAULT_GRID
     tol = 1e-7  # on the error-adjusted excess
     q, alpha = params.q, params.alpha
-    z = grid.points()
-    radii = np.outer((1.0, q), grid.radii).ravel()  # denominator, numerator
-    den, num = np.split(_polar_values(u, radii, grid.n_angles), 2)
-    den_abs = np.abs(den)
+    z, radii, ramp, powers = _grid_tables(grid, q, u.order)
+    den, num = np.split(_polar_values(u, ramp, powers, grid.n_angles), 2)
+    den_abs, abs_g, excess = _scratch("planes", (3,) + z.shape)
+    np.abs(den, out=den_abs)
     if np.any(den_abs < _DENOM_FLOOR):
         idx = int(np.argmin(den_abs))
         raise EvaluationSingularityError(
             f"denominator vanished at grid point {z.ravel()[idx]:.6f}")
-    g = q * num / den
+    g = np.divide(np.multiply(q, num, out=num), den, out=num)
     den_tail, num_tail = np.split(ps.tail_estimate(u, radii)[:, None], 2)
-    excess = np.abs(g - alpha * q) - (1.0 - alpha)
-    err = (q * num_tail + np.abs(g) * den_tail) / den_abs
-    flat = (excess - err).ravel()
+    np.abs(g, out=abs_g)
+    np.abs(np.subtract(g, alpha * q, out=g), out=excess)
+    excess -= 1.0 - alpha
+    err = np.add(q * num_tail, np.multiply(abs_g, den_tail, out=abs_g), out=abs_g)
+    err /= den_abs
+    flat = np.subtract(excess, err, out=excess).ravel()
     idx = int(np.argmax(flat))
     point = complex(z.ravel()[idx])
     if not np.any(u.coeffs.imag):

@@ -26,7 +26,7 @@ from . import power_series as ps
 from .caratheodory import _check_seed, _fill_rows, _moments, _p_coeffs
 from .errors import RangeError
 from .explorer import _bieberbach_scores, _starlike_scores
-from .extremal import _exponent_core, eq_series, f1_series, f2_series, \
+from .extremal import _exponent_core, _generators, eq_series, f1_series, \
     f_exponent_series
 from .functionals import bieberbach_bound_convex, fekete_szego_value, fs_bound, \
     hankel_bound, hankel_value, t4_scalars
@@ -34,6 +34,7 @@ from .q_calculus import ClassParams, _dq_core, _iq_core, iq, jackson_sum
 from .schlicht import _starlike_core, membership_convex, membership_starlike
 
 SUITES = ("qcalc", "fs", "hankel", "bieberbach", "herglotz", "membership")
+_HERGLOTZ_MIN_Q = 0.2  # below it the log row loses 1e-10 to cancellation
 
 
 @dataclass(frozen=True)
@@ -109,10 +110,7 @@ def _suite_fs(q, alpha, samples, seed) -> list[CheckResult]:
 def _suite_hankel(q, alpha, samples, seed) -> list[CheckResult]:
     params = ClassParams(q=q, alpha=alpha, order=8)
     bound = hankel_bound(params)
-    f1 = f1_series(params)
-    f2 = f2_series(params)
-    v1 = hankel_value(f1)
-    v2 = hankel_value(f2)
+    v1, v2 = (hankel_value(f) for f in _generators(params))
     _, g2, _ = t4_scalars(2.0, 1.0, q)
     scores = _starlike_scores("h22", *_sample_rows(seed, samples), q, alpha,
                               (None,))
@@ -164,6 +162,9 @@ def _suite_herglotz(q, alpha, samples, seed) -> list[CheckResult]:
     if alpha != 0.0:
         return [CheckResult("measure representation requires alpha = 0", False,
                             f"alpha = {alpha}")]
+    if q < _HERGLOTZ_MIN_Q:
+        raise RangeError(f"the herglotz suite needs q >= {_HERGLOTZ_MIN_Q}, got"
+                         f" {q}: below it log(f/z) cancels past its 1e-10 limit")
     params = ClassParams(q=q, alpha=0.0, order=16)
     n = params.order
     m = _moments(*_sample_rows(seed, samples), n - 1)
@@ -190,11 +191,12 @@ def _suite_membership(q, alpha, samples, seed) -> list[CheckResult]:
     params = ClassParams(q=q, alpha=alpha, order=192)
     # Dq E_q = f1/z, so the convex certificate of the q-integral extremal
     # checks the same ratio as the starlike certificate of f1
-    one_atom = membership_starlike(f1_series(params), params)
+    one_atom, two_atom = (membership_starlike(f, params)
+                          for f in _generators(params))
     results = []
     for name, rep in (
         ("one-atom generator", one_atom),
-        ("two-atom generator", membership_starlike(f2_series(params), params)),
+        ("two-atom generator", two_atom),
         ("q-integral extremal", one_atom),
     ):
         results.append(CheckResult(

@@ -197,6 +197,15 @@ class TestVerify:
         assert captured.err.startswith("error:")
         assert captured.err.count("\n") == 1
 
+    def test_herglotz_below_its_smallest_q_exits_cleanly(self, capsys):
+        code = main(["verify", "--suite", "herglotz", "--q", "1e-12",
+                     "--alpha", "0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: the herglotz suite needs q >= 0.2")
+        assert captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("samples", ["0", "-3"])
     @pytest.mark.parametrize("suite", SUITES)
     def test_bad_sample_count_exits_cleanly(self, capsys, suite, samples):

@@ -78,6 +78,24 @@ class TestTwoAtomGenerator:
         assert np.abs(f.coeffs - f2_series(params).coeffs).max() <= 1e-10
 
 
+@pytest.mark.parametrize("order", [6, 8, 192])
+@pytest.mark.parametrize("q", [0.2, 0.5, 0.8])
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 0.7])
+def test_paired_generators_equal_the_exp_of_their_own_exponent(q, alpha, order):
+    # f1 and f2 are the two columns of one exp; each must be bitwise the
+    # single-series exp of its own exponent, zero even terms of f2 included
+    params = ClassParams(q=q, alpha=alpha, order=order)
+    exponent = f_exponent_series(params).coeffs[:order]
+    even = exponent.copy()
+    even[1::2] = 0.0
+    want_f1, want_f2 = (ps.times_z(ps.exp(ps.TruncatedSeries(e)))
+                        for e in (exponent, even))
+    f1, f2 = f1_series(params), f2_series(params)
+    assert f1.coeffs.tobytes() == want_f1.coeffs.tobytes()
+    assert f2.coeffs.tobytes() == want_f2.coeffs.tobytes()
+    assert not np.any(f2.coeffs[::2])
+
+
 class TestQIntegralExtremal:
     def test_frozen_values(self):
         res = eq_series(ClassParams(q=0.5, order=8))

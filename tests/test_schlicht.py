@@ -1,5 +1,11 @@
 import itertools
 import math
+import os
+import platform
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,14 +16,15 @@ from qschlicht.caratheodory import AtomicMeasure, _moments, _p_coeffs, \
 from qschlicht.errors import ConfigError, EvaluationSingularityError, \
     ZeroConstantTermError
 from qschlicht.errors import RangeError
-from qschlicht.extremal import eq_series, f1_series, f2_series, \
-    f_exponent_series
-from qschlicht.q_calculus import ClassParams, dq, iq
-from qschlicht.schlicht import (CertGrid, _polar_values, _starlike_core,
-                                alexander_pair,
+from qschlicht.extremal import _generators, eq_series, f1_series, \
+    f2_series, f_exponent_series
+from qschlicht.q_calculus import ClassParams, _iq_core, dq, iq
+from qschlicht.schlicht import (CertGrid, _grid_tables, _polar_values,
+                                _starlike_core, alexander_pair,
                                 convex_from_h, convex_from_measure,
                                 membership_convex, membership_starlike,
                                 rho_map, starlike_from_p)
+from qschlicht.verify import _sample_rows
 
 Q_GRID = (0.2, 0.5, 0.8)
 ALPHA_GRID = (0.0, 0.3, 0.7)
@@ -269,9 +276,9 @@ class TestMembershipCertificates:
         if horner:
             den, num = ps.eval_grid(u, z), ps.eval_grid(u, q * z)
         else:
-            radii = np.asarray(grid.radii)
-            den, num = (_polar_values(u, s * radii, grid.n_angles)
-                        for s in (1.0, q))
+            _, _, ramp, powers = _grid_tables(grid, q, u.order)
+            den, num = np.split(
+                _polar_values(u, ramp, powers, grid.n_angles), 2)
         g = q * num / den
         tails = [np.array([ps.tail_estimate(u, s * float(r))
                            for r in grid.radii])[:, None] for s in (q, 1.0)]
@@ -335,6 +342,84 @@ class TestMembershipCertificates:
         b = membership_starlike(f, params)
         assert a.worst_point == b.worst_point
         assert a.worst_margin == b.worst_margin
+
+
+def _membership_op(q, alpha, seed):
+    """The 22 certificates of a membership suite op at 200 samples, as
+    (certificate, series, params) calls."""
+    params = ClassParams(q=q, alpha=alpha, order=192)
+    m = _moments(*_sample_rows(seed, 20), params.order - 1)
+    members = _iq_core(_starlike_core(_p_coeffs(m), q, alpha)[1:], q)
+    return ([(membership_starlike, f, params) for f in _generators(params)]
+            + [(membership_convex, ps.TruncatedSeries(a), params)
+               for a in members.T])
+
+
+_FAULT_SCRIPT = """
+import resource
+import qschlicht as qs
+params = qs.ClassParams(q=0.5, alpha=0.3, order=192)
+f1, e_q = qs.f1_series(params), qs.eq_series(params).e_q
+calls = [lambda: qs.membership_starlike(f1, params),
+         lambda: qs.membership_convex(e_q, params)]
+for i in range(3):
+    calls[i % 2]()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for i in range(100):
+    calls[i % 2]()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+class TestSharedCertificateState:
+    """Certificates share their grid tables (cached per grid, q and order)
+    and per-thread scratch buffers."""
+
+    def test_threaded_certificates_equal_sequential_ones(self):
+        calls = _membership_op(0.5, 0.3, seed=1)
+        want = [cert(f, params) for cert, f, params in calls]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(cert, f, params)
+                           for _ in range(3) for cert, f, params in calls]
+                got = [fut.result(timeout=120) for fut in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want * 3
+
+    def test_interleaved_q_and_grids_equal_fresh_calls(self):
+        custom = CertGrid(radii=(0.3, 0.6, 0.85), n_angles=64)
+        cases = [(q, grid, order) for q in (0.2, 0.5) for grid in (None, custom)
+                 for order in (192, 32)]
+
+        def certify(case):
+            q, grid, order = case
+            params = ClassParams(q=q, alpha=0.3, order=order)
+            return (membership_starlike(f1_series(params), params, grid),
+                    membership_convex(eq_series(params).e_q, params, grid))
+
+        fresh = {}
+        for case in cases:
+            _grid_tables.cache_clear()
+            with ThreadPoolExecutor(max_workers=1) as pool:  # a new workspace
+                fresh[case] = pool.submit(certify, case).result(timeout=120)
+        for case in cases + cases[::-1] + cases[::3] + cases[1::2]:
+            assert certify(case) == fresh[case], case
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux")
+                        or platform.libc_ver()[0] != "glibc",
+                        reason="counts glibc's minor faults")
+    def test_certificates_fault_in_no_fresh_memory(self):
+        # with trimming at every free, a certificate that allocated its
+        # planes would fault them back in each time, dozens of pages apiece
+        env = dict(os.environ, MALLOC_TRIM_THRESHOLD_="0",
+                   PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-c", _FAULT_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) / 100 < 1.0
 
 
 class TestCertGrid:

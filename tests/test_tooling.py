@@ -183,10 +183,7 @@ def test_reports_do_not_depend_on_numpy_simd_dispatch():
     # numpy's AVX-512 kernels round some results differently from its
     # baseline ones (np.power did, and moved the q = 0.8 reports); a run
     # with them switched off must print the same hashes
-    try:
-        from numpy._core import _multiarray_umath as umath
-    except ImportError:  # numpy 1.x
-        from numpy.core import _multiarray_umath as umath
+    from numpy._core import _multiarray_umath as umath
     features = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)
                 and (f == "X86_V4" or f.startswith("AVX512"))]
     if not features:

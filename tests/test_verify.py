@@ -17,7 +17,7 @@ from qschlicht import power_series as ps
 from qschlicht import q_calculus, verify
 from qschlicht.caratheodory import MAX_ATOMS, AtomicMeasure, p_series, \
     sample_measure
-from qschlicht.errors import ConfigError
+from qschlicht.errors import ConfigError, RangeError
 from qschlicht.explorer import SweepConfig, _bieberbach_scores, \
     _starlike_scores, group_samples
 from qschlicht.extremal import eq_series, f1_series, f2_series, \
@@ -231,6 +231,16 @@ def test_batch_matches_one_at_a_time(suite, q, alpha, seed):
         assert _NUMBER.sub("#", g.detail) == _NUMBER.sub("#", w.detail)
         pairs = zip(_NUMBER.findall(g.detail), _NUMBER.findall(w.detail))
         assert all(_agree(float(x), float(y)) for x, y in pairs), (g, w)
+
+
+def test_herglotz_rows_pass_down_to_their_smallest_q():
+    # the log row's 1e-10 limit is lost to cancellation below q 0.2 (at
+    # q 1e-12 by 6.8e2); smaller q is refused, not reported as FAIL
+    for seed in range(1, 41):
+        assert all(r.passed for r in run_suite("herglotz", 0.2, 0.0, 200, seed))
+    for q in (0.199, 1e-12):
+        with pytest.raises(RangeError, match="herglotz suite needs q >= 0.2"):
+            run_suite("herglotz", q, 0.0, 200, 1)
 
 
 @pytest.mark.parametrize("seed", [-3, 1.5, np.float64(2.0)])
