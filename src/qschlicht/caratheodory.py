@@ -25,8 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateParametrizationError, \
-    OrderTooSmallError, RangeError
+from .errors import ConfigError, DegenerateParametrizationError, RangeError
 from .power_series import TruncatedSeries, _einsum
 
 MAX_ATOMS = 8
@@ -242,20 +241,6 @@ def recover_xi_zeta(p1: float, p2: complex, p3: complex) -> tuple[complex, compl
     denom = 2.0 * s * (1.0 - abs(xi) ** 2)
     zeta = (4.0 * complex(p3) - p1 ** 3 - 2.0 * s * p1 * xi + p1 * s * xi * xi) / denom
     return xi, zeta
-
-
-def mm_gap(p: TruncatedSeries, lam: float) -> float:
-    """Slack in the sharp inequality |p2 - lam p1^2| <= 2 max{1, |2 lam - 1|}.
-
-    Nonnegative (up to rounding) for every series generated by a probability
-    measure and every real lam; zero exactly at the extremal configurations.
-    """
-    if p.order < 2:
-        raise OrderTooSmallError("need coefficients p1 and p2")
-    lam = float(lam)
-    bound = 2.0 * max(1.0, abs(2.0 * lam - 1.0))
-    value = abs(p.coeffs[2] - lam * p.coeffs[1] ** 2)
-    return bound - value
 
 
 def _check_seed(seed) -> int:

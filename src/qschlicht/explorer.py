@@ -71,10 +71,6 @@ FUNCTIONALS = ("fs", "h22", "bieberbach")
 MIN_WEIGHT = 1e-4
 MIN_SEPARATION = 1e-3
 
-#: most refinement passes scored in one call; from the first step 0.1 the
-#: step falls below its 1e-12 floor within 37 halvings
-PLAN_PASSES = 64
-
 #: rows per work unit of a sweep's scoring pass, fixed so that the work split
 #: does not depend on the worker count
 BLOCK = 8192
@@ -180,7 +176,7 @@ def _starlike_scores(functional, weights, angles, q, alpha, mus):
     a = _starlike_core(_p_coeffs(_moments(weights, angles, n_max)), q, alpha)
     if functional == "fs":
         return {mu: _fs(a, mu) for mu in mus}
-    return {mu: np.abs(_h2(a, 2)) for mu in mus}
+    return {mu: np.abs(_h2(a)) for mu in mus}
 
 
 def _bieberbach_scores(weights, angles, q, alpha, n_check):
@@ -218,6 +214,8 @@ def evaluate_measure(functional: str, m: AtomicMeasure, q: float, alpha: float,
         raise ConfigError(f"unknown functional {functional!r}")
     if functional == "fs" and (mu is None or not cmath.isfinite(complex(mu))):
         raise ConfigError(f"fs needs a finite mu, got {mu!r}")
+    if not (2 <= n_check <= MAX_ORDER):
+        raise ConfigError(f"n_check must lie in [2, {MAX_ORDER}]")
     ClassParams(q=q, alpha=alpha)  # validates q and alpha
     score = _cell_scorer(functional, q, alpha, mu, n_check)
     return float(score(m.weights[None, :], m.angles[None, :])[0])
@@ -268,21 +266,22 @@ def _moves(w, ang, steps, first):
             angles.reshape(-1, k)[keep])
 
 
-def _refine_rows(score_rows, w, ang, iters: int, step_tol: float = 1e-12):
+def _refine_rows(score_rows, w, ang, iters: int):
     """Coordinate ascent over atom angles and weights from (w, ang).
 
     A pass goes through the moves of :func:`_moves` in slot order and accepts
     the first that beats the best value, then goes on from the new point
     with the later slots; the first pass steps by 0.1, a pass that accepts
     nothing halves the step, and the ascent stops after ``iters`` passes or
-    when the step falls below ``step_tol``.
+    when the step falls below 1e-12.
 
     ``score_rows(weights, angles)`` scores candidate rows (angles mod 2 pi,
     as AtomicMeasure holds them).  Each call gets every valid move left in
     the current pass and, since a pass that accepts nothing leaves the point
     where it is, the moves of the passes that would follow from the same
     point: the next pass just after an accepted move, else every pass to
-    come, up to PLAN_PASSES in all.  The first improving row is the move a
+    come (at most 38: from step 0.1 the step falls below 1e-12 within 37
+    halvings).  The first improving row is the move a
     one-at-a-time ascent accepts, so the path does not depend on how many
     rows a call scores.  Returns (best value, weights, angles); never worse
     than the start.
@@ -296,7 +295,7 @@ def _refine_rows(score_rows, w, ang, iters: int, step_tol: float = 1e-12):
         ascent."""
         if not improved:
             step *= 0.5
-            if step < step_tol:
+            if step < 1e-12:
                 return None
         return (it + 1, step) if it + 1 < iters else None
 
@@ -304,7 +303,7 @@ def _refine_rows(score_rows, w, ang, iters: int, step_tol: float = 1e-12):
     while True:
         plan = [(it, step)]
         nxt = after(it, step, improved)
-        while nxt and len(plan) < (2 if improved else PLAN_PASSES):
+        while nxt and (len(plan) < 2 or not improved):
             plan.append(nxt)
             nxt = after(*nxt, False)
         passes, slots, weights, angles = _moves(
@@ -321,8 +320,7 @@ def _refine_rows(score_rows, w, ang, iters: int, step_tol: float = 1e-12):
             (it, step), first, improved = nxt, 0, False
 
 
-def refine_measure(score_fn, m: AtomicMeasure, iters: int,
-                   step_tol: float = 1e-12):
+def refine_measure(score_fn, m: AtomicMeasure, iters: int):
     """:func:`_refine_rows` for a scorer of one measure: the candidates are
     scored one at a time, lazily, so score_fn sees them in the ascent's
     order and none past an accepted move.  Returns the best (value, measure)
@@ -330,7 +328,7 @@ def refine_measure(score_fn, m: AtomicMeasure, iters: int,
     def score_rows(weights, angles):
         return (score_fn(AtomicMeasure(wr, ar)) for wr, ar in zip(weights, angles))
 
-    best, w, ang = _refine_rows(score_rows, m.weights, m.angles, iters, step_tol)
+    best, w, ang = _refine_rows(score_rows, m.weights, m.angles, iters)
     return best, AtomicMeasure(w, ang)
 
 

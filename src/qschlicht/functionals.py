@@ -36,9 +36,9 @@ def _fs(a, mu):
     return np.abs(a[3] - mu * a[2] ** 2)
 
 
-def _h2(a, n):
-    """a_n a_{n+2} - a_{n+1}^2 along axis 0; the one Hankel expression."""
-    return a[n] * a[n + 2] - a[n + 1] ** 2
+def _h2(a):
+    """a_2 a_4 - a_3^2 along axis 0; the one Hankel expression."""
+    return a[2] * a[4] - a[3] ** 2
 
 
 def fekete_szego_value(f: TruncatedSeries, mu: complex) -> float:
@@ -74,17 +74,11 @@ def fs_bound(params: ClassParams, mu: complex) -> Bound:
     return Bound(value=float(value), conjectural=params.alpha > 0.0)
 
 
-def hankel_value(f: TruncatedSeries, n: int = 2, *, signed: bool = False):
-    """|a_n a_{n+2} - a_{n+1}^2|, bitwise the sweep's h22 score at n = 2;
-    ``signed=True`` gives the complex determinant (-1 for the Koebe-limit
-    coefficients at n = 2)."""
-    if n < 1:
-        raise RangeError("need n >= 1")
-    if f.order < n + 2:
-        raise OrderTooSmallError(
-            f"need coefficients up to a_{n + 2}, have order {f.order}")
-    det = _h2(_columns(f.coeffs), n)
-    return complex(det[0]) if signed else float(np.abs(det)[0])
+def hankel_value(f: TruncatedSeries) -> float:
+    """|a2 a4 - a3^2|, bitwise the sweep's h22 score."""
+    if f.order < 4:
+        raise OrderTooSmallError(f"need coefficients up to a_4, have order {f.order}")
+    return float(np.abs(_h2(_columns(f.coeffs)))[0])
 
 
 def hankel_bound(params: ClassParams) -> Bound:

@@ -231,17 +231,14 @@ def div_z(a: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(a.coeffs[1:].copy())
 
 
-def tail_estimate(a: TruncatedSeries, r):
-    """Heuristic bound on |sum_{n>N} c_n z^n| at |z| = r.
+def tail_estimate(a: TruncatedSeries, r: np.ndarray) -> np.ndarray:
+    """Heuristic bounds on |sum_{n>N} c_n z^n| at |z| = r, one per radius.
 
     Ten times the largest of the last four terms |c_n| r^n.  For functions
     analytic on the unit disk the terms decay geometrically once converged,
     so this is reliable exactly where the polynomial evaluation is usable;
-    where it is large the evaluation must not be trusted.  An array of radii
-    gives the array of the scalar results.
+    where it is large the evaluation must not be trusted.
     """
     n0 = max(0, a.order - 3)
     ns = np.arange(n0, a.order + 1)
-    r = np.asarray(r, dtype=np.float64)
-    out = 10.0 * (np.abs(a.coeffs[n0:]) * np.power(r[..., None], ns)).max(axis=-1)
-    return float(out) if out.ndim == 0 else out
+    return 10.0 * (np.abs(a.coeffs[n0:]) * np.power(r[..., None], ns)).max(axis=-1)

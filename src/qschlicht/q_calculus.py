@@ -107,28 +107,25 @@ def iq(a: TruncatedSeries, q: float) -> TruncatedSeries:
     return TruncatedSeries(_iq_core(a.coeffs, _check_q(q)))
 
 
-def jackson_sum(fn, x: float, q: float, tail_tol: float = 1e-12,
-                max_terms: int = 100_000) -> complex:
+def jackson_sum(fn, x: float, q: float) -> complex:
     """Numeric Jackson integral x(1-q) sum_n q^n fn(x q^n).
 
     The sum is cut once the geometric tail bound x * q^(n+1) * sup|fn| drops
-    below ``tail_tol``; the sup is tracked from the evaluated points, which is
+    below 1e-12; the sup is tracked from the evaluated points, which is
     sound for fn bounded on [0, x].  Raises NonConvergenceError if the terms
-    fail to decay within the iteration cap.
+    fail to decay within 100000 terms.
     """
     q = _check_q(q)
-    if tail_tol <= 0:
-        raise RangeError("tail_tol must be positive")
     total = 0.0 + 0.0j
     bound = 0.0
     qn = 1.0
-    for _ in range(max_terms):
+    for _ in range(100_000):
         value = complex(fn(x * qn))
         if not (math.isfinite(value.real) and math.isfinite(value.imag)):
             raise NonConvergenceError("integrand returned a non-finite value")
         total += qn * value
         bound = max(bound, abs(value))
         qn *= q
-        if abs(x) * qn * max(bound, 1.0) < tail_tol:
+        if abs(x) * qn * max(bound, 1.0) < 1e-12:
             return x * (1.0 - q) * total
-    raise NonConvergenceError(f"q-sum did not converge within {max_terms} terms")
+    raise NonConvergenceError("q-sum did not converge within 100000 terms")

@@ -14,8 +14,9 @@ f(qz) = f(z) * G(z) with G = (1-alpha) exp((ln q) p) + alpha q, or through a
 measure exponent.  Every convex-type member is the Jackson q-integral of its
 starlike-type member over z.
 
-Certificates evaluate the ratio on a polar grid of A half-step offset
-angles, by one inverse FFT of c_n r^n e^{i pi n/A} per radius r: that is u at
+Certificates evaluate the ratio on one fixed polar grid, radii 0.05..0.90
+with 256 half-step offset angles each, by one inverse FFT of
+c_n r^n e^{i pi n/256} per radius r: that is u at
 the exact angles, within 4.3e-16 sum |c_n| r^n for f1 and f2 at order 192
 (Horner at the rounded grid points: 1.0e-15).  Because the inputs are
 truncated series, every evaluation carries a truncation-error estimate; a
@@ -45,45 +46,25 @@ from .q_calculus import ClassParams, _iq_core, dq, iq
 _DENOM_FLOOR = 1e-14
 
 
-@dataclass(frozen=True)
-class CertGrid:
-    """Polar evaluation grid: radii x equally spaced angles.
-
-    Angles carry a half-step offset so axis-symmetric constructions do not
-    land exactly on symmetry-forced zeros.
-    """
-
-    radii: tuple = tuple(np.round(np.arange(1, 19) * 0.05, 2))
-    n_angles: int = 256
-
-    def __post_init__(self):
-        r = np.asarray(self.radii, dtype=np.float64)
-        if (not isinstance(self.n_angles, (int, np.integer)) or self.n_angles < 1
-                or r.ndim != 1 or r.size == 0 or not np.all((r >= 0) & (r < 1))):
-            raise RangeError("a CertGrid needs an integer n_angles >= 1 and radii"
-                             f" in [0, 1); got {self.n_angles!r}, {self.radii!r}")
-        object.__setattr__(self, "radii", tuple(r.tolist()))  # hashable, immutable
-
-    def points(self) -> np.ndarray:
-        angles = (np.arange(self.n_angles) + 0.5) * (2.0 * math.pi / self.n_angles)
-        r = np.asarray(self.radii, dtype=np.float64)
-        return r[:, None] * np.exp(1j * angles)[None, :]
-
-    def to_dict(self) -> dict:
-        return {"radii": [float(r) for r in self.radii],
-                "n_angles": int(self.n_angles), "angle_offset": 0.5}
-
-
-_DEFAULT_GRID = CertGrid()
+#: the certificate grid: 18 radii, each with N_ANGLES angles at a half-step
+#: offset so that axis-symmetric constructions do not land exactly on
+#: symmetry-forced zeros.  A member of order <= MAX_ORDER gives a u of order
+#: < N_ANGLES, so every degree has its own FFT bin.
+RADII = np.round(np.arange(1, 19) * 0.05, 2)
+N_ANGLES = 256
+_POINTS = RADII[:, None] * np.exp(
+    1j * ((np.arange(N_ANGLES) + 0.5) * (2.0 * math.pi / N_ANGLES)))[None, :]
+RADII.setflags(write=False)
+_POINTS.setflags(write=False)
 _SCRATCH = threading.local()
 
 
 @functools.lru_cache(maxsize=32)
-def _grid_tables(grid: CertGrid, q: float, order: int) -> tuple:
-    """Read-only points, (denominator, numerator) radii, e^{i pi n/A} and r^n."""
-    radii = np.outer((1.0, q), grid.radii).ravel()
+def _grid_tables(q: float, order: int) -> tuple:
+    """Read-only (denominator, numerator) radii, e^{i pi n/N_ANGLES} and r^n."""
+    radii = np.outer((1.0, q), RADII).ravel()
     n = np.arange(order + 1)
-    tables = (grid.points(), radii, np.exp(1j * math.pi / grid.n_angles * n),
+    tables = (radii, np.exp(1j * math.pi / N_ANGLES * n),
               np.power(radii[:, None], n).astype(np.complex128))  # no cast buffer
     for t in tables:
         t.setflags(write=False)
@@ -99,20 +80,18 @@ def _scratch(name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
     return getattr(_SCRATCH, name)[:size].reshape(shape)
 
 
-def _polar_values(u: TruncatedSeries, ramp: np.ndarray, powers: np.ndarray,
-                  n_angles: int) -> np.ndarray:
-    """u at r e^{i(2j + 1) pi/n_angles}, one row per row r^0..r^N of powers:
-    the inverse DFT of c_n r^n e^{i pi n/n_angles} (ramp), degree n in bin n
-    mod n_angles, in this thread's scratch until its next call."""
+def _polar_values(u: TruncatedSeries, ramp: np.ndarray,
+                  powers: np.ndarray) -> np.ndarray:
+    """u at r e^{i(2j + 1) pi/N_ANGLES}, one row per row r^0..r^N of powers:
+    the inverse DFT of c_n r^n e^{i pi n/N_ANGLES} (ramp), degree n in bin n,
+    in this thread's scratch until its next call."""
     rows, m = powers.shape
     terms = _scratch("terms", (rows, m), np.complex128)
     terms[:] = u.coeffs * ramp
     terms *= powers  # contiguous and complex: numpy needs no buffer for it
-    bins = _scratch("bins", (rows, n_angles), np.complex128)
-    bins[:, :m] = terms[:, :n_angles]  # degrees below n_angles, zeros above
+    bins = _scratch("bins", (rows, N_ANGLES), np.complex128)
+    bins[:, :m] = terms
     bins[:, m:] = 0.0
-    for k in range(n_angles, m, n_angles):
-        bins[:, :m - k] += terms[:, k:k + n_angles]
     return np.fft.ifft(bins, norm="forward", out=bins)
 
 
@@ -135,8 +114,7 @@ class CertReport:
     grid: dict = field(default_factory=dict)
 
 
-def _certify(u: TruncatedSeries, params: ClassParams, grid: CertGrid | None,
-             criterion: str) -> CertReport:
+def _certify(u: TruncatedSeries, params: ClassParams, criterion: str) -> CertReport:
     """Certify |g - alpha q| <= 1 - alpha for g(z) = q u(qz)/u(z) on the grid.
 
     u is f/z for the starlike-type condition and Dq f for the convex-type
@@ -145,19 +123,18 @@ def _certify(u: TruncatedSeries, params: ClassParams, grid: CertGrid | None,
     radius q r (numerator) and r (denominator).  A real-coefficient u has
     g(conj z) = conj g(z), so z and conj z tie and the worst point is
     reported as the one with Im z >= 0, whichever rounding picked.  An even u
-    also has g(-z) = g(z); on an even grid the point then has Re z >= 0 too.
+    also has g(-z) = g(z); the point then has Re z >= 0 too.
     """
-    grid = grid or _DEFAULT_GRID
     tol = 1e-7  # on the error-adjusted excess
     q, alpha = params.q, params.alpha
-    z, radii, ramp, powers = _grid_tables(grid, q, u.order)
-    den, num = np.split(_polar_values(u, ramp, powers, grid.n_angles), 2)
-    den_abs, abs_g, excess = _scratch("planes", (3,) + z.shape)
+    radii, ramp, powers = _grid_tables(q, u.order)
+    den, num = np.split(_polar_values(u, ramp, powers), 2)
+    den_abs, abs_g, excess = _scratch("planes", (3,) + _POINTS.shape)
     np.abs(den, out=den_abs)
     if np.any(den_abs < _DENOM_FLOOR):
         idx = int(np.argmin(den_abs))
         raise EvaluationSingularityError(
-            f"denominator vanished at grid point {z.ravel()[idx]:.6f}")
+            f"denominator vanished at grid point {_POINTS.ravel()[idx]:.6f}")
     g = np.divide(np.multiply(q, num, out=num), den, out=num)
     den_tail, num_tail = np.split(ps.tail_estimate(u, radii)[:, None], 2)
     np.abs(g, out=abs_g)
@@ -167,9 +144,9 @@ def _certify(u: TruncatedSeries, params: ClassParams, grid: CertGrid | None,
     err /= den_abs
     flat = np.subtract(excess, err, out=excess).ravel()
     idx = int(np.argmax(flat))
-    point = complex(z.ravel()[idx])
+    point = complex(_POINTS.ravel()[idx])
     if not np.any(u.coeffs.imag):
-        even = grid.n_angles % 2 == 0 and not np.any(u.coeffs[1::2])
+        even = not np.any(u.coeffs[1::2])
         point = complex(abs(point.real) if even else point.real, abs(point.imag))
     return CertReport(
         passed=not np.any(flat > tol),
@@ -177,22 +154,21 @@ def _certify(u: TruncatedSeries, params: ClassParams, grid: CertGrid | None,
         worst_point=point,
         tol=tol,
         unresolved=int(np.count_nonzero(err > tol)),
-        grid=dict(grid.to_dict(), criterion=criterion, q=q, alpha=alpha),
+        grid={"radii": RADII.tolist(), "n_angles": N_ANGLES, "angle_offset": 0.5,
+              "criterion": criterion, "q": q, "alpha": alpha},
     )
 
 
-def membership_starlike(f: TruncatedSeries, params: ClassParams,
-                        grid: CertGrid | None = None) -> CertReport:
+def membership_starlike(f: TruncatedSeries, params: ClassParams) -> CertReport:
     """Grid certificate for the starlike-type condition of order alpha:
     |f(qz)/f(z) - alpha q| <= 1 - alpha within 1e-7.  f must have a_0 = 0."""
-    return _certify(ps.div_z(f), params, grid, "starlike")
+    return _certify(ps.div_z(f), params, "starlike")
 
 
-def membership_convex(f: TruncatedSeries, params: ClassParams,
-                      grid: CertGrid | None = None) -> CertReport:
+def membership_convex(f: TruncatedSeries, params: ClassParams) -> CertReport:
     """Grid certificate for the convex-type condition of order alpha:
     |q (Dq f)(qz)/(Dq f)(z) - alpha q| <= 1 - alpha within 1e-7."""
-    return _certify(dq(f, params.q), params, grid, "convex")
+    return _certify(dq(f, params.q), params, "convex")
 
 
 # -- constructions: public wrappers over axis-0 array cores (see power_series)

@@ -22,11 +22,12 @@ import pytest
 
 import qschlicht as qs
 from qschlicht import power_series as ps
-from qschlicht.caratheodory import (mm_gap, p_series, recover_xi_zeta,
+from qschlicht.caratheodory import (p_series, recover_xi_zeta,
                                     rotation_normalized, sample_measure)
 from qschlicht.errors import DegenerateParametrizationError
 from qschlicht.explorer import SweepConfig, canonical_json, run_sweep
 from qschlicht.q_calculus import ClassParams, dq, iq, jackson_sum
+from qschlicht.schlicht import _POINTS
 
 Q_GRID = (0.2, 0.5, 0.8)
 ALPHA_GRID = (0.0, 0.3, 0.7)
@@ -187,8 +188,7 @@ def test_c07_classical_limits():
 
 
 def _closed_form_grid():
-    grid = qs.CertGrid()
-    return np.asarray(grid.points()).ravel()
+    return _POINTS.ravel()
 
 
 def _closed_form_excess(kind, q, alpha):

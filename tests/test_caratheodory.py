@@ -10,11 +10,10 @@ from hypothesis.extra import numpy as hnp
 from qschlicht import power_series as ps
 from qschlicht.caratheodory import (_COS, _SIN, MAX_ATOMS, AtomicMeasure,
                                     _phase, dump_measure, extend_p23,
-                                    load_measure, measure_from_dict, mm_gap,
-                                    p_series, recover_xi_zeta,
+                                    load_measure, measure_from_dict, p_series, recover_xi_zeta,
                                     rotation_normalized, sample_measure)
 from qschlicht.errors import (ConfigError, DegenerateParametrizationError,
-                              OrderTooSmallError, RangeError)
+                              RangeError)
 from qschlicht.explorer import refine_measure
 
 
@@ -165,30 +164,6 @@ class TestCoefficientParametrization:
         p = p_series(single_atom(0.0), 3)
         with pytest.raises(DegenerateParametrizationError):
             recover_xi_zeta(float(p.coeffs[1].real), p.coeffs[2], p.coeffs[3])
-
-
-class TestMmGap:
-    def test_attained_at_lambda_zero(self):
-        p = p_series(single_atom(0.0), 4)
-        assert mm_gap(p, 0.0) == pytest.approx(0.0, abs=1e-12)
-
-    def test_value_at_half(self):
-        p = p_series(single_atom(0.0), 4)
-        # |p2 - p1^2/2| = |2 - 2| = 0 against bound 2
-        assert mm_gap(p, 0.5) == pytest.approx(2.0, abs=1e-12)
-
-    def test_nonnegative_over_lambda_grid(self):
-        lams = np.linspace(-2, 2, 41)
-        worst = math.inf
-        for seed in range(2000):
-            p = p_series(sample_measure(seed, 1 + seed % 6), 4)
-            for lam in lams:
-                worst = min(worst, mm_gap(p, lam))
-        assert worst >= -1e-9
-
-    def test_needs_two_coefficients(self):
-        with pytest.raises(OrderTooSmallError):
-            mm_gap(ps.one(1), 0.0)
 
 
 class TestSampling:

@@ -100,14 +100,6 @@ class TestFsBound:
 
 
 class TestHankel:
-    def test_h21_equals_fekete_at_one(self):
-        rng = np.random.default_rng(4)
-        for _ in range(20):
-            coeffs = np.r_[0.0, 1.0, rng.standard_normal(4)]
-            f = ps.from_coeffs(coeffs)
-            assert hankel_value(f, 1) == pytest.approx(
-                fekete_szego_value(f, 1.0), abs=1e-13)
-
     def test_two_atom_value(self):
         f = f2_series(ClassParams(q=0.5, order=6))
         assert hankel_value(f) == pytest.approx(3.4165547656405435, abs=1e-11)
@@ -116,19 +108,17 @@ class TestHankel:
         f = f1_series(ClassParams(q=0.5, order=6))
         assert hankel_value(f) == pytest.approx(3.9483235986370536, abs=1e-10)
 
-    def test_signed_classical_koebe(self):
-        koebe = ps.from_coeffs(np.arange(7, dtype=float))
-        det = hankel_value(koebe, signed=True)
-        assert det == pytest.approx(-1.0)
-
     def test_order_guard(self):
         with pytest.raises(OrderTooSmallError):
             hankel_value(ps.identity(3))
-
-    def test_signed_is_keyword_only(self):
-        # the removed k x k form took (f, k, n, signed); such a call must fail
+        # hankel_value takes no n or signed: such a call fails instead of
+        # returning |a2 a4 - a3^2| for it
+        f = f2_series(ClassParams(q=0.5, order=6))
+        for args in ((f, 1), (f, 2, 2)):
+            with pytest.raises(TypeError):
+                hankel_value(*args)
         with pytest.raises(TypeError):
-            hankel_value(f2_series(ClassParams(q=0.5, order=6)), 2, 2)
+            hankel_value(f, signed=True)
 
     def test_bound_values(self):
         assert hankel_bound(ClassParams(q=0.5)).value == pytest.approx(

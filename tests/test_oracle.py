@@ -20,8 +20,8 @@ from qschlicht.caratheodory import (TWO_PI, _COS, _SIN, _phase, p_series,
                                     sample_measure)
 from qschlicht.extremal import f1_series, f2_series
 from qschlicht.q_calculus import ClassParams
-from qschlicht.schlicht import CertGrid, _grid_tables, _polar_values, \
-    convex_from_h
+from qschlicht.schlicht import N_ANGLES, RADII, _grid_tables, \
+    _polar_values, convex_from_h
 
 ORDER = 16
 DIGITS = 50
@@ -245,18 +245,14 @@ def polar_test_series():
     return out
 
 
-@pytest.mark.parametrize("n_angles", [256, 64, 255])
-def test_polar_values_match_exact_angles(n_angles):
-    # 256: the default grid; 64: degrees fold into bins n mod 64; 255: odd
+def test_polar_values_match_exact_angles():
     series = polar_test_series()
-    grid = CertGrid(n_angles=n_angles)
-    radii = np.asarray(grid.radii)
-    exact = exact_polar_values([u.coeffs for u in series], radii, n_angles)
+    exact = exact_polar_values([u.coeffs for u in series], RADII, N_ANGLES)
     eps = np.finfo(np.float64).eps
     for u, want in zip(series, exact):
         # the denominator rows of a certificate's tables are the grid radii
-        _, _, ramp, powers = _grid_tables(grid, 0.5, u.order)
-        got = _polar_values(u, ramp, powers, n_angles)[:radii.size]
-        scale = (np.abs(u.coeffs) * np.power(radii[:, None],
+        _, ramp, powers = _grid_tables(0.5, u.order)
+        got = _polar_values(u, ramp, powers)[:RADII.size]
+        scale = (np.abs(u.coeffs) * np.power(RADII[:, None],
                                               np.arange(u.order + 1))).sum(axis=1)
         assert np.all(np.abs(got - want) <= 16 * eps * scale[:, None])

@@ -188,9 +188,8 @@ class TestTailEstimate:
         for rs in (radii, 0.3 * radii):
             vec = ps.tail_estimate(a, rs)
             assert vec.shape == rs.shape
-            scalar = [ps.tail_estimate(a, float(r)) for r in rs]
-            assert all(type(v) is float for v in scalar)
-            assert np.array_equal(vec, scalar)
+            single = [ps.tail_estimate(a, np.array([r]))[0] for r in rs]
+            assert np.array_equal(vec, single)
 
 
 class TestInvariants:

@@ -15,12 +15,11 @@ from qschlicht.caratheodory import AtomicMeasure, _moments, _p_coeffs, \
     p_series, sample_measure
 from qschlicht.errors import ConfigError, EvaluationSingularityError, \
     ZeroConstantTermError
-from qschlicht.errors import RangeError
 from qschlicht.extremal import _generators, eq_series, f1_series, \
     f2_series, f_exponent_series
 from qschlicht.q_calculus import ClassParams, _iq_core, dq, iq
-from qschlicht.schlicht import (CertGrid, _grid_tables, _polar_values,
-                                _starlike_core, alexander_pair,
+from qschlicht.schlicht import (N_ANGLES, RADII, _POINTS, _grid_tables,
+                                _polar_values, _starlike_core, alexander_pair,
                                 convex_from_h, convex_from_measure,
                                 membership_convex, membership_starlike,
                                 rho_map, starlike_from_p)
@@ -232,11 +231,10 @@ class TestMembershipCertificates:
 
     def test_singularity_raises(self):
         # polynomial with a root exactly on a grid node
-        grid = CertGrid()
-        z0 = 0.2 * np.exp(1j * (0.5 * 2 * math.pi / grid.n_angles))
+        z0 = 0.2 * np.exp(1j * (0.5 * 2 * math.pi / N_ANGLES))
         f = ps.from_coeffs([0, 1, -1 / z0] + [0] * 10)
         with pytest.raises(EvaluationSingularityError):
-            membership_starlike(f, ClassParams(q=0.5, order=12), grid=grid)
+            membership_starlike(f, ClassParams(q=0.5, order=12))
 
     def test_starlike_certificate_equals_convex_certificate_of_its_pair(self):
         # f is starlike-type exactly when iq(f/z) is convex-type with the
@@ -267,21 +265,19 @@ class TestMembershipCertificates:
             assert rep.passed, (q, rep.worst_margin)
 
     @staticmethod
-    def _grid_margins(u, params, grid, horner=False):
+    def _grid_margins(u, params, horner=False):
         """Error-adjusted excess and error estimate at every grid point,
         from the polar evaluator at the exact angles or, with ``horner``,
         from Horner at the rounded grid points."""
         q, alpha = params.q, params.alpha
-        z = grid.points()
+        z = _POINTS
         if horner:
             den, num = ps.eval_grid(u, z), ps.eval_grid(u, q * z)
         else:
-            _, _, ramp, powers = _grid_tables(grid, q, u.order)
-            den, num = np.split(
-                _polar_values(u, ramp, powers, grid.n_angles), 2)
+            _, ramp, powers = _grid_tables(q, u.order)
+            den, num = np.split(_polar_values(u, ramp, powers), 2)
         g = q * num / den
-        tails = [np.array([ps.tail_estimate(u, s * float(r))
-                           for r in grid.radii])[:, None] for s in (q, 1.0)]
+        tails = [ps.tail_estimate(u, s * RADII)[:, None] for s in (q, 1.0)]
         err = (q * tails[0] + np.abs(g) * tails[1]) / np.abs(den)
         return z, np.abs(g - alpha * q) - (1.0 - alpha) - err, err
 
@@ -291,8 +287,7 @@ class TestMembershipCertificates:
         params = ClassParams(q=0.2, alpha=0.3, order=192)
         f = f1_series(params)
         rep = membership_starlike(f, params)
-        grid = CertGrid()
-        z, margins, err = self._grid_margins(ps.div_z(f), params, grid)
+        z, margins, err = self._grid_margins(ps.div_z(f), params)
         full = float(margins.max())
         assert rep.worst_point.imag >= 0.0
         assert round(rep.worst_point.real, 3) == -0.750
@@ -307,8 +302,8 @@ class TestMembershipCertificates:
         # at the exact angles; near the rim the two differ by about 1e-12
         params = ClassParams(q=0.2, alpha=0.3, order=192)
         u = ps.div_z(f1_series(params))
-        _, polar, _ = self._grid_margins(u, params, CertGrid())
-        _, horner, _ = self._grid_margins(u, params, CertGrid(), horner=True)
+        _, polar, _ = self._grid_margins(u, params)
+        _, horner, _ = self._grid_margins(u, params, horner=True)
         assert np.abs(polar - horner).max() <= 1e-10
 
     @pytest.mark.parametrize("q", Q_GRID)
@@ -319,7 +314,7 @@ class TestMembershipCertificates:
         params = ClassParams(q=q, alpha=alpha, order=192)
         f = f2_series(params)
         rep = membership_starlike(f, params)
-        z, margins, _ = self._grid_margins(ps.div_z(f), params, CertGrid())
+        z, margins, _ = self._grid_margins(ps.div_z(f), params)
         assert rep.worst_point.real >= 0.0 and rep.worst_point.imag >= 0.0
         assert rep.worst_margin == margins.max()
         ties = (z, z.conjugate(), -z, -z.conjugate())
@@ -330,7 +325,7 @@ class TestMembershipCertificates:
         params = ClassParams(q=0.5, alpha=0.3, order=64)
         f = starlike_from_p(p_series(sample_measure(5, 3), params.order), params)
         rep = membership_starlike(f, params)
-        z, margins, _ = self._grid_margins(ps.div_z(f), params, CertGrid())
+        z, margins, _ = self._grid_margins(ps.div_z(f), params)
         # no tie to settle: the lower-half grid point stays as it is
         assert rep.worst_point.imag < 0.0
         assert rep.worst_point == complex(z.ravel()[np.argmax(margins)])
@@ -372,8 +367,8 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 
 
 class TestSharedCertificateState:
-    """Certificates share their grid tables (cached per grid, q and order)
-    and per-thread scratch buffers."""
+    """Certificates share their grid tables (cached per q and order) and
+    per-thread scratch buffers."""
 
     def test_threaded_certificates_equal_sequential_ones(self):
         calls = _membership_op(0.5, 0.3, seed=1)
@@ -390,15 +385,13 @@ class TestSharedCertificateState:
         assert got == want * 3
 
     def test_interleaved_q_and_grids_equal_fresh_calls(self):
-        custom = CertGrid(radii=(0.3, 0.6, 0.85), n_angles=64)
-        cases = [(q, grid, order) for q in (0.2, 0.5) for grid in (None, custom)
-                 for order in (192, 32)]
+        cases = [(q, order) for q in (0.2, 0.5) for order in (192, 32)]
 
         def certify(case):
-            q, grid, order = case
+            q, order = case
             params = ClassParams(q=q, alpha=0.3, order=order)
-            return (membership_starlike(f1_series(params), params, grid),
-                    membership_convex(eq_series(params).e_q, params, grid))
+            return (membership_starlike(f1_series(params), params),
+                    membership_convex(eq_series(params).e_q, params))
 
         fresh = {}
         for case in cases:
@@ -423,21 +416,32 @@ class TestSharedCertificateState:
 
 
 class TestCertGrid:
+    """The one certificate grid: 18 radii, 256 half-step offset angles."""
+
     def test_default_grid(self):
-        grid = CertGrid()
-        assert grid.points().shape == (18, 256)
-        assert grid.radii[0] == 0.05 and grid.radii[-1] == 0.9
+        assert _POINTS.shape == (18, N_ANGLES) == (18, 256)
+        assert RADII[0] == 0.05 and RADII[-1] == 0.9
+        assert np.array_equal(RADII, np.round(np.arange(1, 19) * 0.05, 2))
+        angles = (np.arange(256) + 0.5) * (2.0 * math.pi / 256)
+        assert np.array_equal(_POINTS, RADII[:, None] * np.exp(1j * angles))
+        assert not RADII.flags.writeable and not _POINTS.flags.writeable
+        params = ClassParams(q=0.5, alpha=0.3, order=32)
+        rep = membership_starlike(f1_series(params), params)
+        assert rep.grid == {"radii": RADII.tolist(), "n_angles": 256,
+                            "angle_offset": 0.5, "criterion": "starlike",
+                            "q": 0.5, "alpha": 0.3}
 
-    @pytest.mark.parametrize("n_angles", [0, -4, 2.5, "256"])
-    def test_rejects_bad_angle_counts(self, n_angles):
-        with pytest.raises(RangeError):
-            CertGrid(n_angles=n_angles)
-
-    @pytest.mark.parametrize("radii", [(), (0.5, 1.0), (-0.1, 0.5),
-                                       (0.5, float("nan")), ((0.1, 0.2),)])
-    def test_rejects_bad_radii(self, radii):
-        with pytest.raises(RangeError):
-            CertGrid(radii=radii)
+    def test_reports_do_not_share_the_grid(self):
+        params = ClassParams(q=0.5, alpha=0.3, order=32)
+        f = f1_series(params)
+        first = membership_starlike(f, params)
+        want = repr(membership_starlike(f, params))
+        first.grid["radii"][0] = -1.0
+        first.grid["n_angles"] = 0
+        second = membership_starlike(f, params)
+        assert repr(second) == want
+        assert second.grid is not first.grid
+        assert second.grid["radii"] is not first.grid["radii"]
 
 
 class TestAlexanderPair:
