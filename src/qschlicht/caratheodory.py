@@ -253,11 +253,10 @@ def _check_seed(seed) -> int:
     raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
 
 
-def _fill_rows(seed: int, spawn_key: tuple, cols, lo: int, hi: int,
+def _fill_rows(seed: int, spawn_key: tuple, block, lo: int,
                ragged: bool = True):
-    """Draw samples lo..hi-1 of a sample stream into columns lo..hi-1 of the
-    atom-major buffer ``cols``, of shape (2*k, samples); return their
-    (weights, angles) views, each (k, hi - lo).
+    """Draw samples lo..lo+n-1 of a sample stream into ``block``, their
+    atom-major (2*k, n) array; return its (weights, angles) views, each (k, n).
 
     The stream is the PCG64 of ``SeedSequence(seed, spawn_key=spawn_key)``,
     and sample i takes its draws 2*k*i onwards (they land row by row, then
@@ -268,12 +267,11 @@ def _fill_rows(seed: int, spawn_key: tuple, cols, lo: int, hi: int,
     ``ragged`` sample i keeps ``(i % k) + 1`` atoms and zero weight in the
     slots past them; otherwise every sample keeps all k.
     """
-    k = cols.shape[0] // 2
+    k, n = block.shape[0] // 2, block.shape[1]
     ss = np.random.SeedSequence(entropy=_check_seed(seed), spawn_key=spawn_key)
     bitgen = np.random.PCG64(ss)
     bitgen.advance(2 * k * lo)
-    block = cols[:, lo:hi]
-    block[:] = np.random.Generator(bitgen).random((hi - lo, 2 * k)).T
+    block[:] = np.random.Generator(bitgen).random((n, 2 * k)).T
     angles, weights = block[:k], block[k:]
     angles *= TWO_PI
     weights *= 0.95
@@ -292,7 +290,7 @@ def sample_measure(seed: int, k_atoms: int) -> AtomicMeasure:
     normalized."""
     if not 1 <= k_atoms <= MAX_ATOMS:
         raise RangeError(f"k_atoms must lie in [1, {MAX_ATOMS}]")
-    weights, angles = _fill_rows(seed, (), np.empty((2 * k_atoms, 1)), 0, 1,
+    weights, angles = _fill_rows(seed, (), np.empty((2 * k_atoms, 1)), 0,
                                  ragged=False)
     return AtomicMeasure(weights[:, 0], angles[:, 0])
 

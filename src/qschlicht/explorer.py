@@ -17,12 +17,14 @@ Determinism contract:
     s scores the first samples of group 0 of a k_atoms = 4 sweep at seed s;
   * the sample range is drawn and scored in blocks of ``BLOCK`` samples,
     the pool's work units, whatever the worker count: the job of samples
-    lo..hi-1 advances the group's PCG64 stream 2*k_atoms*lo draws and fills
-    columns lo..hi-1 of the group's one atom-major (2*k_atoms, samples)
-    buffer, angles in its first k_atoms rows and weights in the rest.
-    Scoring is elementwise along the sample axis, so a sample scores the
-    same in any block, and one argmax over all the scores picks the maximum
-    value with ties broken by the lowest sample index;
+    lo..hi-1 advances the group's PCG64 stream 2*k_atoms*lo draws, fills its
+    thread's atom-major (2*k_atoms, hi - lo) scratch block, angles in its
+    first k_atoms rows and weights in the rest, and returns only each key's
+    largest value and the index of its first occurrence.  Scoring is
+    elementwise along the sample axis, so a sample scores the same in any
+    block; the first block holding the largest value wins, so ties go to
+    the lowest sample index, and the winning sample is drawn again alone.
+    A sweep thus holds O(workers * BLOCK) samples, whatever ``samples`` is;
   * single-measure evaluation is a batch of one: extremal injection and
     replay run the sweep's batch scorer on one column, so a sampled measure
     scores bitwise the same alone as in its block;
@@ -61,7 +63,7 @@ from .functionals import Bound, _bieberbach_bound_table, _fs, _h2, \
     hankel_value
 from .power_series import MAX_ORDER
 from .q_calculus import ClassParams, _iq_core
-from .schlicht import _starlike_core
+from .schlicht import _scratch, _starlike_core
 
 TWO_PI = 2.0 * math.pi
 FUNCTIONALS = ("fs", "h22", "bieberbach")
@@ -158,7 +160,7 @@ def group_samples(cfg: SweepConfig, group_index: int):
     """Atom-major weights/angles arrays of shape (k_atoms, samples) for one
     (q, alpha) group: every sample of the group's stream at once."""
     cols = np.empty((2 * cfg.k_atoms, cfg.samples))
-    return _fill_rows(cfg.seed, (group_index,), cols, 0, cfg.samples)
+    return _fill_rows(cfg.seed, (group_index,), cols, 0)
 
 
 def _measure_from_row(weights, angles) -> AtomicMeasure:
@@ -349,22 +351,27 @@ def _parallel_scores(score_block, total: int, workers: int):
     """Per key, the largest value over rows 0..total-1 and its row index.
 
     score_block(lo, hi) returns a dict mapping key -> values of rows lo..hi-1.
-    The pool's work units are blocks of BLOCK rows; one argmax over all the
-    values keeps the first maximum, so ties go to the lowest index."""
-    starts = range(0, total, BLOCK)
-
+    The pool's work units are blocks of BLOCK rows, and each reduces its
+    values to the first maximum; the first block holding the largest value
+    wins, so ties go to the lowest index.  The pool is fed 64 blocks at a
+    time, so the pending jobs stay few however many rows there are."""
     def job(lo):
-        return score_block(lo, min(lo + BLOCK, total))
+        vals = score_block(lo, min(lo + BLOCK, total))
+        return {key: (float(v[i]), lo + i)
+                for key, v in vals.items() for i in [int(np.argmax(v))]}
 
+    starts = range(0, total, BLOCK)
     if workers == 1 or len(starts) == 1:
-        parts = [job(lo) for lo in starts]
+        parts = map(job, starts)
     else:
-        parts = list(_pool(workers).map(job, starts))
+        parts = itertools.chain.from_iterable(
+            _pool(workers).map(job, starts[i:i + 64])
+            for i in range(0, len(starts), 64))
     best = {}
-    for key in parts[0]:
-        vals = np.concatenate([part[key] for part in parts])
-        i = int(np.argmax(vals))
-        best[key] = (float(vals[i]), i)
+    for part in parts:
+        for key, (v, i) in part.items():
+            if key not in best or v > best[key][0]:
+                best[key] = (v, i)
     return best
 
 
@@ -399,28 +406,30 @@ def _stated(functional: str, q: float, alpha: float):
 def run_sweep(cfg: SweepConfig, workers: int | None = None) -> dict:
     """Run the configured sweep and return the report dictionary."""
     workers = resolve_workers(workers)
-    # every group's blocks overwrite all of its columns, so one buffer serves
-    # all; and freeing a buffer this large raises glibc's mmap threshold, so
-    # the blocks' temporaries come from the heap, not from fresh mappings
-    # (drawing the argmax alone instead faulted 120k pages a pass, not 1)
-    cols = np.empty((2 * cfg.k_atoms, cfg.samples))
+    # glibc maps each block temporary of a few hundred KB fresh, and faults
+    # it in page by page, until freeing a larger mapped chunk raises its mmap
+    # threshold to that size (and the trim threshold to twice it; see
+    # mallopt(3)); this untouched 16 MiB array does so at once.  A 32 MiB
+    # one would exceed DEFAULT_MMAP_THRESHOLD_MAX and raise nothing.
+    np.empty(1 << 21)
     cells = []
     groups = [(q, a) for q in cfg.q_grid for a in cfg.alpha_grid]
     for g_idx, (q, alpha) in enumerate(groups):
-        cells.extend(_run_group(cfg, workers, g_idx, q, alpha, cols))
+        cells.extend(_run_group(cfg, workers, g_idx, q, alpha))
     return {"config": cfg.to_dict(), "cells": cells, "version": __version__}
 
 
-def _run_group(cfg, workers, g_idx, q, alpha, cols):
+def _run_group(cfg, workers, g_idx, q, alpha):
     """One cell per key (each mu of an fs sweep, else None): the sample
     argmax, then the injected extremals under the same lowest-index tie
     rule, then refinement from the winner.  Each pool job draws its own
-    block's samples into columns of ``cols`` before scoring them."""
-    fn = cfg.functional
+    block's samples into its thread's scratch block before scoring them."""
+    fn, k = cfg.functional, cfg.k_atoms
     keys = cfg.mu_grid if fn == "fs" else (None,)
 
     def score_block(lo, hi):
-        w, a = _fill_rows(cfg.seed, (g_idx,), cols, lo, hi)
+        block = _scratch("samples", (2 * k, hi - lo))
+        w, a = _fill_rows(cfg.seed, (g_idx,), block, lo)
         if fn != "bieberbach":
             return _starlike_scores(fn, w, a, q, alpha, keys)
         # a Bieberbach sample carries n_check degrees, and over BLOCK samples
@@ -432,13 +441,13 @@ def _run_group(cfg, workers, g_idx, q, alpha, cols):
             for i in range(0, hi - lo, BLOCK // 2)])}
 
     best = _parallel_scores(score_block, cfg.samples, workers)
-    weights, angles = cols[cfg.k_atoms:], cols[:cfg.k_atoms]
     rows = _extremal_rows(fn) if cfg.include_extremals else []
     stated = _stated(fn, q, alpha)
     cells = []
     for mu in keys:
         best_val, best_idx = best[mu]
-        argmax = _measure_from_row(weights[:, best_idx], angles[:, best_idx])
+        w, a = _fill_rows(cfg.seed, (g_idx,), np.empty((2 * k, 1)), best_idx)
+        argmax = _measure_from_row(w[:, 0], a[:, 0])
         source = "sample"
         for idx, m in rows:
             v = evaluate_measure(fn, m, q, alpha, mu=mu, n_check=cfg.n_check)

@@ -72,8 +72,8 @@ def _grid_tables(q: float, order: int) -> tuple:
 
 
 def _scratch(name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
-    """This thread's buffer `name`, grown but never freed, so that no
-    certificate allocates (and glibc trims and faults back) its planes."""
+    """This thread's buffer `name`, grown but never freed, so that no sweep
+    job or certificate allocates (and glibc trims and faults back) arrays."""
     size = math.prod(shape)
     if getattr(_SCRATCH, name, np.empty(0)).size < size:
         setattr(_SCRATCH, name, np.empty(size, dtype))

@@ -47,7 +47,7 @@ class CheckResult:
 def _sample_rows(seed: int, count: int):
     """(4, count) weights and angles: samples 0..count-1 of the stream of
     group 0 of a k_atoms = 4 sweep at this seed."""
-    return _fill_rows(seed, (0,), np.empty((2 * 4, count)), 0, count)
+    return _fill_rows(seed, (0,), np.empty((2 * 4, count)), 0)
 
 
 def run_suite(suite: str, q: float, alpha: float, samples: int,

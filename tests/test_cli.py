@@ -292,6 +292,29 @@ class TestSearch:
         assert captured.err.startswith("error:")
         assert len(captured.err.splitlines()) == 1
 
+    @pytest.mark.parametrize("argv,target", [
+        (["verify", "--suite", "fs", "--q", "0.5", "--samples", "10"],
+         "run_suite"),
+        (["search", "--functional", "h22", "--q-grid", "0.5",
+          "--samples", "10", "--seed", "1"], "run_sweep")])
+    @pytest.mark.parametrize("message", ["Unable to allocate 58.2 TiB", ""])
+    def test_memory_error_exits_cleanly(self, capsys, tmp_path, monkeypatch,
+                                        argv, target, message):
+        # a real allocation this size may succeed under overcommit, so the
+        # library call is replaced by one that raises
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(f"qschlicht.cli.{target}", out_of_memory)
+        out_path = tmp_path / "rep.json"
+        extra = ["--out", str(out_path)] if target == "run_sweep" else []
+        code = main(argv + extra)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message or 'MemoryError'}\n"
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("value", ["abc", "0", "2.5"])
     def test_bad_thread_variable_exits_cleanly(self, capsys, tmp_path,
                                                monkeypatch, value):

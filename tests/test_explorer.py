@@ -1,6 +1,12 @@
 import json
 import math
+import os
+import platform
+import subprocess
+import sys
 import threading
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -164,7 +170,7 @@ class TestBlockSampler:
         hi = data.draw(st.integers(lo + 1, samples))
         ref_w, ref_a = reference_group_samples(seed, group, samples, k)
         cols = np.full((2 * k, samples), np.nan)
-        w, a = _fill_rows(seed, (group,), cols, lo, hi)
+        w, a = _fill_rows(seed, (group,), cols[:, lo:hi], lo)
         assert np.array_equal(w, ref_w[lo:hi].T)
         assert np.array_equal(a, ref_a[lo:hi].T)
         # only columns lo..hi-1 of the buffer were written
@@ -175,7 +181,7 @@ class TestBlockSampler:
         cfg = fs_config(seed=k, samples=2 * BLOCK + 5, k_atoms=k)
         cols = np.empty((2 * k, cfg.samples))
         for lo in range(0, cfg.samples, BLOCK):
-            _fill_rows(cfg.seed, (3,), cols, lo, min(lo + BLOCK, cfg.samples))
+            _fill_rows(cfg.seed, (3,), cols[:, lo:lo + BLOCK], lo)
         ref_w, ref_a = reference_group_samples(cfg.seed, 3, cfg.samples, k)
         assert np.array_equal(cols[k:], ref_w.T)
         assert np.array_equal(cols[:k], ref_a.T)
@@ -187,7 +193,7 @@ class TestBlockSampler:
         # left to right than by numpy's pairwise sum of an 8-entry row
         k = MAX_ATOMS
         ref_w, ref_a = reference_group_samples(0, 0, k, k)
-        w, a = _fill_rows(0, (0,), np.empty((2 * k, k)), 0, k)
+        w, a = _fill_rows(0, (0,), np.empty((2 * k, k)), 0)
         assert np.array_equal(w, ref_w.T) and np.array_equal(a, ref_a.T)
         draws = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence(0, spawn_key=(0,)))).random((k, 2 * k))
@@ -457,8 +463,9 @@ class TestBatchOfOne:
 
 class TestAtomMajorLayout:
     """A sample gives bitwise the same moments and scores in every layout a
-    scorer sees: alone, as columns lo..hi-1 of the group buffer a sweep job
-    fills, and as a transposed view of row-major refinement candidates."""
+    scorer sees: alone, as columns lo..hi-1 of a wider buffer, in the
+    contiguous (2*k, hi - lo) block a sweep job fills, and as a transposed
+    view of row-major refinement candidates."""
 
     @given(g=groups, extra=st.integers(0, 20), data=st.data(),
            n_check=st.integers(2, 12))
@@ -470,9 +477,10 @@ class TestAtomMajorLayout:
         hi = data.draw(st.integers(lo + 1, ROWS))
         i = data.draw(st.integers(lo, hi - 1))
         cols = np.full((2 * k, ROWS + extra), np.nan)
-        w, a = _fill_rows(g["seed"], (0,), cols, lo, hi)
+        w, a = _fill_rows(g["seed"], (0,), cols[:, lo:hi], lo)
         rows_w, rows_a = np.ascontiguousarray(w.T), np.ascontiguousarray(a.T)
-        layouts = {"block": (w, a, i - lo),
+        scratch = _fill_rows(g["seed"], (0,), np.empty((2 * k, hi - lo)), lo)
+        layouts = {"block": (w, a, i - lo), "scratch": (*scratch, i - lo),
                    "alone": (w[:, i - lo:i - lo + 1].copy(),
                              a[:, i - lo:i - lo + 1].copy(), 0),
                    "transposed": (rows_w.T, rows_a.T, i - lo)}
@@ -497,7 +505,95 @@ class TestAtomMajorLayout:
                               _moments(w, a, 192)[:, i])
 
 
+#: a Bieberbach sweep the size of one benchmark sweep-convex op, twice at one
+#: worker; prints the minor faults of the second run
+_SWEEP_FAULT_SCRIPT = """
+import resource
+import qschlicht as qs
+cfg = qs.SweepConfig(functional="bieberbach", seed=4, samples=50_000,
+                     q_grid=(0.5,), alpha_grid=(0.3,), n_check=10)
+qs.run_sweep(cfg, workers=1)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+qs.run_sweep(cfg, workers=1)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
 class TestBlocks:
+    @given(seed=st.integers(0, 2 ** 32 - 1), blocks=st.integers(0, 3),
+           extra=st.integers(1, BLOCK - 1), workers=st.integers(1, 3),
+           data=st.data())
+    @settings(max_examples=40)
+    def test_reduction_is_the_argmax_of_all_values(self, seed, blocks, extra,
+                                                   workers, data):
+        total = blocks * BLOCK + extra  # never a multiple of BLOCK
+        rng = np.random.default_rng(seed)
+        values = {}
+        for key in ("a", "b"):
+            # three levels tie all over; the planted peaks tie within a
+            # block and across blocks
+            vals = rng.integers(0, 3, total).astype(float)
+            offsets = data.draw(st.lists(st.integers(0, BLOCK - 1), max_size=3))
+            at = [b * BLOCK + o for b in range(blocks + 1) for o in offsets
+                  if b * BLOCK + o < total]
+            vals[at] = 3.0
+            values[key] = vals
+
+        def score_block(lo, hi):
+            return {key: vals[lo:hi] for key, vals in values.items()}
+
+        best = _parallel_scores(score_block, total, workers)
+        for key, vals in values.items():
+            i = int(np.argmax(vals))
+            assert best[key] == (vals[i], i)
+
+    @pytest.mark.parametrize("k", range(1, MAX_ATOMS + 1))
+    def test_argmax_sample_is_drawn_again_bitwise(self, k, monkeypatch):
+        cfg = SweepConfig(functional="h22", seed=40 + k, samples=2 * BLOCK + 3,
+                          q_grid=(0.5,), alpha_grid=(0.0, 0.3), k_atoms=k,
+                          include_extremals=False, refine_iters=0)
+        for i in (0, BLOCK - 1, BLOCK, cfg.samples - 1):
+            # the reduction picks sample i of every group
+            monkeypatch.setattr("qschlicht.explorer._parallel_scores",
+                                lambda *args, i=i: {None: (1.0, i)})
+            cells = run_sweep(cfg, workers=1)["cells"]
+            for g, cell in enumerate(cells):
+                w, a = group_samples(cfg, g)
+                want = _measure_from_row(w[:, i], a[:, i])
+                got = measure_from_dict(cell["argmax_measure"])
+                assert np.array_equal(got.weights, want.weights), (i, g)
+                assert np.array_equal(got.angles, want.angles), (i, g)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sweep_memory_does_not_grow_with_samples(self, workers):
+        peaks = []
+        for samples in (4 * BLOCK, 32 * BLOCK):
+            cfg = fs_config(samples=samples, mu_grid=(0.0, 0.5, 1.0),
+                            refine_iters=5)
+            run_sweep(cfg, workers=workers)  # the pool and its scratch
+            tracemalloc.start()
+            try:
+                run_sweep(cfg, workers=workers)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 1e6, peaks
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux")
+                        or platform.libc_ver()[0] != "glibc",
+                        reason="counts glibc's minor faults")
+    def test_steady_state_sweep_faults_in_no_fresh_memory(self):
+        # MALLOC_* variables switch glibc's dynamic mmap threshold off, which
+        # is what keeps the block temporaries on the heap
+        env = {key: value for key, value in os.environ.items()
+               if not key.startswith("MALLOC_")}
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run([sys.executable, "-c", _SWEEP_FAULT_SCRIPT],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 50
+
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_ties_across_blocks_go_to_the_lowest_index(self, workers):
         total = 3 * BLOCK + 5
@@ -519,7 +615,7 @@ class TestBlocks:
 
     @pytest.mark.parametrize("functional", ["fs", "h22", "bieberbach"])
     def test_worker_count_does_not_change_bytes_across_blocks(self, functional):
-        # the second config has two groups sharing one sample buffer
+        # the second config has two groups sharing each thread's scratch block
         for seed, k_atoms, samples, alphas in ((17, 4, 2 * BLOCK + 3, (0.3,)),
                                                (23, 3, 2 * BLOCK + 5, (0.0, 0.3))):
             cfg = SweepConfig(functional=functional, seed=seed,
