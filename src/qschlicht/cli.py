@@ -167,19 +167,18 @@ def _cmd_limits(args) -> int:
     for row in rows:
         print(f"q = {row['q']}, alpha = {row['alpha']}")
         for fsr in row["fekete_szego"]:
-            err = "" if fsr["abs_err"] is None else f"  err {fsr['abs_err']:.3e}"
             print(f"  fs bound  mu={fsr['mu'][0]:+.2f}{fsr['mu'][1]:+.2f}j"
-                  f"  {fsr['bound']:.9f}{err}")
-        hk = row["hankel"]
-        err = "" if hk["abs_err"] is None else f"  err {hk['abs_err']:.3e}"
-        print(f"  hankel bound  {hk['bound']:.9f}{err}")
+                  f"  {fsr['bound']:.9f}{_err(fsr)}")
+        print(f"  hankel bound  {row['hankel']['bound']:.9f}{_err(row['hankel'])}")
         for br in row["bieberbach"]:
-            err = "" if br["abs_err"] is None else f"  err {br['abs_err']:.3e}"
-            print(f"  |a_{br['n']}| bound  {br['bound']:.9f}{err}")
+            print(f"  |a_{br['n']}| bound  {br['bound']:.9f}{_err(br)}")
         for cr in row["c_n"]:
-            print(f"  c_{cr['n']}  {cr['c_n']:.9f}  target {cr['target']:.9f}"
-                  f"  err {cr['abs_err']:.3e}")
+            print(f"  c_{cr['n']}  {cr['c_n']:.9f}  target {cr['target']:.9f}{_err(cr)}")
     return 0
+
+
+def _err(entry: dict) -> str:
+    return "" if entry["abs_err"] is None else f"  err {entry['abs_err']:.3e}"
 
 
 class _Parser(argparse.ArgumentParser):

@@ -15,16 +15,16 @@ Determinism contract:
     spawn key (g,), so it depends only on (seed, g, i), and enlarging
     ``samples`` keeps every earlier sample identical; a verify suite at seed
     s scores the first samples of group 0 of a k_atoms = 4 sweep at seed s;
-  * the sample range is drawn and scored in blocks of ``BLOCK`` samples,
-    the pool's work units, whatever the worker count: the job of samples
-    lo..hi-1 advances the group's PCG64 stream 2*k_atoms*lo draws, fills its
-    thread's atom-major (2*k_atoms, hi - lo) scratch block, angles in its
-    first k_atoms rows and weights in the rest, and returns only each key's
-    largest value and the index of its first occurrence.  Scoring is
-    elementwise along the sample axis, so a sample scores the same in any
-    block; the first block holding the largest value wins, so ties go to
-    the lowest sample index, and the winning sample is drawn again alone.
-    A sweep thus holds O(workers * BLOCK) samples, whatever ``samples`` is;
+  * :func:`_sample_maxima` draws and scores a sweep group's or a verify
+    suite's samples in blocks of ``BLOCK``, the pool's work units, whatever
+    the worker count: the job of samples lo..hi-1 advances the group's PCG64
+    stream 2*k_atoms*lo draws, fills its thread's atom-major (2*k_atoms,
+    hi - lo) scratch block and returns only each key's largest value and
+    the index of its first occurrence.  Scoring is elementwise along the
+    sample axis, so a sample scores the same in any block; the first block
+    holding the largest value wins, so ties go to the lowest sample index,
+    and a sweep draws the winning sample again alone.  Both thus hold
+    O(workers * BLOCK) samples, whatever ``samples`` is;
   * single-measure evaluation is a batch of one: extremal injection and
     replay run the sweep's batch scorer on one column, so a sampled measure
     scores bitwise the same alone as in its block;
@@ -76,6 +76,7 @@ MIN_SEPARATION = 1e-3
 #: rows per work unit of a sweep's scoring pass, fixed so that the work split
 #: does not depend on the worker count
 BLOCK = 8192
+_cpu_count = functools.cache(os.cpu_count)  # os.cpu_count() asks the OS on every call
 
 
 def resolve_workers(workers: int | None = None) -> int:
@@ -83,7 +84,7 @@ def resolve_workers(workers: int | None = None) -> int:
     if workers is None:
         env = os.environ.get("QSCHLICHT_THREADS")
         if not env:
-            return os.cpu_count() or 1
+            return _cpu_count() or 1
         if not env.strip().isdecimal() or int(env) < 1:
             raise ConfigError(
                 f"QSCHLICHT_THREADS must be a positive integer, got {env!r}")
@@ -339,11 +340,11 @@ def refine_measure(score_fn, m: AtomicMeasure, iters: int):
 
 @functools.lru_cache(maxsize=1)
 def _pool(workers: int) -> ThreadPoolExecutor:
-    """The sweeps' thread pool, kept for the process while the worker count
-    stays the same.  A pool per call starts new threads while the last
-    pool's threads are still exiting; such a thread can get a fresh malloc
-    arena, which keeps its few MB of freed block arrays for the rest of the
-    process."""
+    """The block reduction's thread pool, kept for the process while the
+    worker count stays the same.  A pool per call starts new threads while
+    the last pool's threads are still exiting; such a thread can get a fresh
+    malloc arena, which keeps its few MB of freed block arrays for the rest
+    of the process."""
     return ThreadPoolExecutor(max_workers=workers)
 
 
@@ -373,6 +374,16 @@ def _parallel_scores(score_block, total: int, workers: int):
             if key not in best or v > best[key][0]:
                 best[key] = (v, i)
     return best
+
+
+def _sample_maxima(score, seed: int, group: int, k_atoms: int, total: int, workers: int):
+    """:func:`_parallel_scores` of group ``group``'s samples: each job draws
+    its block into its thread's scratch, then score(weights, angles)."""
+    def score_block(lo, hi):
+        block = _scratch("samples", (2 * k_atoms, hi - lo))
+        return score(*_fill_rows(seed, (group,), block, lo))
+
+    return _parallel_scores(score_block, total, workers)
 
 
 def _extremal_rows(functional: str):
@@ -422,14 +433,11 @@ def run_sweep(cfg: SweepConfig, workers: int | None = None) -> dict:
 def _run_group(cfg, workers, g_idx, q, alpha):
     """One cell per key (each mu of an fs sweep, else None): the sample
     argmax, then the injected extremals under the same lowest-index tie
-    rule, then refinement from the winner.  Each pool job draws its own
-    block's samples into its thread's scratch block before scoring them."""
+    rule, then refinement from the winner."""
     fn, k = cfg.functional, cfg.k_atoms
     keys = cfg.mu_grid if fn == "fs" else (None,)
 
-    def score_block(lo, hi):
-        block = _scratch("samples", (2 * k, hi - lo))
-        w, a = _fill_rows(cfg.seed, (g_idx,), block, lo)
+    def score(w, a):
         if fn != "bieberbach":
             return _starlike_scores(fn, w, a, q, alpha, keys)
         # a Bieberbach sample carries n_check degrees, and over BLOCK samples
@@ -438,9 +446,9 @@ def _run_group(cfg, workers, g_idx, q, alpha):
         return {None: np.concatenate([
             _bieberbach_scores(w[:, i:i + BLOCK // 2], a[:, i:i + BLOCK // 2],
                                q, alpha, cfg.n_check)
-            for i in range(0, hi - lo, BLOCK // 2)])}
+            for i in range(0, w.shape[1], BLOCK // 2)])}
 
-    best = _parallel_scores(score_block, cfg.samples, workers)
+    best = _sample_maxima(score, cfg.seed, g_idx, k, cfg.samples, workers)
     rows = _extremal_rows(fn) if cfg.include_extremals else []
     stated = _stated(fn, q, alpha)
     cells = []
@@ -498,38 +506,29 @@ def run_limit_sweep(q_list, alpha: float) -> list[dict]:
     rows = []
     for q in q_list:
         params = ClassParams(q=float(q), alpha=float(alpha), order=16)
-        fs_rows = []
-        for mu in (-1.0, 0.0, 0.5, 1.0, 2.0):
-            mu = complex(mu)
-            value = fs_bound(params, mu).value
-            target = max(1.0, abs(3.0 - 4.0 * mu)) if alpha == 0.0 else None
-            fs_rows.append({"mu": [mu.real, mu.imag], "bound": value,
-                            "target": target,
-                            "abs_err": None if target is None else abs(value - target)})
-        hk = hankel_bound(params).value
-        hk_target = 1.0 if alpha == 0.0 else None
-        bieb_rows = []
-        for n in range(2, 9):
-            b = bieberbach_bound_convex(params, n)
-            t = 1.0 if alpha == 0.0 else None
-            bieb_rows.append({"n": n, "bound": b, "target": t,
-                              "abs_err": None if t is None else abs(b - t)})
+        one = 1.0 if alpha == 0.0 else None
         res = eq_series(params)
-        cn_rows = []
-        for n in range(2, 7):
-            target = math.prod(k - 2.0 * alpha for k in range(2, n + 1)) \
-                / math.factorial(n - 1)
-            cn_rows.append({"n": n, "c_n": float(res.c[n]), "target": target,
-                            "abs_err": abs(float(res.c[n]) - target)})
         rows.append({
             "q": float(q), "alpha": float(alpha),
-            "fekete_szego": fs_rows,
-            "hankel": {"bound": hk, "target": hk_target,
-                       "abs_err": None if hk_target is None else abs(hk - hk_target)},
-            "bieberbach": bieb_rows,
-            "c_n": cn_rows,
+            "fekete_szego": [{"mu": [mu, 0.0], **_limit_entry(
+                "bound", fs_bound(params, complex(mu)).value,
+                None if one is None else max(1.0, abs(3.0 - 4.0 * mu)))}
+                for mu in (-1.0, 0.0, 0.5, 1.0, 2.0)],
+            "hankel": _limit_entry("bound", hankel_bound(params).value, one),
+            "bieberbach": [{"n": n, **_limit_entry(
+                "bound", bieberbach_bound_convex(params, n), one)}
+                for n in range(2, 9)],
+            "c_n": [{"n": n, **_limit_entry("c_n", float(res.c[n]), math.prod(
+                k - 2.0 * alpha for k in range(2, n + 1)) / math.factorial(n - 1))}
+                for n in range(2, 7)],
         })
     return rows
+
+
+def _limit_entry(name: str, value: float, target) -> dict:
+    """{name: value, target, abs_err}; abs_err is None without a target."""
+    return {name: value, "target": target,
+            "abs_err": None if target is None else abs(value - target)}
 
 
 # -- canonical serialization --------------------------------------------------

@@ -8,10 +8,10 @@ treats the one-atom generator exceeding the stated determinant bound as the
 expected, documented outcome and only fails when the empirical maximum
 escapes the scalar-majorant envelope G(2).
 
-Batch contract: a suite draws its samples with the sweeps' sampler and
-scores them in one pass through the axis-0 cores the sweeps use.  At seed s
-they are samples 0..samples-1 of the stream of group 0 of a k_atoms = 4
-sweep at seed s (sample i keeps (i % 4) + 1 atoms), and a batch column
+Batch contract: a suite scores its samples as sweeps do, in blocks through
+:func:`.explorer._sample_maxima`, and reads each statistic back as a per-key
+maximum.  At seed s they are samples 0..samples-1 of group 0 of a k_atoms =
+4 sweep at seed s (sample i keeps (i % 4) + 1 atoms), and a block column
 equals the member built alone, so the rows, limits and verdicts are those
 of building the members one at a time.
 """
@@ -23,9 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import power_series as ps
-from .caratheodory import _check_seed, _fill_rows, _moments, _p_coeffs
+from .caratheodory import _check_seed, _moments, _p_coeffs
 from .errors import RangeError
-from .explorer import _bieberbach_scores, _starlike_scores
+from .explorer import _bieberbach_scores, _sample_maxima, _starlike_scores, \
+    resolve_workers
 from .extremal import _exponent_core, _generators, eq_series, f1_series, \
     f_exponent_series
 from .functionals import bieberbach_bound_convex, fekete_szego_value, fs_bound, \
@@ -44,10 +45,10 @@ class CheckResult:
     detail: str
 
 
-def _sample_rows(seed: int, count: int):
-    """(4, count) weights and angles: samples 0..count-1 of the stream of
-    group 0 of a k_atoms = 4 sweep at this seed."""
-    return _fill_rows(seed, (0,), np.empty((2 * 4, count)), 0)
+def _maxima(score, seed: int, count: int) -> dict:
+    """Per key, the largest score of the first count samples at this seed."""
+    top = _sample_maxima(score, seed, 0, 4, count, resolve_workers())
+    return {key: v for key, (v, _) in top.items()}
 
 
 def run_suite(suite: str, q: float, alpha: float, samples: int,
@@ -91,9 +92,10 @@ def _suite_fs(q, alpha, samples, seed) -> list[CheckResult]:
     params = ClassParams(q=q, alpha=alpha, order=8)
     bound0 = fs_bound(params, 0.0)
     mus = (-1.0, -0.5, 0.0, 0.5, 1.0, 0.5 + 0.5j)
-    scores = _starlike_scores("fs", *_sample_rows(seed, samples), q, alpha, mus)
-    worst_slack = min(float((fs_bound(params, mu).value - v).min())
-                      for mu, v in scores.items())
+    top = _maxima(lambda w, a: _starlike_scores("fs", w, a, q, alpha, mus),
+                  seed, samples)
+    # b - v rounds monotonically in v, so this is the least per-sample slack
+    worst_slack = min(fs_bound(params, mu).value - v for mu, v in top.items())
     f1 = f1_series(params)
     att = abs(fekete_szego_value(f1, 0.0) - bound0.value)
     label = "conjectured bound" if bound0.conjectural else "stated bound"
@@ -112,9 +114,8 @@ def _suite_hankel(q, alpha, samples, seed) -> list[CheckResult]:
     bound = hankel_bound(params)
     v1, v2 = (hankel_value(f) for f in _generators(params))
     _, g2, _ = t4_scalars(2.0, 1.0, q)
-    scores = _starlike_scores("h22", *_sample_rows(seed, samples), q, alpha,
-                              (None,))
-    emp = max(0.0, float(scores[None].max()))
+    emp = max(0.0, _maxima(lambda w, a: _starlike_scores(
+        "h22", w, a, q, alpha, (None,)), seed, samples)[None])
     results = [
         CheckResult("two-atom generator attains the stated bound",
                     abs(v2 - bound.value) <= 1e-8, f"|gap| {abs(v2 - bound.value):.3e}"),
@@ -139,14 +140,17 @@ def _suite_hankel(q, alpha, samples, seed) -> list[CheckResult]:
 def _suite_bieberbach(q, alpha, samples, seed) -> list[CheckResult]:
     params = ClassParams(q=q, alpha=alpha, order=12)
     bounds = {n: bieberbach_bound_convex(params, n) for n in range(2, 11)}
-    weights, angles = _sample_rows(seed, samples)
-    ratios = _bieberbach_scores(weights, angles, q, alpha, 10)
-    worst = max(0.0, float(ratios.max()))
-    # one-atom samples are rotations of the one-atom member, which at
-    # alpha = 0 is E_q and attains every bound, so the multi-atom rows show
-    # on their own how close the members come
-    multi = ratios[(weights > 0).sum(axis=0) > 1]
-    multi_worst = f"{multi.max():.12f}" if multi.size else "none"
+
+    def score(w, a):
+        # one-atom samples are rotations of the one-atom member, which at
+        # alpha = 0 is E_q and attains every bound, so the multi-atom rows
+        # show on their own how close the members come
+        r = _bieberbach_scores(w, a, q, alpha, 10)
+        return {"all": r, "multi": np.where((w > 0).sum(axis=0) > 1, r, -np.inf)}
+
+    top = _maxima(score, seed, samples)
+    worst = max(0.0, top["all"])
+    multi_worst = f"{top['multi']:.12f}" if top["multi"] > -np.inf else "none"
     res = eq_series(params)
     eq_gap = max(abs(abs(res.e_q.coeffs[n]) - bounds[n]) for n in bounds)
     return [
@@ -167,18 +171,24 @@ def _suite_herglotz(q, alpha, samples, seed) -> list[CheckResult]:
                          f" {q}: below it log(f/z) cancels past its 1e-10 limit")
     params = ClassParams(q=q, alpha=0.0, order=16)
     n = params.order
-    m = _moments(*_sample_rows(seed, samples), n - 1)
-    f_a = _starlike_core(_p_coeffs(m), q, 0.0)[1:]
-    # herglotz_starlike: f = z exp(sum_n F_n m_n z^n)
-    f_b = _exponent_core(f_exponent_series(params).coeffs[:n], m)[1:]
-    # relative to max(1, |a_n|): the coefficients reach about 1e4 at q = 0.2
-    worst = float((np.abs(f_a - f_b) / np.maximum(1.0, np.abs(f_a))).max())
-    p = _p_coeffs(_moments(*_sample_rows(seed + 1, samples), n - 1))
-    phi = ps._log_core(_starlike_core(p, q, 0.0)[1:])  # log(f/z), order N - 1
-    # log(f/z) has coefficients p_n F_n/2 = p_n ln q/(q^n - 1)
-    half_f = f_exponent_series(params).coeffs.real[1:n] / 2.0
-    target = p[1:n] * half_f[:, None]
-    worst_log = float(np.abs(phi[1:] - target).max())
+    exponent = f_exponent_series(params).coeffs
+    half_f = exponent.real[1:n, None] / 2.0
+
+    def routes(w, a):
+        m = _moments(w, a, n - 1)
+        f_a = _starlike_core(_p_coeffs(m), q, 0.0)[1:]
+        f_b = _exponent_core(exponent[:n], m)[1:]  # as herglotz_starlike
+        # relative to max(1, |a_n|): the coefficients reach about 1e4 at q 0.2
+        return {None: (np.abs(f_a - f_b) / np.maximum(1.0, np.abs(f_a))).max(axis=0)}
+
+    def log_row(w, a):
+        p = _p_coeffs(_moments(w, a, n - 1))
+        phi = ps._log_core(_starlike_core(p, q, 0.0)[1:])  # log(f/z), order N - 1
+        # log(f/z) has coefficients p_n F_n/2 = p_n ln q/(q^n - 1)
+        return {None: np.abs(phi[1:] - p[1:n] * half_f).max(axis=0)}
+
+    worst = _maxima(routes, seed, samples)[None]
+    worst_log = _maxima(log_row, seed + 1, samples)[None]
     return [
         CheckResult("functional-equation and exponent routes agree",
                     worst <= 1e-9, f"max relative coeff diff {worst:.3e}"),
@@ -194,21 +204,22 @@ def _suite_membership(q, alpha, samples, seed) -> list[CheckResult]:
     one_atom, two_atom = (membership_starlike(f, params)
                           for f in _generators(params))
     results = []
-    for name, rep in (
-        ("one-atom generator", one_atom),
-        ("two-atom generator", two_atom),
-        ("q-integral extremal", one_atom),
-    ):
+    for name, rep in (("one-atom generator", one_atom),
+                      ("two-atom generator", two_atom),
+                      ("q-integral extremal", one_atom)):
         results.append(CheckResult(
             f"{name} certificate", rep.passed,
             f"worst margin {rep.worst_margin:.3e} at {rep.worst_point:.3f},"
             f" unresolved {rep.unresolved}"))
-    # members built in one batch; a certificate per member
-    m = _moments(*_sample_rows(seed, max(2, samples // 10)), params.order - 1)
-    members = _iq_core(_starlike_core(_p_coeffs(m), q, alpha)[1:], q)
-    reps = [membership_convex(ps.TruncatedSeries(a), params) for a in members.T]
-    worst = max(rep.worst_margin for rep in reps)
+
+    def certify(w, a):  # a block's members in one batch; a certificate each
+        m = _moments(w, a, params.order - 1)
+        members = _iq_core(_starlike_core(_p_coeffs(m), q, alpha)[1:], q)
+        reps = [membership_convex(ps.TruncatedSeries(c), params) for c in members.T]
+        return {"margin": np.array([rep.worst_margin for rep in reps]),
+                "failed": np.array([not rep.passed for rep in reps])}
+
+    top = _maxima(certify, seed, max(2, samples // 10))
     results.append(CheckResult("product-route members certify convex",
-                               all(rep.passed for rep in reps),
-                               f"worst margin {worst:.3e}"))
+                               not top["failed"], f"worst margin {top['margin']:.3e}"))
     return results

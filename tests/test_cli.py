@@ -226,6 +226,20 @@ class TestVerify:
         assert captured.err == ("error: seed must be a non-negative integer,"
                                 " got -3\n")
 
+    @pytest.mark.parametrize("suite", ["fs", "hankel", "bieberbach",
+                                       "herglotz", "membership"])
+    def test_bad_thread_variable_exits_cleanly(self, capsys, monkeypatch,
+                                               suite):
+        # the sampled suites take their worker count as search does
+        monkeypatch.setenv("QSCHLICHT_THREADS", "abc")
+        code = main(["verify", "--suite", suite, "--q", "0.5",
+                     "--samples", "5", "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == ("error: QSCHLICHT_THREADS must be a positive "
+                                "integer, got 'abc'\n")
+
 
 class TestSearch:
     def test_writes_canonical_report(self, capsys, tmp_path):

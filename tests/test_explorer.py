@@ -128,7 +128,7 @@ class TestConfig:
         assert resolve_workers() == 3
         assert resolve_workers(5) == 5
         monkeypatch.delenv("QSCHLICHT_THREADS")
-        assert resolve_workers() >= 1
+        assert resolve_workers() == (os.cpu_count() or 1)
 
 
 class TestSampling:

@@ -15,6 +15,7 @@ from qschlicht.caratheodory import AtomicMeasure, _moments, _p_coeffs, \
     p_series, sample_measure
 from qschlicht.errors import ConfigError, EvaluationSingularityError, \
     ZeroConstantTermError
+from qschlicht.explorer import SweepConfig, group_samples
 from qschlicht.extremal import _generators, eq_series, f1_series, \
     f2_series, f_exponent_series
 from qschlicht.q_calculus import ClassParams, _iq_core, dq, iq
@@ -23,7 +24,6 @@ from qschlicht.schlicht import (N_ANGLES, RADII, _POINTS, _grid_tables,
                                 convex_from_h, convex_from_measure,
                                 membership_convex, membership_starlike,
                                 rho_map, starlike_from_p)
-from qschlicht.verify import _sample_rows
 
 Q_GRID = (0.2, 0.5, 0.8)
 ALPHA_GRID = (0.0, 0.3, 0.7)
@@ -343,7 +343,9 @@ def _membership_op(q, alpha, seed):
     """The 22 certificates of a membership suite op at 200 samples, as
     (certificate, series, params) calls."""
     params = ClassParams(q=q, alpha=alpha, order=192)
-    m = _moments(*_sample_rows(seed, 20), params.order - 1)
+    # the suite's samples: the first of group 0 of a k_atoms = 4 sweep
+    cfg = SweepConfig(functional="h22", seed=seed, samples=20, q_grid=(q,))
+    m = _moments(*group_samples(cfg, 0), params.order - 1)
     members = _iq_core(_starlike_core(_p_coeffs(m), q, alpha)[1:], q)
     return ([(membership_starlike, f, params) for f in _generators(params)]
             + [(membership_convex, ps.TruncatedSeries(a), params)

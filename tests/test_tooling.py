@@ -219,6 +219,25 @@ def test_no_function_imports_a_package_module():
     assert not found
 
 
+def test_samples_are_drawn_only_by_the_sampling_functions():
+    # one draw-and-reduce path: sweeps and verify suites draw through
+    # _sample_maxima; group_samples, sample_measure and the sweep's argmax
+    # redraw (in _run_group) are the only other users of the sampler
+    def names_sampler(node):  # a name, an attribute or an import of it
+        return (getattr(node, "id", None) == "_fill_rows"
+                or getattr(node, "attr", None) == "_fill_rows"
+                or isinstance(node, ast.alias) and node.name == "_fill_rows")
+
+    found = set()
+    for path in sorted((ROOT / "src" / "qschlicht").glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if any(map(names_sampler, ast.walk(stmt))):
+                found.add((path.stem, getattr(stmt, "name", "import")))
+    assert found == {("caratheodory", "sample_measure"),
+                     ("explorer", "import"), ("explorer", "group_samples"),
+                     ("explorer", "_sample_maxima"), ("explorer", "_run_group")}
+
+
 #: public names that nothing outside tests/ uses yet, each with why it stays
 UNUSED_PUBLIC_NAMES = {
     "extend_p23": "ROADMAP item 5 gives it a caller",

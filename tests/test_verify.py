@@ -1,5 +1,6 @@
-"""The verify suites score their samples as one batch; these tests hold them
-to the same samples, rows and verdicts as building each member one at a time.
+"""The verify suites score their samples in the sweeps' blocks; these tests
+hold them to the same samples, rows and verdicts as building each member one
+at a time.
 
 The ``_loop_*`` functions are that reference: each builds its members one
 sample at a time through the public constructors and functionals.
@@ -7,6 +8,7 @@ sample at a time through the public constructors and functionals.
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,12 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qschlicht import power_series as ps
-from qschlicht import q_calculus, verify
+from qschlicht import explorer, q_calculus, verify
 from qschlicht.caratheodory import MAX_ATOMS, AtomicMeasure, p_series, \
     sample_measure
 from qschlicht.errors import ConfigError, RangeError
-from qschlicht.explorer import SweepConfig, _bieberbach_scores, \
-    _starlike_scores, group_samples
+from qschlicht.explorer import BLOCK, SweepConfig, _bieberbach_scores, \
+    _starlike_scores, group_samples, run_sweep
 from qschlicht.extremal import eq_series, f1_series, f2_series, \
     herglotz_starlike
 from qschlicht.functionals import bieberbach_bound_convex, \
@@ -27,11 +29,18 @@ from qschlicht.functionals import bieberbach_bound_convex, \
 from qschlicht.q_calculus import ClassParams, dq, iq, jackson_sum
 from qschlicht.schlicht import convex_from_h, convex_from_measure, \
     membership_convex, membership_starlike, starlike_from_p
-from qschlicht.verify import SUITES, CheckResult, _sample_rows, run_suite
+from qschlicht.verify import SUITES, CheckResult, run_suite
 from sampler_reference import reference_group_samples
 
 
 # -- reference: one member at a time ------------------------------------------
+
+
+def _suite_samples(seed, count):
+    """The suite's samples at seed as (weights, angles), (4, count) each: the
+    first samples of group 0 of a k_atoms = 4 sweep."""
+    cfg = SweepConfig(functional="h22", seed=seed, samples=count, q_grid=(0.5,))
+    return group_samples(cfg, 0)
 
 
 def _measures(seed, count):
@@ -216,21 +225,36 @@ def _agree(a: float, b: float) -> bool:
 # -- batch against the reference ----------------------------------------------
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize(("seed", "samples", "block"),
+                         [(1, 100, None), (2, 100, None), (3, 100, None),
+                          (1, 200, 16)],
+                         ids=["1", "2", "3", "1-200-block16"])
 @pytest.mark.parametrize("alpha", [0.0, 0.3])
 @pytest.mark.parametrize("q", [0.2, 0.5, 0.8])
 @pytest.mark.parametrize("suite", SUITES)
-def test_batch_matches_one_at_a_time(suite, q, alpha, seed):
-    got = run_suite(suite, q, alpha, 100, seed)
-    want = LOOPS[suite](q, alpha, 100, seed)
-    assert [(r.name, r.passed) for r in got] == [(r.name, r.passed) for r in want]
-    for g, w in zip(got, want):
-        if g.detail == w.detail:
-            continue
-        # only the printed digits may differ, and only by rounding
-        assert _NUMBER.sub("#", g.detail) == _NUMBER.sub("#", w.detail)
-        pairs = zip(_NUMBER.findall(g.detail), _NUMBER.findall(w.detail))
-        assert all(_agree(float(x), float(y)) for x, y in pairs), (g, w)
+def test_batch_matches_one_at_a_time(suite, q, alpha, seed, samples, block,
+                                     monkeypatch):
+    """With 16-sample blocks every statistic crosses block boundaries, on one
+    thread and on three (membership's 20 certificates span two blocks)."""
+    runs = []
+    if block:
+        monkeypatch.setattr(explorer, "BLOCK", block)
+        for threads in ("1", "3"):
+            monkeypatch.setenv("QSCHLICHT_THREADS", threads)
+            runs.append(run_suite(suite, q, alpha, samples, seed))
+    else:
+        runs.append(run_suite(suite, q, alpha, samples, seed))
+    want = LOOPS[suite](q, alpha, samples, seed)
+    for got in runs:
+        assert [(r.name, r.passed) for r in got] == [(r.name, r.passed)
+                                                      for r in want]
+        for g, w in zip(got, want):
+            if g.detail == w.detail:
+                continue
+            # only the printed digits may differ, and only by rounding
+            assert _NUMBER.sub("#", g.detail) == _NUMBER.sub("#", w.detail)
+            pairs = zip(_NUMBER.findall(g.detail), _NUMBER.findall(w.detail))
+            assert all(_agree(float(x), float(y)) for x, y in pairs), (g, w)
 
 
 def test_herglotz_rows_pass_down_to_their_smallest_q():
@@ -272,7 +296,7 @@ def test_membership_extremal_row_is_the_one_atom_certificate(q, alpha):
 def test_per_sample_scores_match_the_constructors(q, alpha):
     """The suite statistics are extremes that one-atom samples often pin
     (the Bieberbach worst ratio reads 1 exactly), so check every sample."""
-    rows = _sample_rows(7, 60)
+    rows = _suite_samples(7, 60)
     ratios = _bieberbach_scores(*rows, q, alpha, 10)
     mus = (-1.0, 0.5 + 0.5j)
     fs = _starlike_scores("fs", *rows, q, alpha, mus)
@@ -319,18 +343,46 @@ def test_qcalc_single_draw_is_the_sequential_stream(samples):
 # -- one sampler ---------------------------------------------------------------
 
 
-@given(seed=st.integers(0, 2**63), count=st.integers(1, 40))
+@given(seed=st.integers(0, 2**63), count=st.integers(1, 40),
+       alpha=st.sampled_from([0.0, 0.3]))
 @settings(max_examples=40)
-def test_suite_rows_are_the_first_rows_of_a_sweep_group(seed, count):
-    weights, angles = _sample_rows(seed, count)
+def test_suite_rows_are_the_first_rows_of_a_sweep_group(seed, count, alpha):
+    # the oracle's rows are the sweep's, and the hankel suite's empirical
+    # maximum is that of an h22 sweep group over the same samples
+    weights, angles = _suite_samples(seed, count)
     ref_w, ref_a = reference_group_samples(seed, 0, count, 4)
     assert np.array_equal(weights, ref_w.T)
     assert np.array_equal(angles, ref_a.T)
-    cfg = SweepConfig(functional="h22", seed=seed, samples=count + 3,
-                      q_grid=(0.5,))
-    sweep_w, sweep_a = group_samples(cfg, 0)
-    assert np.array_equal(weights, sweep_w[:, :count])
-    assert np.array_equal(angles, sweep_a[:, :count])
+    cfg = SweepConfig(functional="h22", seed=seed, samples=count,
+                      q_grid=(0.5,), alpha_grid=(alpha,), k_atoms=4,
+                      include_extremals=False, refine_iters=0)
+    (cell,) = run_sweep(cfg, workers=1)["cells"]
+    detail = run_suite("hankel", 0.5, alpha, count, seed)[-1].detail
+    empirical = re.match(r"empirical (\S+) vs", detail).group(1)
+    assert empirical == f"{cell['empirical_max']:.9f}"
+
+
+def test_suite_memory_does_not_grow_with_samples(monkeypatch):
+    # blocks are drawn and reduced one at a time, so the traced peak is one
+    # block's arrays at any sample count; on one thread, since with two the
+    # overlap of their blocks' arrays moves the peak by about 2 MB run to run
+    monkeypatch.setenv("QSCHLICHT_THREADS", "1")
+    runs = [(suite, 0.0, BLOCK) for suite in ("fs", "hankel", "bieberbach",
+                                              "herglotz")]
+    runs.append(("membership", 0.3, 64))  # ten samples per certificate
+    for suite, alpha, block in runs:
+        monkeypatch.setattr(explorer, "BLOCK", block)
+        peaks = []
+        for samples in ((4 * block, 32 * block) if suite != "membership"
+                        else (40 * block, 320 * block)):
+            run_suite(suite, 0.5, alpha, samples, 1)  # its scratch buffers
+            tracemalloc.start()
+            try:
+                run_suite(suite, 0.5, alpha, samples, 1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 1e6, (suite, peaks)
 
 
 @given(seed=st.integers(0, 2**64 - 1), k=st.integers(1, MAX_ATOMS))
