@@ -93,9 +93,10 @@ def _iq_core(d: np.ndarray, q: float) -> np.ndarray:
     """Jackson q-integral along axis 0: out[n] = d[n-1] / [n]_q, out[0] = 0."""
     out = np.zeros((d.shape[0] + 1,) + d.shape[1:], dtype=np.complex128)
     br = _brackets(d.shape[0], q)[1:]
-    # componentwise (complex/real promotion rounds differently), degree last
-    out.real.T[..., 1:] = d.real.T / br
-    out.imag.T[..., 1:] = d.imag.T / br
+    br = br.reshape(br.shape + (1,) * (d.ndim - 1))
+    # componentwise: complex/real promotion rounds differently
+    np.divide(d.real, br, out=out.real[1:])
+    np.divide(d.imag, br, out=out.imag[1:])
     return out
 
 

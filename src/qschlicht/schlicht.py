@@ -18,7 +18,10 @@ Certificates evaluate the ratio on one fixed polar grid, radii 0.05..0.90
 with 256 half-step offset angles each, by one inverse FFT of
 c_n r^n e^{i pi n/256} per radius r: that is u at
 the exact angles, within 4.3e-16 sum |c_n| r^n for f1 and f2 at order 192
-(Horner at the rounded grid points: 1.0e-15).  Because the inputs are
+(Horner at the rounded grid points: 1.0e-15).  The certificate core takes a
+batch of members as the columns of one (N + 1, members) array (the membership
+suite passes 64), transforms FFT_CHUNK = 4 of them at a time, and reports on
+each bitwise as on the member alone.  Because the inputs are
 truncated series, every evaluation carries a truncation-error estimate; a
 grid point only counts as a violation when the excess
 |g - alpha q| - (1 - alpha) exceeds the tolerance by more than the estimated
@@ -52,6 +55,8 @@ _DENOM_FLOOR = 1e-14
 #: < N_ANGLES, so every degree has its own FFT bin.
 RADII = np.round(np.arange(1, 19) * 0.05, 2)
 N_ANGLES = 256
+#: members per inverse FFT: 1.2 MB of scratch at order 192 (20 members: 5.3 MB)
+FFT_CHUNK = 4
 _POINTS = RADII[:, None] * np.exp(
     1j * ((np.arange(N_ANGLES) + 0.5) * (2.0 * math.pi / N_ANGLES)))[None, :]
 RADII.setflags(write=False)
@@ -61,11 +66,11 @@ _SCRATCH = threading.local()
 
 @functools.lru_cache(maxsize=32)
 def _grid_tables(q: float, order: int) -> tuple:
-    """Read-only (denominator, numerator) radii, e^{i pi n/N_ANGLES} and r^n."""
-    radii = np.outer((1.0, q), RADII).ravel()
+    """Read-only e^{i pi n/N_ANGLES} and r^n, a row each r in RADII, q RADII."""
     n = np.arange(order + 1)
-    tables = (radii, np.exp(1j * math.pi / N_ANGLES * n),
-              np.power(radii[:, None], n).astype(np.complex128))  # no cast buffer
+    tables = (np.exp(1j * math.pi / N_ANGLES * n),
+              np.power(np.outer((1.0, q), RADII).reshape(-1, 1), n)
+              .astype(np.complex128))  # no cast buffer
     for t in tables:
         t.setflags(write=False)
     return tables
@@ -80,18 +85,22 @@ def _scratch(name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
     return getattr(_SCRATCH, name)[:size].reshape(shape)
 
 
-def _polar_values(u: TruncatedSeries, ramp: np.ndarray,
+def _polar_values(u: np.ndarray, ramp: np.ndarray,
                   powers: np.ndarray) -> np.ndarray:
-    """u at r e^{i(2j + 1) pi/N_ANGLES}, one row per row r^0..r^N of powers:
-    the inverse DFT of c_n r^n e^{i pi n/N_ANGLES} (ramp), degree n in bin n,
-    in this thread's scratch until its next call."""
+    """(column, r, j) -> u at r e^{i(2j + 1) pi/N_ANGLES}, for each row r^0..r^N
+    of powers: the inverse DFT of c_n r^n e^{i pi n/N_ANGLES} (ramp), degree n
+    in bin n, in this thread's scratch until its next call."""
     rows, m = powers.shape
+    scaled = _scratch("scaled", (u.shape[1], m), np.complex128)
+    scaled[:] = u.T
+    scaled *= ramp
     terms = _scratch("terms", (rows, m), np.complex128)
-    terms[:] = u.coeffs * ramp
-    terms *= powers  # contiguous and complex: numpy needs no buffer for it
-    bins = _scratch("bins", (rows, N_ANGLES), np.complex128)
-    bins[:, :m] = terms
-    bins[:, m:] = 0.0
+    bins = _scratch("bins", (u.shape[1], rows, N_ANGLES), np.complex128)
+    for k, c in enumerate(scaled):
+        terms[:] = c
+        terms *= powers  # in place: a broadcast product allocates its buffer
+        bins[k, :, :m] = terms
+    bins[..., m:] = 0.0
     return np.fft.ifft(bins, norm="forward", out=bins)
 
 
@@ -114,8 +123,9 @@ class CertReport:
     grid: dict = field(default_factory=dict)
 
 
-def _certify(u: TruncatedSeries, params: ClassParams, criterion: str) -> CertReport:
-    """Certify |g - alpha q| <= 1 - alpha for g(z) = q u(qz)/u(z) on the grid.
+def _certify(u: np.ndarray, params: ClassParams, criterion: str) -> list:
+    """Certify |g - alpha q| <= 1 - alpha for g(z) = q u(qz)/u(z) on the grid,
+    one CertReport per column of u (degree on axis 0), each the column's own.
 
     u is f/z for the starlike-type condition and Dq f for the convex-type
     one, so g is the class ratio of f or of its starlike pair z (Dq f).  The
@@ -127,48 +137,53 @@ def _certify(u: TruncatedSeries, params: ClassParams, criterion: str) -> CertRep
     """
     tol = 1e-7  # on the error-adjusted excess
     q, alpha = params.q, params.alpha
-    radii, ramp, powers = _grid_tables(q, u.order)
-    den, num = np.split(_polar_values(u, ramp, powers), 2)
-    den_abs, abs_g, excess = _scratch("planes", (3,) + _POINTS.shape)
-    np.abs(den, out=den_abs)
-    if np.any(den_abs < _DENOM_FLOOR):
-        idx = int(np.argmin(den_abs))
-        raise EvaluationSingularityError(
-            f"denominator vanished at grid point {_POINTS.ravel()[idx]:.6f}")
-    g = np.divide(np.multiply(q, num, out=num), den, out=num)
-    den_tail, num_tail = np.split(ps.tail_estimate(u, radii)[:, None], 2)
-    np.abs(g, out=abs_g)
-    np.abs(np.subtract(g, alpha * q, out=g), out=excess)
-    excess -= 1.0 - alpha
-    err = np.add(q * num_tail, np.multiply(abs_g, den_tail, out=abs_g), out=abs_g)
-    err /= den_abs
-    flat = np.subtract(excess, err, out=excess).ravel()
-    idx = int(np.argmax(flat))
-    point = complex(_POINTS.ravel()[idx])
-    if not np.any(u.coeffs.imag):
-        even = not np.any(u.coeffs[1::2])
-        point = complex(abs(point.real) if even else point.real, abs(point.imag))
-    return CertReport(
-        passed=not np.any(flat > tol),
-        worst_margin=float(flat[idx]),
-        worst_point=point,
-        tol=tol,
-        unresolved=int(np.count_nonzero(err > tol)),
-        grid={"radii": RADII.tolist(), "n_angles": N_ANGLES, "angle_offset": 0.5,
-              "criterion": criterion, "q": q, "alpha": alpha},
-    )
+    ramp, powers = _grid_tables(q, u.shape[0] - 1)
+    n0 = max(0, u.shape[0] - 4)  # ps.tail_estimate of every column at once
+    tails = 10.0 * (np.abs(u[n0:]) * powers.real[:, n0:, None]).max(axis=1)
+    tails = tails.T.reshape(-1, 2, RADII.size, 1)  # (column, den/num, r, 1)
+    real, even = ~np.any(u.imag, axis=0), ~np.any(u[1::2], axis=0)
+    reports = []
+    for lo in range(0, u.shape[1], FFT_CHUNK):
+        vals = _polar_values(u[:, lo:lo + FFT_CHUNK], ramp, powers)
+        den, num = vals[:, :RADII.size], vals[:, RADII.size:]
+        den_abs, abs_g, excess = _scratch("planes", (3,) + den.shape)
+        np.abs(den, out=den_abs)
+        low = np.any(den_abs < _DENOM_FLOOR, axis=(1, 2))
+        if np.any(low):
+            idx = int(np.argmin(den_abs[np.argmax(low)]))
+            raise EvaluationSingularityError(
+                f"denominator vanished at grid point {_POINTS.ravel()[idx]:.6f}")
+        g = np.divide(np.multiply(q, num, out=num), den, out=num)
+        den_tail, num_tail = tails[lo:lo + FFT_CHUNK].swapaxes(0, 1)
+        np.abs(g, out=abs_g)
+        np.abs(np.subtract(g, alpha * q, out=g), out=excess)
+        excess -= 1.0 - alpha
+        err = np.add(q * num_tail, np.multiply(abs_g, den_tail, out=abs_g), out=abs_g)
+        err /= den_abs
+        flat = np.subtract(excess, err, out=excess).reshape(len(vals), -1)
+        for k, idx in enumerate(np.argmax(flat, axis=1)):
+            point = complex(_POINTS.ravel()[idx])
+            if real[lo + k]:
+                point = complex(abs(point.real) if even[lo + k] else point.real,
+                                abs(point.imag))
+            reports.append(CertReport(
+                passed=not np.any(flat[k] > tol), worst_margin=float(flat[k, idx]),
+                worst_point=point, tol=tol, unresolved=int(np.count_nonzero(err[k] > tol)),
+                grid={"radii": RADII.tolist(), "n_angles": N_ANGLES, "angle_offset": 0.5,
+                      "criterion": criterion, "q": q, "alpha": alpha}))
+    return reports
 
 
 def membership_starlike(f: TruncatedSeries, params: ClassParams) -> CertReport:
     """Grid certificate for the starlike-type condition of order alpha:
     |f(qz)/f(z) - alpha q| <= 1 - alpha within 1e-7.  f must have a_0 = 0."""
-    return _certify(ps.div_z(f), params, "starlike")
+    return _certify(ps.div_z(f).coeffs[:, None], params, "starlike")[0]
 
 
 def membership_convex(f: TruncatedSeries, params: ClassParams) -> CertReport:
     """Grid certificate for the convex-type condition of order alpha:
     |q (Dq f)(qz)/(Dq f)(z) - alpha q| <= 1 - alpha within 1e-7."""
-    return _certify(dq(f, params.q), params, "convex")
+    return _certify(dq(f, params.q).coeffs[:, None], params, "convex")[0]
 
 
 # -- constructions: public wrappers over axis-0 array cores (see power_series)

@@ -251,8 +251,8 @@ def test_polar_values_match_exact_angles():
     eps = np.finfo(np.float64).eps
     for u, want in zip(series, exact):
         # the denominator rows of a certificate's tables are the grid radii
-        _, ramp, powers = _grid_tables(0.5, u.order)
-        got = _polar_values(u, ramp, powers)[:RADII.size]
+        ramp, powers = _grid_tables(0.5, u.order)
+        got = _polar_values(u.coeffs[:, None], ramp, powers)[0, :RADII.size]
         scale = (np.abs(u.coeffs) * np.power(RADII[:, None],
                                               np.arange(u.order + 1))).sum(axis=1)
         assert np.all(np.abs(got - want) <= 16 * eps * scale[:, None])

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from qschlicht import power_series as ps
 from qschlicht.errors import NonConvergenceError, RangeError
 from qschlicht.extremal import f_exponent_series
-from qschlicht.q_calculus import (ClassParams, dq, iq, jackson_sum, q_bracket,
-                                  q_powers)
+from qschlicht.q_calculus import (ClassParams, _brackets, _iq_core, dq, iq,
+                                  jackson_sum, q_bracket, q_powers)
 
 
 def loop_q_powers(q, n_max):
@@ -97,6 +97,22 @@ class TestIq:
                 assert np.abs(back.coeffs - target).max() <= 1e-14 * 10
                 forward = dq(iq(f, q), q)
                 assert np.abs(forward.coeffs - f.coeffs).max() <= 1e-14 * 10
+
+
+    @pytest.mark.parametrize("q", [0.2, 0.5, 0.8])
+    @pytest.mark.parametrize("shape", [(33,), (33, 7), (10, 4096)])
+    def test_core_is_bitwise_the_transposed_division(self, q, shape):
+        # the transposed-view formula it replaced: division rounds per
+        # element, so dividing along axis 0 gives the same bits
+        rng = np.random.default_rng(11)
+        d = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        br = _brackets(shape[0], q)[1:]
+        want = np.zeros((shape[0] + 1,) + shape[1:], dtype=np.complex128)
+        want.real.T[..., 1:] = d.real.T / br
+        want.imag.T[..., 1:] = d.imag.T / br
+        for x in (d, d.real.copy()):
+            got = _iq_core(x, q)
+            assert got.tobytes() == (want if x is d else want.real + 0j).tobytes()
 
 
 class TestJacksonSum:

@@ -18,12 +18,12 @@ from qschlicht.errors import ConfigError, EvaluationSingularityError, \
 from qschlicht.explorer import SweepConfig, group_samples
 from qschlicht.extremal import _generators, eq_series, f1_series, \
     f2_series, f_exponent_series
-from qschlicht.q_calculus import ClassParams, _iq_core, dq, iq
-from qschlicht.schlicht import (N_ANGLES, RADII, _POINTS, _grid_tables,
-                                _polar_values, _starlike_core, alexander_pair,
-                                convex_from_h, convex_from_measure,
-                                membership_convex, membership_starlike,
-                                rho_map, starlike_from_p)
+from qschlicht.q_calculus import ClassParams, _dq_core, _iq_core, dq, iq
+from qschlicht.schlicht import (FFT_CHUNK, N_ANGLES, RADII, _POINTS, _certify,
+                                _grid_tables, _polar_values, _starlike_core,
+                                alexander_pair, convex_from_h,
+                                convex_from_measure, membership_convex,
+                                membership_starlike, rho_map, starlike_from_p)
 
 Q_GRID = (0.2, 0.5, 0.8)
 ALPHA_GRID = (0.0, 0.3, 0.7)
@@ -274,8 +274,8 @@ class TestMembershipCertificates:
         if horner:
             den, num = ps.eval_grid(u, z), ps.eval_grid(u, q * z)
         else:
-            _, ramp, powers = _grid_tables(q, u.order)
-            den, num = np.split(_polar_values(u, ramp, powers), 2)
+            ramp, powers = _grid_tables(q, u.order)
+            den, num = np.split(_polar_values(u.coeffs[:, None], ramp, powers)[0], 2)
         g = q * num / den
         tails = [ps.tail_estimate(u, s * RADII)[:, None] for s in (q, 1.0)]
         err = (q * tails[0] + np.abs(g) * tails[1]) / np.abs(den)
@@ -415,6 +415,73 @@ class TestSharedCertificateState:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert int(proc.stdout) / 100 < 1.0
+
+
+def _batch_columns(q, alpha):
+    """Ten sampled convex members f, and u = Dq f of each with f1/z (real)
+    and f2/z (even and real) inserted at columns 1 and 6, all of order 191."""
+    params = ClassParams(q=q, alpha=alpha, order=192)
+    cfg = SweepConfig(functional="h22", seed=3, samples=10, q_grid=(q,))
+    m = _moments(*group_samples(cfg, 0), params.order - 1)
+    members = _iq_core(_starlike_core(_p_coeffs(m), q, alpha)[1:], q)
+    f1, f2 = _generators(params)
+    u = np.insert(_dq_core(members, q), [1, 5], np.c_[f1.coeffs[1:], f2.coeffs[1:]],
+                  axis=1)
+    return params, members, u
+
+
+class TestBatchedCertificates:
+    """_certify takes members as the columns of one (N + 1, M) array."""
+
+    @pytest.mark.parametrize("q, alpha", [(0.2, 0.0), (0.5, 0.3), (0.8, 0.3)])
+    @pytest.mark.parametrize("count", [1, 2, 3, 5, 9])
+    def test_batch_equals_one_at_a_time(self, q, alpha, count):
+        # 5 and 9 cross the FFT_CHUNK = 4 member chunks of the inverse FFT;
+        # 3 and up hold the real f1/z, 9 the even f2/z
+        params, _, u = _batch_columns(q, alpha)
+        u = u[:, -count:] if count < 3 else u[:, :count]
+        want = [_certify(u[:, [k]], params, "convex")[0] for k in range(count)]
+        assert _certify(u, params, "convex") == want
+        assert FFT_CHUNK == 4
+
+    @pytest.mark.parametrize("q, alpha", [(0.2, 0.3), (0.5, 0.0), (0.8, 0.3)])
+    def test_batch_equals_the_membership_certificates(self, q, alpha):
+        params, members, u = _batch_columns(q, alpha)
+        f1, f2 = _generators(params)
+        star, conv = (_certify(u, params, c) for c in ("starlike", "convex"))
+        assert star[1] == membership_starlike(f1, params)
+        assert star[6] == membership_starlike(f2, params)
+        # the tie rules: upper conjugate when real, first quadrant when even
+        assert star[1].worst_point.imag >= 0.0
+        assert star[6].worst_point.real >= 0.0 <= star[6].worst_point.imag
+        sampled = [rep for k, rep in enumerate(conv) if k not in (1, 6)]
+        assert sampled == [membership_convex(ps.TruncatedSeries(c), params)
+                           for c in members.T]
+
+    def test_reports_do_not_share_their_grid(self):
+        params, _, u = _batch_columns(0.5, 0.3)
+        reps = _certify(u[:, :5], params, "convex")
+        assert len({id(rep.grid) for rep in reps}) == 5
+        assert len({id(rep.grid["radii"]) for rep in reps}) == 5
+
+    def test_singular_member_raises_its_own_message(self):
+        params, _, u = _batch_columns(0.5, 0.3)
+        # 1 - z/z0 vanishes at the grid points z0 of radii 0.2 and 0.3
+        roots = [0.2 * np.exp(1j * math.pi / N_ANGLES),
+                 0.3 * np.exp(11j * math.pi / N_ANGLES)]
+        singular = np.zeros((u.shape[0], 2), dtype=complex)
+        singular[0], singular[1] = 1.0, [-1.0 / z0 for z0 in roots]
+        messages = []
+        for k in range(2):
+            with pytest.raises(EvaluationSingularityError) as err:
+                _certify(singular[:, [k]], params, "convex")
+            messages.append(str(err.value))
+        assert messages[0] != messages[1]
+        for batch, first in ((np.c_[u[:, :2], singular, u[:, 2:4]], 0),
+                             (np.c_[u[:, :5], singular[:, ::-1]], 1)):
+            with pytest.raises(EvaluationSingularityError) as err:
+                _certify(batch, params, "convex")
+            assert str(err.value) == messages[first]
 
 
 class TestCertGrid:

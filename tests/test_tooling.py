@@ -117,26 +117,26 @@ def test_membership_reports_carry_the_grid_the_tracer_reads():
 
 def test_traced_membership_suite_counts_certificate_points():
     # points per certificate and the unresolved total, against the reports
-    # of the same suite run without the tracer
+    # of the same suite run without the tracer; the tracer wraps the
+    # membership_* names, so it sees the two generator certificates but not
+    # the sampled members, which the suite certifies in one _certify batch
     reports = []
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("membership_starlike", "membership_convex"):
-            def recorded(*args, _fn=getattr(verify, name), **kwargs):
-                reports.append(_fn(*args, **kwargs))
-                return reports[-1]
-            mp.setattr(verify, name, recorded)
+        def recorded(*args, _fn=verify.membership_starlike, **kwargs):
+            reports.append(_fn(*args, **kwargs))
+            return reports[-1]
+        mp.setattr(verify, "membership_starlike", recorded)
         untraced = verify.run_suite("membership", 0.5, 0.3, 20, 1)
     tracer_mod = load_tracer()
     with tracer_mod.Tracer().installed() as tracer:
         traced = verify.run_suite("membership", 0.5, 0.3, 20, 1)
     assert traced == untraced
     rows = tracer_mod.summarize(tracer.spans)
-    certs = [rows[f"schlicht.{n}"] for n in ("membership_starlike",
-                                              "membership_convex")]
-    assert sum(row["calls"] for row in certs) == len(reports) == 4
-    assert sum(row["points"] for row in certs) == 18 * 256 * len(reports)
-    assert sum(row["unresolved"] for row in certs) == sum(
-        rep.unresolved for rep in reports)
+    row = rows["schlicht.membership_starlike"]
+    assert "schlicht.membership_convex" not in rows
+    assert row["calls"] == len(reports) == 2
+    assert row["points"] == 18 * 256 * len(reports)
+    assert row["unresolved"] == sum(rep.unresolved for rep in reports)
 
 
 def test_bare_pytest_collects_without_pythonpath():
@@ -236,6 +236,28 @@ def test_samples_are_drawn_only_by_the_sampling_functions():
     assert found == {("caratheodory", "sample_measure"),
                      ("explorer", "import"), ("explorer", "group_samples"),
                      ("explorer", "_sample_maxima"), ("explorer", "_run_group")}
+
+
+def test_certificates_batch_their_members():
+    # one FFT path, in _polar_values, and no per-member certificate loop:
+    # a batch of members goes to schlicht._certify as the columns of one array
+    def named(node, names):
+        return getattr(node, "id", getattr(node, "attr", None)) in names
+
+    loops = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp,
+             ast.DictComp, ast.GeneratorExp)
+    fft, looped = set(), []
+    for path in sorted((ROOT / "src" / "qschlicht").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for stmt in tree.body:
+            if any(named(node, {"fft"}) for node in ast.walk(stmt)):
+                fft.add((path.stem, getattr(stmt, "name", None)))
+        looped += [f"{path.name}:{node.lineno}" for loop in ast.walk(tree)
+                   if isinstance(loop, loops) for node in ast.walk(loop)
+                   if isinstance(node, ast.Call) and named(
+                       node.func, {"membership_starlike", "membership_convex"})]
+    assert fft == {("schlicht", "_polar_values")}
+    assert not looped
 
 
 #: public names that nothing outside tests/ uses yet, each with why it stays
