@@ -9,8 +9,8 @@ extremal sweeps that compare empirical maxima against the stated bounds.
 __version__ = "0.1.0"
 
 from .caratheodory import (AtomicMeasure, dump_measure, load_measure,
-                           p_series, extend_p23, recover_xi_zeta,
-                           rotation_normalized, sample_measure)
+                           p_series, extend_p23, rotation_normalized,
+                           sample_measure)
 from .errors import QschlichtError
 from .explorer import (SweepConfig, canonical_json, replay_cell, report_csv,
                        run_limit_sweep, run_sweep, save_report)
@@ -33,7 +33,7 @@ __all__ = [
     "f_exponent_series", "fekete_szego_value", "fs_bound", "hankel_bound",
     "hankel_value", "herglotz_starlike", "iq", "jackson_sum", "load_measure",
     "membership_convex", "membership_starlike", "p_series",
-    "q_bracket", "recover_xi_zeta", "replay_cell", "report_csv",
+    "q_bracket", "replay_cell", "report_csv",
     "rho_map", "rotation_normalized", "run_limit_sweep", "run_sweep",
     "sample_measure", "save_report", "starlike_from_p", "t4_scalars",
 ]

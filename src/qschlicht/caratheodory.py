@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateParametrizationError, RangeError
+from .errors import ConfigError, RangeError
 from .power_series import TruncatedSeries, _einsum
 
 MAX_ATOMS = 8
@@ -220,27 +220,6 @@ def extend_p23(p1: float, xi: complex, zeta: complex) -> tuple[complex, complex]
     p3 = 0.25 * (p1 ** 3 + 2.0 * s * p1 * xi - p1 * s * xi * xi
                  + 2.0 * s * (1.0 - abs(xi) ** 2) * zeta)
     return p2, p3
-
-
-def recover_xi_zeta(p1: float, p2: complex, p3: complex) -> tuple[complex, complex]:
-    """Invert :func:`extend_p23` for interior p1 and well-conditioned xi.
-
-    Raises DegenerateParametrizationError on the p1 boundary (the map
-    collapses there) and when |xi| >= 1 - 1e-6 (the zeta coefficient
-    vanishes at |xi| = 1).
-    """
-    p1 = float(p1)
-    if p1 <= 1e-9 or p1 >= 2.0 - 1e-9:
-        raise DegenerateParametrizationError(
-            f"parametrization is degenerate at p1 = {p1}")
-    s = 4.0 - p1 * p1
-    xi = (2.0 * complex(p2) - p1 * p1) / s
-    if abs(xi) >= 1.0 - 1e-6:
-        raise DegenerateParametrizationError(
-            f"|xi| = {abs(xi):.9f} is too close to 1 to solve for zeta")
-    denom = 2.0 * s * (1.0 - abs(xi) ** 2)
-    zeta = (4.0 * complex(p3) - p1 ** 3 - 2.0 * s * p1 * xi + p1 * s * xi * xi) / denom
-    return xi, zeta
 
 
 def _check_seed(seed) -> int:

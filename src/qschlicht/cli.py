@@ -148,7 +148,6 @@ def _cmd_search(args) -> int:
         mu_grid=_parse_mu_grid(args.mu_grid) if args.mu_grid else (),
         k_atoms=args.k_atoms,
         include_extremals=not args.no_extremals,
-        refine_iters=args.refine_iters,
     )
     report = run_sweep(cfg, workers=args.workers)
     save_report(report, args.out, csv_path=args.csv)
@@ -233,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", default=None, help="optional CSV path")
     p.add_argument("--k-atoms", type=int, default=4)
     p.add_argument("--no-extremals", action="store_true")
-    p.add_argument("--refine-iters", type=int, default=100)
     p.add_argument("--workers", type=int, default=None,
                    help="overrides QSCHLICHT_THREADS")
     p.set_defaults(fn=_cmd_search)

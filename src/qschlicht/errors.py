@@ -37,10 +37,6 @@ class NonConvergenceError(QschlichtError, ArithmeticError):
     """An iterative summation failed to decay within the iteration cap."""
 
 
-class DegenerateParametrizationError(QschlichtError, ValueError):
-    """Coefficient parametrization is not invertible at this point."""
-
-
 class AlphaUnsupportedError(QschlichtError, ValueError):
     """Operation is only defined for order alpha = 0."""
 

@@ -28,13 +28,6 @@ Determinism contract:
   * single-measure evaluation is a batch of one: extremal injection and
     replay run the sweep's batch scorer on one column, so a sampled measure
     scores bitwise the same alone as in its block;
-  * refinement scores as one batch the valid candidate moves left in a
-    pass, with those of the passes that would follow it from the same point,
-    and takes the first improving move in the sequential order (pass by
-    pass: angle moves, then weight moves, atom by atom, each +step before
-    -step), then goes on from the new point; since a row scores the same in
-    any batch, this is the move a one-candidate-at-a-time ascent accepts,
-    and the path does not depend on the batching;
   * reports serialize canonically (sorted keys, %.17g floats), so a fixed
     seed yields byte-identical JSON for any worker count.
 """
@@ -68,8 +61,9 @@ from .schlicht import _scratch, _starlike_core
 TWO_PI = 2.0 * math.pi
 FUNCTIONALS = ("fs", "h22", "bieberbach")
 
-#: refinement guards near the class boundary, where the parametrization
-#: conditions badly: weights stay above this floor and atoms this far apart.
+#: :func:`refine_measure`'s guards near the class boundary, where the
+#: parametrization conditions badly: weights stay above this floor and atoms
+#: this far apart.
 MIN_WEIGHT = 1e-4
 MIN_SEPARATION = 1e-3
 
@@ -105,7 +99,6 @@ class SweepConfig:
     mu_grid: tuple = ()
     k_atoms: int = 4
     include_extremals: bool = True
-    refine_iters: int = 100
     tol: float = 1e-7
     n_check: int = 10
 
@@ -119,8 +112,6 @@ class SweepConfig:
         object.__setattr__(self, "seed", _check_seed(self.seed))
         if self.samples < 1:
             raise ConfigError("samples must be positive")
-        if self.refine_iters < 0:
-            raise ConfigError("refine_iters must be non-negative")
         if not (math.isfinite(self.tol) and self.tol >= 0.0):
             raise ConfigError(f"tol must be finite and non-negative, got {self.tol}")
         if not self.q_grid or not self.alpha_grid:
@@ -199,13 +190,6 @@ def _bieberbach_scores(weights, angles, q, alpha, n_check):
     return (np.abs(a[2:]) / bounds[:, None]).max(axis=0, initial=0.0)
 
 
-def _cell_scorer(functional, q, alpha, mu, n_check):
-    """The batch scorer of one sweep cell: candidate rows -> values."""
-    if functional == "bieberbach":
-        return lambda w, a: _bieberbach_scores(w.T, a.T, q, alpha, n_check)
-    return lambda w, a: _starlike_scores(functional, w.T, a.T, q, alpha, (mu,))[mu]
-
-
 def evaluate_measure(functional: str, m: AtomicMeasure, q: float, alpha: float,
                      mu: complex | None = None, n_check: int = 10) -> float:
     """Functional value for one measure; the injection and replay target.
@@ -220,8 +204,10 @@ def evaluate_measure(functional: str, m: AtomicMeasure, q: float, alpha: float,
     if not (2 <= n_check <= MAX_ORDER):
         raise ConfigError(f"n_check must lie in [2, {MAX_ORDER}]")
     ClassParams(q=q, alpha=alpha)  # validates q and alpha
-    score = _cell_scorer(functional, q, alpha, mu, n_check)
-    return float(score(m.weights[None, :], m.angles[None, :])[0])
+    w, a = m.weights[:, None], m.angles[:, None]
+    if functional == "bieberbach":
+        return float(_bieberbach_scores(w, a, q, alpha, n_check)[0])
+    return float(_starlike_scores(functional, w, a, q, alpha, (mu,))[mu][0])
 
 
 def replay_cell(cfg: SweepConfig, cell: dict) -> float:
@@ -235,103 +221,50 @@ def replay_cell(cfg: SweepConfig, cell: dict) -> float:
 # -- refinement ---------------------------------------------------------------
 
 
-def _moves(w, ang, steps, first):
-    """The valid moves from (w, ang) of one pass per entry of ``steps``, in
-    order, as (pass, slot, weights rows, angles rows); the first pass starts
-    at slot ``first``.
+def refine_measure(score_fn, m: AtomicMeasure, iters: int):
+    """Coordinate ascent over the atom angles and weights of ``m``, scoring
+    one candidate measure at a time with score_fn.
 
-    Slot i < k moves angle i, slot k + i moves weight i (only when k > 1);
-    each slot tries +step before -step.  Angle moves keep atoms
-    MIN_SEPARATION apart; weight moves renormalize and keep every weight
-    above MIN_WEIGHT.  Angles are kept as stepped, before the mod 2 pi that
-    AtomicMeasure takes."""
+    A pass moves each angle, then each weight (only when there are two atoms
+    or more), trying +step before -step and taking a move as soon as it
+    beats the best value; the next atom's moves start from the new point.
+    Angle moves keep atoms MIN_SEPARATION apart and keep the angle as
+    stepped, before the mod 2 pi that AtomicMeasure takes; weight moves
+    renormalize and keep every weight above MIN_WEIGHT.  The first pass
+    steps by 0.1, a pass that accepts nothing halves the step, and the
+    ascent stops after ``iters`` passes or when the step falls below 1e-12.
+    Returns the best (value, measure) found; never worse than the start.
+    Sweeps do not refine: they inject the one- and two-atom members this
+    ascent climbs toward."""
+    w, ang = m.weights, m.angles
+    best = score_fn(AtomicMeasure(w, ang))
     k = w.size
-    rows = np.arange(2 * k)
-    idx = rows // 2
-    signed = np.multiply.outer(steps, np.tile((1.0, -1.0), k))
-    n = 4 * k if k > 1 else 2
-    weights = np.empty((len(steps), n, k))
-    weights[:] = w
-    angles = np.empty_like(weights)
-    angles[:] = ang
-    angles[:, rows, idx] = (ang[idx] + signed) % TWO_PI
     i, j = np.triu_indices(k, 1)
-    d = np.abs(angles[..., i] - angles[..., j]) % TWO_PI
-    ok = ~(np.minimum(d, TWO_PI - d) < MIN_SEPARATION).any(axis=-1)
-    if k > 1:  # rows 2k.. move the weights; the guard above does not apply
-        moved = weights[:, 2 * k:]
-        moved[:, rows, idx] = np.maximum(w[idx] * (1.0 + signed), MIN_WEIGHT)
-        moved /= moved.sum(axis=-1, keepdims=True)
-        ok[:, 2 * k:] = ~(moved < MIN_WEIGHT).any(axis=-1)
-    ok[0, :2 * first] = False
-    keep = np.flatnonzero(ok)
-    return (keep // n, keep % n // 2, weights.reshape(-1, k)[keep],
-            angles.reshape(-1, k)[keep])
-
-
-def _refine_rows(score_rows, w, ang, iters: int):
-    """Coordinate ascent over atom angles and weights from (w, ang).
-
-    A pass goes through the moves of :func:`_moves` in slot order and accepts
-    the first that beats the best value, then goes on from the new point
-    with the later slots; the first pass steps by 0.1, a pass that accepts
-    nothing halves the step, and the ascent stops after ``iters`` passes or
-    when the step falls below 1e-12.
-
-    ``score_rows(weights, angles)`` scores candidate rows (angles mod 2 pi,
-    as AtomicMeasure holds them).  Each call gets every valid move left in
-    the current pass and, since a pass that accepts nothing leaves the point
-    where it is, the moves of the passes that would follow from the same
-    point: the next pass just after an accepted move, else every pass to
-    come (at most 38: from step 0.1 the step falls below 1e-12 within 37
-    halvings).  The first improving row is the move a
-    one-at-a-time ascent accepts, so the path does not depend on how many
-    rows a call scores.  Returns (best value, weights, angles); never worse
-    than the start.
-    """
-    best = float(next(iter(score_rows(w[None, :], np.mod(ang, TWO_PI)[None, :]))))
-    if iters < 1:
-        return best, w, ang
-
-    def after(it, step, improved):
-        """(index, step) of the pass after pass ``it``; None if it ends the
-        ascent."""
+    step = 0.1
+    for _ in range(iters):
+        improved = False
+        for slot in range(2 * k if k > 1 else k):
+            for s in (step, -step):
+                if slot < k:
+                    cw, ca = w, ang.copy()
+                    ca[slot] = (ca[slot] + s) % TWO_PI
+                    d = np.abs(ca[i] - ca[j]) % TWO_PI
+                    if (np.minimum(d, TWO_PI - d) < MIN_SEPARATION).any():
+                        continue
+                else:
+                    cw, ca = w.copy(), ang
+                    cw[slot - k] = max(cw[slot - k] * (1.0 + s), MIN_WEIGHT)
+                    cw = cw / cw.sum()
+                    if (cw < MIN_WEIGHT).any():
+                        continue
+                v = score_fn(AtomicMeasure(cw, ca))
+                if v > best:
+                    best, w, ang, improved = v, cw, ca, True
+                    break
         if not improved:
             step *= 0.5
             if step < 1e-12:
-                return None
-        return (it + 1, step) if it + 1 < iters else None
-
-    it, step, first, improved = 0, 0.1, 0, False
-    while True:
-        plan = [(it, step)]
-        nxt = after(it, step, improved)
-        while nxt and (len(plan) < 2 or not improved):
-            plan.append(nxt)
-            nxt = after(*nxt, False)
-        passes, slots, weights, angles = _moves(
-            w, ang, np.array([s for _, s in plan]), first)
-        vals = score_rows(weights, np.mod(angles, TWO_PI)) if passes.size else ()
-        for r, v in enumerate(vals):
-            if v > best:
-                best, w, ang = float(v), weights[r], angles[r]
-                (it, step), first, improved = plan[passes[r]], slots[r] + 1, True
                 break
-        else:
-            if nxt is None:
-                return best, w, ang
-            (it, step), first, improved = nxt, 0, False
-
-
-def refine_measure(score_fn, m: AtomicMeasure, iters: int):
-    """:func:`_refine_rows` for a scorer of one measure: the candidates are
-    scored one at a time, lazily, so score_fn sees them in the ascent's
-    order and none past an accepted move.  Returns the best (value, measure)
-    found; never worse than the start."""
-    def score_rows(weights, angles):
-        return (score_fn(AtomicMeasure(wr, ar)) for wr, ar in zip(weights, angles))
-
-    best, w, ang = _refine_rows(score_rows, m.weights, m.angles, iters)
     return best, AtomicMeasure(w, ang)
 
 
@@ -433,7 +366,7 @@ def run_sweep(cfg: SweepConfig, workers: int | None = None) -> dict:
 def _run_group(cfg, workers, g_idx, q, alpha):
     """One cell per key (each mu of an fs sweep, else None): the sample
     argmax, then the injected extremals under the same lowest-index tie
-    rule, then refinement from the winner."""
+    rule."""
     fn, k = cfg.functional, cfg.k_atoms
     keys = cfg.mu_grid if fn == "fs" else (None,)
 
@@ -461,15 +394,6 @@ def _run_group(cfg, workers, g_idx, q, alpha):
             v = evaluate_measure(fn, m, q, alpha, mu=mu, n_check=cfg.n_check)
             if v > best_val or (v == best_val and idx < best_idx):
                 best_val, best_idx, argmax, source = v, idx, m, "extremal"
-
-        if cfg.refine_iters > 0:
-            refined_val, w, ang = _refine_rows(
-                _cell_scorer(fn, q, alpha, mu, cfg.n_check),
-                argmax.weights, argmax.angles, cfg.refine_iters)
-            if refined_val > best_val:
-                best_val, source = refined_val, "refined"
-                argmax = AtomicMeasure(w, ang)
-
         bound, extremals = stated(mu)
         slack = bound.value - best_val
         cells.append({

@@ -216,11 +216,12 @@ def _suite_membership(q, alpha, samples, seed) -> list[CheckResult]:
         scores = np.empty((w.shape[1], 2))  # worst margin, failed
         for cols in (slice(lo, lo + 64) for lo in range(0, w.shape[1], 64)):
             m = _moments(w[:, cols], a[:, cols], params.order - 1)
-            members = _iq_core(_starlike_core(_p_coeffs(m), q, alpha)[1:], q)
-            if not np.all(np.isfinite(members)):  # as a TruncatedSeries would
+            # f/z of the starlike member f is Dq of the convex member
+            dq_members = _starlike_core(_p_coeffs(m), q, alpha)[1:]
+            if not np.all(np.isfinite(dq_members)):  # as a TruncatedSeries would
                 raise ValueError("coefficients must all be finite")
             scores[cols] = [(rep.worst_margin, not rep.passed) for rep in
-                            _certify(_dq_core(members, q), params, "convex")]
+                            _certify(dq_members, params, "convex")]
         return {"margin": scores[:, 0], "failed": scores[:, 1]}
 
     top = _maxima(certify, seed, max(2, samples // 10))

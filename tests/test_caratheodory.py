@@ -10,11 +10,12 @@ from hypothesis.extra import numpy as hnp
 from qschlicht import power_series as ps
 from qschlicht.caratheodory import (_COS, _SIN, MAX_ATOMS, AtomicMeasure,
                                     _phase, dump_measure, extend_p23,
-                                    load_measure, measure_from_dict, p_series, recover_xi_zeta,
+                                    load_measure, measure_from_dict, p_series,
                                     rotation_normalized, sample_measure)
-from qschlicht.errors import (ConfigError, DegenerateParametrizationError,
-                              RangeError)
+from qschlicht.errors import ConfigError, RangeError
 from qschlicht.explorer import refine_measure
+from parametrization_inverse import DegenerateParametrizationError, \
+    recover_xi_zeta
 
 
 def single_atom(angle=0.0):

@@ -343,12 +343,12 @@ class TestSearch:
         assert not out_path.exists()
 
     @pytest.mark.parametrize("extra", [
-        ["--functional", "fs", "--mu-grid", "0", "--refine-iters", "-5"],
         ["--functional", "fs", "--mu-grid", "0,nan"],
         ["--functional", "fs", "--mu-grid", "1e400"],
         ["--functional", "h22", "--mu-grid", "0.5"],
         ["--functional", "bieberbach", "--mu-grid", "0.5"],
         ["--functional", "fs", "--mu-grid", "inf"],
+        ["--functional", "h22", "--k-atoms", "9"],
     ])
     def test_inconsistent_config_exits_cleanly(self, capsys, tmp_path, extra):
         out_path = tmp_path / "rep.json"
@@ -386,6 +386,8 @@ class TestUsageErrors:
         ["verify", "--suite", "qcalc"],
         ["bounds"],
         [],
+        ["search", "--functional", "h22", "--q-grid", "0.5", "--samples",
+         "10", "--seed", "1", "--out", "rep.json", "--refine-iters", "5"],
     ])
     def test_parser_errors_return_two_with_one_line(self, capsys, argv):
         code = main(argv)

@@ -18,9 +18,9 @@ from qschlicht.caratheodory import MAX_ATOMS, AtomicMeasure, _fill_rows, \
 from qschlicht.errors import ConfigError
 from qschlicht.explorer import (BLOCK, CSV_HEADER, FUNCTIONALS,
                                 MIN_SEPARATION, MIN_WEIGHT, TWO_PI,
-                                SweepConfig, _bieberbach_scores, _cell_scorer,
+                                SweepConfig, _bieberbach_scores,
                                 _measure_from_row, _parallel_scores, _pool,
-                                _refine_rows, _starlike_scores, canonical_json,
+                                _starlike_scores, canonical_json,
                                 evaluate_measure, group_samples,
                                 refine_measure, replay_cell, report_csv,
                                 resolve_workers, run_limit_sweep, run_sweep,
@@ -73,11 +73,6 @@ class TestConfig:
         assert type(cfg.seed) is int and cfg.seed == 7
         assert canonical_json(run_sweep(cfg, workers=1)) == canonical_json(
             run_sweep(fs_config(seed=7, samples=10), workers=1))
-
-    def test_negative_refine_iters(self):
-        with pytest.raises(ConfigError):
-            fs_config(refine_iters=-5)
-        assert fs_config(refine_iters=0).refine_iters == 0
 
     def test_mu_grid_only_for_fs(self):
         for functional in ("h22", "bieberbach"):
@@ -228,7 +223,7 @@ class TestFsSweep:
     def test_rounding_at_large_mu_is_not_a_violation(self, mu):
         # the sharp alpha = 0 bound grows with |mu|, and so does the rounding
         # of its slack (-3.05e-05 at mu 1e10); tol is relative above 1
-        cfg = fs_config(seed=1, samples=1000, refine_iters=0, mu_grid=(mu,))
+        cfg = fs_config(seed=1, samples=1000, mu_grid=(mu,))
         cell = run_sweep(cfg, workers=1)["cells"][0]
         assert cell["slack"] < -cfg.tol
         assert abs(cell["slack"]) <= 1e-15 * cell["stated_bound"]
@@ -254,11 +249,11 @@ class TestFsSweep:
             ClassParams(q=0.5, alpha=0.5), 0.0).value
 
     def test_monotone_in_samples(self):
-        # refinement and extremal injection off: the empirical maximum is a
-        # running maximum over the sample stream
+        # extremal injection off: the empirical maximum is a running maximum
+        # over the sample stream
         values = []
         for s in (200, 400, 800):
-            cfg = fs_config(samples=s, refine_iters=0, include_extremals=False)
+            cfg = fs_config(samples=s, include_extremals=False)
             values.append(run_sweep(cfg)["cells"][0]["empirical_max"])
         assert values[0] <= values[1] <= values[2]
 
@@ -295,13 +290,14 @@ class TestHankelSweep:
 
     def test_classical_limit(self):
         cfg = SweepConfig(functional="h22", seed=7, samples=4000,
-                          q_grid=(1 - 1e-4,), refine_iters=20)
+                          q_grid=(1 - 1e-4,))
         cell = run_sweep(cfg)["cells"][0]
         assert abs(cell["empirical_max"] - 1.0) <= 2e-3
 
 
 class TestReplay:
-    # raw sample argmaxes (several multi-atom) and refined or injected ones
+    # raw sample argmaxes (several multi-atom), injected ones, and
+    # refine_measure's ascent from the injected ones
     @pytest.mark.parametrize("refine_iters", [0, 20])
     @pytest.mark.parametrize("functional", FUNCTIONALS)
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -310,7 +306,6 @@ class TestReplay:
         cfg = SweepConfig(functional=functional, seed=seed, samples=400,
                           q_grid=(0.2, 0.5, 0.8), alpha_grid=(0.0, 0.3),
                           mu_grid=(0.0, 1.0) if functional == "fs" else (),
-                          refine_iters=refine_iters,
                           include_extremals=refine_iters > 0)
         report = json.loads(canonical_json(run_sweep(cfg)))
         for cell in report["cells"]:
@@ -318,13 +313,21 @@ class TestReplay:
             # the argmax measure parses to the weights it was written from
             atoms = cell["argmax_measure"]
             assert measure_from_dict(atoms).to_dict() == atoms
+            if refine_iters:  # and so does refine_measure's ascent from it
+                def score(m, cell=cell):
+                    return replay_cell(cfg, {**cell, "argmax_measure": m.to_dict()})
+
+                best, refined = refine_measure(score, measure_from_dict(atoms),
+                                               refine_iters)
+                assert best >= cell["empirical_max"]
+                saved = json.loads(json.dumps(refined.to_dict()))
+                assert score(measure_from_dict(saved)) == best
 
 
 class TestBieberbachSweep:
     def test_ratios_within_bound_and_extremal_attains(self):
         cfg = SweepConfig(functional="bieberbach", seed=3, samples=400,
-                          q_grid=(0.2, 0.5, 0.8), alpha_grid=(0.0, 0.3, 0.7),
-                          refine_iters=20)
+                          q_grid=(0.2, 0.5, 0.8), alpha_grid=(0.0, 0.3, 0.7))
         rep = run_sweep(cfg)
         assert len(rep["cells"]) == 9
         for cell in rep["cells"]:
@@ -335,16 +338,14 @@ class TestBieberbachSweep:
     def test_replay_is_exact(self):
         for alpha in (0.0, 0.3):
             cfg = SweepConfig(functional="bieberbach", seed=3, samples=300,
-                              q_grid=(0.5,), alpha_grid=(alpha,),
-                              refine_iters=0)
+                              q_grid=(0.5,), alpha_grid=(alpha,))
             cell = run_sweep(cfg)["cells"][0]
             assert "argmax_construction" not in cell
             assert replay_cell(cfg, cell) == cell["empirical_max"]
 
     def test_alpha_positive_argmax_is_a_class_member(self):
         cfg = SweepConfig(functional="bieberbach", seed=3, samples=2000,
-                          q_grid=(0.2, 0.5, 0.8), alpha_grid=(0.3, 0.7),
-                          refine_iters=20)
+                          q_grid=(0.2, 0.5, 0.8), alpha_grid=(0.3, 0.7))
         for cell in run_sweep(cfg)["cells"]:
             # the member the cell scored, built alone at order 96
             params = ClassParams(q=cell["q"], alpha=cell["alpha"], order=96)
@@ -376,7 +377,7 @@ class TestBieberbachSweep:
     @settings(max_examples=6)
     def test_worker_count_does_not_change_bytes(self, seed, q):
         cfg = SweepConfig(functional="bieberbach", seed=seed, samples=301,
-                          q_grid=(q,), alpha_grid=(0.0, 0.3), refine_iters=5)
+                          q_grid=(q,), alpha_grid=(0.0, 0.3))
         texts = {canonical_json(run_sweep(cfg, workers=w)) for w in (1, 2, 8)}
         assert len(texts) == 1
 
@@ -385,8 +386,7 @@ class TestBieberbachSweep:
     @settings(max_examples=40)
     def test_eq_extremal_ratio_is_exactly_one(self, q, alpha, n_check):
         cfg = SweepConfig(functional="bieberbach", seed=1, samples=1,
-                          q_grid=(q,), alpha_grid=(alpha,), n_check=n_check,
-                          refine_iters=0)
+                          q_grid=(q,), alpha_grid=(alpha,), n_check=n_check)
         assert run_sweep(cfg)["cells"][0]["extremals"] == {"eq": 1.0}
         # the injected one-atom member is E_q only at alpha = 0
         unit = AtomicMeasure(np.array([1.0]), np.array([0.0]))
@@ -465,7 +465,7 @@ class TestAtomMajorLayout:
     """A sample gives bitwise the same moments and scores in every layout a
     scorer sees: alone, as columns lo..hi-1 of a wider buffer, in the
     contiguous (2*k, hi - lo) block a sweep job fills, and as a transposed
-    view of row-major refinement candidates."""
+    view of row-major arrays."""
 
     @given(g=groups, extra=st.integers(0, 20), data=st.data(),
            n_check=st.integers(2, 12))
@@ -551,7 +551,7 @@ class TestBlocks:
     def test_argmax_sample_is_drawn_again_bitwise(self, k, monkeypatch):
         cfg = SweepConfig(functional="h22", seed=40 + k, samples=2 * BLOCK + 3,
                           q_grid=(0.5,), alpha_grid=(0.0, 0.3), k_atoms=k,
-                          include_extremals=False, refine_iters=0)
+                          include_extremals=False)
         for i in (0, BLOCK - 1, BLOCK, cfg.samples - 1):
             # the reduction picks sample i of every group
             monkeypatch.setattr("qschlicht.explorer._parallel_scores",
@@ -568,8 +568,7 @@ class TestBlocks:
     def test_sweep_memory_does_not_grow_with_samples(self, workers):
         peaks = []
         for samples in (4 * BLOCK, 32 * BLOCK):
-            cfg = fs_config(samples=samples, mu_grid=(0.0, 0.5, 1.0),
-                            refine_iters=5)
+            cfg = fs_config(samples=samples, mu_grid=(0.0, 0.5, 1.0))
             run_sweep(cfg, workers=workers)  # the pool and its scratch
             tracemalloc.start()
             try:
@@ -621,11 +620,18 @@ class TestBlocks:
             cfg = SweepConfig(functional=functional, seed=seed,
                               samples=samples, q_grid=(0.5,),
                               alpha_grid=alphas, k_atoms=k_atoms,
-                              mu_grid=(0.5,) if functional == "fs" else (),
-                              refine_iters=3)
+                              mu_grid=(0.5,) if functional == "fs" else ())
             texts = {canonical_json(run_sweep(cfg, workers=w))
                      for w in (1, 2, 3)}
             assert len(texts) == 1
+
+    @pytest.mark.parametrize("functional", ["fs", "h22", "bieberbach"])
+    def test_default_sweep_same_bytes_for_any_worker_count(self, functional):
+        cfg = SweepConfig(functional=functional, seed=29, samples=BLOCK + 9,
+                          q_grid=(0.2, 0.5), alpha_grid=(0.0, 0.3),
+                          mu_grid=(0.0, 1.0) if functional == "fs" else ())
+        texts = {canonical_json(run_sweep(cfg, workers=w)) for w in (1, 2, 3)}
+        assert len(texts) == 1
 
     def test_calls_at_one_worker_count_reuse_their_threads(self):
         # the pool starts its threads lazily, so which of its two threads a
@@ -710,11 +716,10 @@ def start_measures(draw):
     return AtomicMeasure(weights, np.array(angles))
 
 
-def cell_scorers(fn, q, alpha, mu):
-    """(batch scorer the sweep refines with, one-measure scorer)."""
+def cell_scorer(fn, q, alpha, mu):
+    """The one-measure scorer of a sweep cell."""
     mu = mu if fn == "fs" else None
-    return (_cell_scorer(fn, q, alpha, mu, 6),
-            lambda m: evaluate_measure(fn, m, q, alpha, mu=mu, n_check=6))
+    return lambda m: evaluate_measure(fn, m, q, alpha, mu=mu, n_check=6)
 
 
 refine_cases = dict(m=start_measures(), fn=st.sampled_from(FUNCTIONALS),
@@ -725,23 +730,11 @@ refine_cases = dict(m=start_measures(), fn=st.sampled_from(FUNCTIONALS),
 
 class TestRefinement:
     @given(**refine_cases)
-    @settings(max_examples=60, deadline=None)
-    def test_batched_ascent_takes_the_sequential_path(self, m, fn, q, alpha,
-                                                      mu, iters):
-        score_rows, score_fn = cell_scorers(fn, q, alpha, mu)
-        best, w, ang = _refine_rows(score_rows, m.weights, m.angles, iters)
-        ref_best, ref = reference_refine(score_fn, m, iters)
-        got = AtomicMeasure(w, ang)
-        assert best == ref_best
-        assert got.weights.tobytes() == ref.weights.tobytes()
-        assert got.angles.tobytes() == ref.angles.tobytes()
-
-    @given(**refine_cases)
     @settings(max_examples=30, deadline=None)
     def test_one_measure_adaptor_scores_the_same_candidates(self, m, fn, q,
                                                            alpha, mu, iters):
-        _, score_fn = cell_scorers(fn, q, alpha, mu)
-        seen = {"batched": [], "reference": []}
+        score_fn = cell_scorer(fn, q, alpha, mu)
+        seen = {"refine_measure": [], "reference": []}
 
         def recorder(key):
             def score(meas):
@@ -749,9 +742,9 @@ class TestRefinement:
                 return score_fn(meas)
             return score
 
-        best, got = refine_measure(recorder("batched"), m, iters)
+        best, got = refine_measure(recorder("refine_measure"), m, iters)
         ref_best, ref = reference_refine(recorder("reference"), m, iters)
-        assert seen["batched"] == seen["reference"]
+        assert seen["refine_measure"] == seen["reference"]
         assert best == ref_best
         assert got.angles.tobytes() == ref.angles.tobytes()
 
@@ -768,27 +761,11 @@ class TestRefinement:
 
         ref_best, ref = reference_refine(score, m, 10)
         assert seen[2] == 0.0 and seen[3] != 0.1
-        best, w, ang = _refine_rows(lambda w, a: -abs(a[:, 0] - 0.02),
-                                    m.weights, m.angles, 10)
+        ref_seen, seen[:] = seen[:], []
+        best, got = refine_measure(score, m, 10)
+        assert seen == ref_seen
         assert best == ref_best
-        assert AtomicMeasure(w, ang).angles.tobytes() == ref.angles.tobytes()
-
-    @pytest.mark.parametrize("functional", ["fs", "h22", "bieberbach"])
-    def test_default_refinement_same_bytes_for_any_worker_count(self, functional):
-        cfg = SweepConfig(functional=functional, seed=29, samples=BLOCK + 9,
-                          q_grid=(0.2, 0.5), alpha_grid=(0.0, 0.3), k_atoms=4,
-                          mu_grid=(0.0, 1.0) if functional == "fs" else (),
-                          include_extremals=False)
-        assert cfg.refine_iters == 100
-        reports = [run_sweep(cfg, workers=w) for w in (1, 2, 3)]
-        cells = reports[0]["cells"]
-        if functional == "bieberbach":
-            # the one-atom member attains each cell's maximum, and refinement
-            # can only rotate it, so the maximum stays a one-atom sample
-            assert all(len(c["argmax_measure"]["atoms"]) == 1 for c in cells)
-        else:
-            assert any(c["argmax_source"] == "refined" for c in cells)
-        assert len({canonical_json(r) for r in reports}) == 1
+        assert got.angles.tobytes() == ref.angles.tobytes()
 
     def test_never_worse_than_start(self):
         from qschlicht.caratheodory import sample_measure

@@ -52,7 +52,7 @@ def test_benchmark_sweep_check_accepts_small_reports():
                                    ("bieberbach", 0.3, ())):
         cfg = explorer.SweepConfig(functional=functional, seed=5, samples=300,
                                    q_grid=(0.5,), alpha_grid=(alpha,),
-                                   mu_grid=mus, refine_iters=5)
+                                   mu_grid=mus)
         report = explorer.run_sweep(cfg, workers=1)
         assert workloads._check_sweep(cfg, report) == []
 
@@ -262,9 +262,8 @@ def test_certificates_batch_their_members():
 
 #: public names that nothing outside tests/ uses yet, each with why it stays
 UNUSED_PUBLIC_NAMES = {
-    "extend_p23": "ROADMAP item 5 gives it a caller",
-    "rotation_normalized": "acceptance test C10; ROADMAP item 6",
-    "recover_xi_zeta": "acceptance test C10",
+    "extend_p23": "ROADMAP item 4 gives it a caller",
+    "rotation_normalized": "acceptance test C10; ROADMAP item 7",
     "herglotz_starlike": "acceptance test C2",
     "dump_measure": "writes the `coeffs --source measure:FILE` format",
 }

@@ -355,7 +355,7 @@ def test_suite_rows_are_the_first_rows_of_a_sweep_group(seed, count, alpha):
     assert np.array_equal(angles, ref_a.T)
     cfg = SweepConfig(functional="h22", seed=seed, samples=count,
                       q_grid=(0.5,), alpha_grid=(alpha,), k_atoms=4,
-                      include_extremals=False, refine_iters=0)
+                      include_extremals=False)
     (cell,) = run_sweep(cfg, workers=1)["cells"]
     detail = run_suite("hankel", 0.5, alpha, count, seed)[-1].detail
     empirical = re.match(r"empirical (\S+) vs", detail).group(1)
