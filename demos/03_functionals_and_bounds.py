@@ -38,8 +38,8 @@ print(f"F1 value equals G(2): {abs(v1 - g2):.2e}")
 # Coefficient bounds for the convex-type class, attained by the q-integral
 # extremal.
 params_c = ClassParams(q=0.5, alpha=0.3, order=12)
-res = eq_series(params_c)
+e_q = eq_series(params_c)
 print("\nconvex coefficient bounds (q=0.5, alpha=0.3):")
 for n in range(2, 7):
     print(f"  n={n}: bound {bieberbach_bound_convex(params_c, n):.7f}, "
-          f"extremal |a_n| {abs(res.e_q.coeffs[n]):.7f}")
+          f"extremal |a_n| {abs(e_q.coeffs[n]):.7f}")

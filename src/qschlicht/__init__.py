@@ -14,7 +14,7 @@ from .caratheodory import (AtomicMeasure, dump_measure, load_measure,
 from .errors import QschlichtError
 from .explorer import (SweepConfig, canonical_json, replay_cell, report_csv,
                        run_limit_sweep, run_sweep, save_report)
-from .extremal import (EqResult, eq_series, f1_series, f2_series,
+from .extremal import (eq_series, f1_series, f2_series,
                        f_exponent_series, herglotz_starlike)
 from .functionals import (Bound, bieberbach_bound_convex, fekete_szego_value,
                           fs_bound, hankel_bound, hankel_value, t4_scalars)
@@ -26,7 +26,7 @@ from .schlicht import (CertReport, alexander_pair, convex_from_h,
 
 __all__ = [
     "AtomicMeasure", "Bound", "CertReport", "ClassParams",
-    "EqResult", "QschlichtError", "SweepConfig",
+    "QschlichtError", "SweepConfig",
     "TruncatedSeries", "alexander_pair", "bieberbach_bound_convex",
     "canonical_json", "convex_from_h", "convex_from_measure", "dq",
     "dump_measure", "eq_series", "extend_p23", "f1_series", "f2_series",

@@ -138,14 +138,6 @@ class AtomicMeasure:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "angles", a)
 
-    @property
-    def k(self) -> int:
-        return self.weights.size
-
-    def atoms(self) -> np.ndarray:
-        """Atom locations on the unit circle."""
-        return _phase(self.angles)
-
     def rotated(self, theta: float) -> "AtomicMeasure":
         """Rotate every atom by theta; the generated f rotates accordingly."""
         return AtomicMeasure(self.weights, self.angles + theta)

@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .caratheodory import load_measure, p_series
 from .errors import QschlichtError
-from .explorer import SweepConfig, _fmt_float, canonical_json, report_csv, \
+from .explorer import SweepConfig, _fmt_float, canonical_json, \
     run_limit_sweep, run_sweep, save_report
 from .extremal import eq_series, f1_series, f2_series
 from .functionals import bieberbach_bound_convex, fs_bound, hankel_bound
@@ -80,7 +80,7 @@ def _cmd_coeffs(args) -> int:
     elif source == "f2":
         f = f2_series(params)
     elif source == "eq":
-        f = eq_series(params).e_q
+        f = eq_series(params)
     elif source.startswith("measure:"):
         m = load_measure(source.split(":", 1)[1])
         build = convex_from_h if args.klass == "convex" else starlike_from_p

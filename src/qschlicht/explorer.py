@@ -25,9 +25,9 @@ Determinism contract:
     holding the largest value wins, so ties go to the lowest sample index,
     and a sweep draws the winning sample again alone.  Both thus hold
     O(workers * BLOCK) samples, whatever ``samples`` is;
-  * single-measure evaluation is a batch of one: extremal injection and
-    replay run the sweep's batch scorer on one column, so a sampled measure
-    scores bitwise the same alone as in its block;
+  * single-measure evaluation is a batch of one: replay runs the sweep's
+    scorer on one column, and the injected extremals are one padded block
+    of it, so a measure scores bitwise the same alone as in any block;
   * reports serialize canonically (sorted keys, %.17g floats), so a fixed
     seed yields byte-identical JSON for any worker count.
 """
@@ -46,10 +46,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__
-from .caratheodory import MAX_ATOMS, RNG_NAME, AtomicMeasure, _check_seed, \
-    _fill_rows, _moments, _p_coeffs, measure_from_dict
+from .caratheodory import MAX_ATOMS, RNG_NAME, TWO_PI, AtomicMeasure, \
+    _check_seed, _fill_rows, _moments, _p_coeffs, measure_from_dict
 from .errors import ConfigError, RangeError
-from .extremal import _exponent_core, _generators, eq_series, \
+from .extremal import _exponent_core, _generators, f1_series, \
     f_exponent_series
 from .functionals import Bound, _bieberbach_bound_table, _fs, _h2, \
     bieberbach_bound_convex, fekete_szego_value, fs_bound, hankel_bound, \
@@ -58,8 +58,12 @@ from .power_series import MAX_ORDER
 from .q_calculus import ClassParams, _iq_core
 from .schlicht import _scratch, _starlike_core
 
-TWO_PI = 2.0 * math.pi
 FUNCTIONALS = ("fs", "h22", "bieberbach")
+
+#: a cell is violated when its slack falls below -VIOLATION_TOL, relative to
+#: bounds above 1: an fs bound grows with |mu|, and so does the rounding of
+#: its slack
+VIOLATION_TOL = 1e-7
 
 #: :func:`refine_measure`'s guards near the class boundary, where the
 #: parametrization conditions badly: weights stay above this floor and atoms
@@ -99,7 +103,6 @@ class SweepConfig:
     mu_grid: tuple = ()
     k_atoms: int = 4
     include_extremals: bool = True
-    tol: float = 1e-7
     n_check: int = 10
 
     def __post_init__(self):
@@ -112,8 +115,6 @@ class SweepConfig:
         object.__setattr__(self, "seed", _check_seed(self.seed))
         if self.samples < 1:
             raise ConfigError("samples must be positive")
-        if not (math.isfinite(self.tol) and self.tol >= 0.0):
-            raise ConfigError(f"tol must be finite and non-negative, got {self.tol}")
         if not self.q_grid or not self.alpha_grid:
             raise ConfigError("q_grid and alpha_grid must be non-empty")
         for q in self.q_grid:
@@ -190,11 +191,29 @@ def _bieberbach_scores(weights, angles, q, alpha, n_check):
     return (np.abs(a[2:]) / bounds[:, None]).max(axis=0, initial=0.0)
 
 
+def _scorer(functional, q, alpha, keys, n_check):
+    """A sweep cell's score(weights, angles) -> {key: values} of (k, n)
+    atom-major samples: the starlike scores per mu in ``keys``, or the
+    Bieberbach ratios under the key None."""
+    def score(w, a):
+        if functional != "bieberbach":
+            return _starlike_scores(functional, w, a, q, alpha, keys)
+        # a Bieberbach sample carries n_check degrees of temporaries; scoring
+        # a block in halves bounds them (on 2 vCPUs, sweep-convex peak RSS
+        # 48.1 MB against 56.5 MB unsplit, for about 4% more wall time)
+        return {None: np.concatenate([
+            _bieberbach_scores(w[:, i:i + BLOCK // 2], a[:, i:i + BLOCK // 2],
+                               q, alpha, n_check)
+            for i in range(0, w.shape[1], BLOCK // 2)])}
+
+    return score
+
+
 def evaluate_measure(functional: str, m: AtomicMeasure, q: float, alpha: float,
                      mu: complex | None = None, n_check: int = 10) -> float:
-    """Functional value for one measure; the injection and replay target.
+    """Functional value for one measure; the replay target.
 
-    The sweep's batch scorer run on one sample, so a sampled measure scores
+    The sweep's scorer run on one sample, so a sampled measure scores
     bitwise the same here as in the sweep.
     """
     if functional not in FUNCTIONALS:
@@ -204,10 +223,9 @@ def evaluate_measure(functional: str, m: AtomicMeasure, q: float, alpha: float,
     if not (2 <= n_check <= MAX_ORDER):
         raise ConfigError(f"n_check must lie in [2, {MAX_ORDER}]")
     ClassParams(q=q, alpha=alpha)  # validates q and alpha
-    w, a = m.weights[:, None], m.angles[:, None]
-    if functional == "bieberbach":
-        return float(_bieberbach_scores(w, a, q, alpha, n_check)[0])
-    return float(_starlike_scores(functional, w, a, q, alpha, (mu,))[mu][0])
+    key = None if functional == "bieberbach" else mu
+    score = _scorer(functional, q, alpha, (key,), n_check)
+    return float(score(m.weights[:, None], m.angles[:, None])[key][0])
 
 
 def replay_cell(cfg: SweepConfig, cell: dict) -> float:
@@ -319,17 +337,6 @@ def _sample_maxima(score, seed: int, group: int, k_atoms: int, total: int, worke
     return _parallel_scores(score_block, total, workers)
 
 
-def _extremal_rows(functional: str):
-    """Injected extremal generators as (index, measure), indexed below the
-    samples: the one-atom measure (whose Bieberbach member at alpha = 0 is
-    E_q), and for the starlike functionals the two-atom generator."""
-    one = AtomicMeasure(np.array([1.0]), np.array([0.0]))
-    if functional == "bieberbach":
-        return [(-1, one)]
-    two = AtomicMeasure(np.array([0.5, 0.5]), np.array([0.0, math.pi]))
-    return [(-2, one), (-1, two)]
-
-
 def _stated(functional: str, q: float, alpha: float):
     """mu -> (stated Bound, extremals) of a cell.  Bieberbach ratios are
     normalized, so their bound is 1 and the recorded extremal is E_q's
@@ -364,36 +371,29 @@ def run_sweep(cfg: SweepConfig, workers: int | None = None) -> dict:
 
 
 def _run_group(cfg, workers, g_idx, q, alpha):
-    """One cell per key (each mu of an fs sweep, else None): the sample
-    argmax, then the injected extremals under the same lowest-index tie
-    rule."""
+    """One cell per key (each mu of an fs sweep, else None): the first
+    maximum over the one-atom extremal, the two-atom one and the sample
+    argmax, so an extremal wins a tie with the sample and the one-atom
+    member a tie with the two-atom one.  The extremals are one padded
+    block: a unit mass at 0 and half masses at 0 and pi (Bieberbach cells
+    inject only the first)."""
     fn, k = cfg.functional, cfg.k_atoms
     keys = cfg.mu_grid if fn == "fs" else (None,)
-
-    def score(w, a):
-        if fn != "bieberbach":
-            return _starlike_scores(fn, w, a, q, alpha, keys)
-        # a Bieberbach sample carries n_check degrees, and over BLOCK samples
-        # the per-degree contraction reads about 2.4 MB at n_check 10, more
-        # than a 2 MB L2 cache per core; halves stay within it
-        return {None: np.concatenate([
-            _bieberbach_scores(w[:, i:i + BLOCK // 2], a[:, i:i + BLOCK // 2],
-                               q, alpha, cfg.n_check)
-            for i in range(0, w.shape[1], BLOCK // 2)])}
-
+    score = _scorer(fn, q, alpha, keys, cfg.n_check)
     best = _sample_maxima(score, cfg.seed, g_idx, k, cfg.samples, workers)
-    rows = _extremal_rows(fn) if cfg.include_extremals else []
+    n_ext = (1 if fn == "bieberbach" else 2) if cfg.include_extremals else 0
+    ext_w = np.array([[1.0, 0.5], [0.0, 0.5]])[:, :n_ext]
+    ext_a = np.array([[0.0, 0.0], [0.0, math.pi]])[:, :n_ext]
+    ext = score(ext_w, ext_a) if n_ext else {}
     stated = _stated(fn, q, alpha)
     cells = []
     for mu in keys:
-        best_val, best_idx = best[mu]
-        w, a = _fill_rows(cfg.seed, (g_idx,), np.empty((2 * k, 1)), best_idx)
-        argmax = _measure_from_row(w[:, 0], a[:, 0])
-        source = "sample"
-        for idx, m in rows:
-            v = evaluate_measure(fn, m, q, alpha, mu=mu, n_check=cfg.n_check)
-            if v > best_val or (v == best_val and idx < best_idx):
-                best_val, best_idx, argmax, source = v, idx, m, "extremal"
+        val, idx = best[mu]
+        w, a = _fill_rows(cfg.seed, (g_idx,), np.empty((2 * k, 1)), idx)
+        candidates = [(float(ext[mu][j]), ext_w[:, j], ext_a[:, j], "extremal")
+                      for j in range(n_ext)]
+        candidates.append((val, w[:, 0], a[:, 0], "sample"))
+        best_val, w, a, source = max(candidates, key=lambda c: c[0])
         bound, extremals = stated(mu)
         slack = bound.value - best_val
         cells.append({
@@ -403,10 +403,8 @@ def _run_group(cfg, workers, g_idx, q, alpha):
             "stated_bound": bound.value,
             "conjectural": bound.conjectural,
             "slack": slack,
-            # tol is relative to bounds above 1: an fs bound grows with |mu|,
-            # and so does the rounding of its slack
-            "violated": bool(slack < -cfg.tol * max(1.0, bound.value)),
-            "argmax_measure": argmax.to_dict(),
+            "violated": bool(slack < -VIOLATION_TOL * max(1.0, bound.value)),
+            "argmax_measure": _measure_from_row(w, a).to_dict(),
             "argmax_source": source,
             "extremals": extremals,
         })
@@ -431,7 +429,7 @@ def run_limit_sweep(q_list, alpha: float) -> list[dict]:
     for q in q_list:
         params = ClassParams(q=float(q), alpha=float(alpha), order=16)
         one = 1.0 if alpha == 0.0 else None
-        res = eq_series(params)
+        c = f1_series(params).coeffs.real
         rows.append({
             "q": float(q), "alpha": float(alpha),
             "fekete_szego": [{"mu": [mu, 0.0], **_limit_entry(
@@ -442,7 +440,7 @@ def run_limit_sweep(q_list, alpha: float) -> list[dict]:
             "bieberbach": [{"n": n, **_limit_entry(
                 "bound", bieberbach_bound_convex(params, n), one)}
                 for n in range(2, 9)],
-            "c_n": [{"n": n, **_limit_entry("c_n", float(res.c[n]), math.prod(
+            "c_n": [{"n": n, **_limit_entry("c_n", float(c[n]), math.prod(
                 k - 2.0 * alpha for k in range(2, n + 1)) / math.factorial(n - 1))}
                 for n in range(2, 7)],
         })

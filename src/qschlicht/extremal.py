@@ -24,13 +24,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import power_series as ps
 from .caratheodory import AtomicMeasure, _moments
-from .errors import AlphaUnsupportedError, RangeError
+from .errors import RangeError
 from .power_series import TruncatedSeries
 from .q_calculus import ClassParams, _iq_core
 
@@ -80,24 +79,13 @@ def _exponent_core(f_exp: np.ndarray, moments: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class EqResult:
-    """The q-integral extremal and the coefficients c_n of z exp(F).
+def eq_series(params: ClassParams) -> TruncatedSeries:
+    """The q-integral of f1/z, so that z (Dq E_q) = f1 = z exp(F).
 
-    ``e_q.coeffs[n] == (1-q)/(1-q^n) * c[n]`` holds exactly as computed
-    because the Jackson integral performs that very division.
-    """
-
-    e_q: TruncatedSeries
-    c: np.ndarray
-
-
-def eq_series(params: ClassParams) -> EqResult:
-    """The q-integral of f1/z, so that z (Dq E_q) = f1 = z exp(F), together
-    with the coefficients c_n of f1 (all real)."""
-    c = f1_series(params).coeffs
-    return EqResult(e_q=TruncatedSeries(_iq_core(c[1:], params.q)),
-                    c=c.real.copy())
+    Coefficient n is exactly (1-q)/(1-q^n) c_n for the coefficients c_n of
+    f1 (all real), because the Jackson integral performs that very
+    division."""
+    return TruncatedSeries(_iq_core(f1_series(params).coeffs[1:], params.q))
 
 
 def herglotz_starlike(m: AtomicMeasure, params: ClassParams) -> TruncatedSeries:
@@ -107,7 +95,7 @@ def herglotz_starlike(m: AtomicMeasure, params: ClassParams) -> TruncatedSeries:
     starlike class is available; a unit mass at angle 0 gives f1_series.
     """
     if params.alpha != 0.0:
-        raise AlphaUnsupportedError("measure representation requires alpha = 0")
+        raise RangeError("measure representation requires alpha = 0")
     n = params.order
     return TruncatedSeries(_exponent_core(f_exponent_series(params).coeffs[:n],
                                           _moments(m.weights, m.angles, n - 1)))

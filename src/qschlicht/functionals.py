@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OrderTooSmallError, RangeError
+from .errors import RangeError
 from .extremal import eq_series, f_exponent_series
 from .power_series import TruncatedSeries, _columns
 from .q_calculus import ClassParams
@@ -45,7 +45,7 @@ def fekete_szego_value(f: TruncatedSeries, mu: complex) -> float:
     """|a3 - mu a2^2| for a normalized series, bitwise the sweep's score of
     the same member."""
     if f.order < 3:
-        raise OrderTooSmallError("need coefficients up to a3")
+        raise RangeError("need coefficients up to a3")
     return float(_fs(_columns(f.coeffs), complex(mu))[0])
 
 
@@ -77,7 +77,7 @@ def fs_bound(params: ClassParams, mu: complex) -> Bound:
 def hankel_value(f: TruncatedSeries) -> float:
     """|a2 a4 - a3^2|, bitwise the sweep's h22 score."""
     if f.order < 4:
-        raise OrderTooSmallError(f"need coefficients up to a_4, have order {f.order}")
+        raise RangeError(f"need coefficients up to a_4, have order {f.order}")
     return float(np.abs(_h2(_columns(f.coeffs)))[0])
 
 
@@ -93,7 +93,7 @@ def _bieberbach_bound_table(params: ClassParams) -> np.ndarray:
     coefficients of E_q from one eq_series call, so the extremal attains
     every bound bitwise (the Jackson integral performs that very division).
     Entries 0 and 1 are unused.  Memoized per params."""
-    table = eq_series(params).e_q.coeffs.real.copy()
+    table = eq_series(params).coeffs.real.copy()
     table.setflags(write=False)
     return table
 
@@ -104,7 +104,7 @@ def bieberbach_bound_convex(params: ClassParams, n: int) -> float:
     if n < 2:
         raise RangeError("bound is stated for n >= 2")
     if n > params.order:
-        raise OrderTooSmallError(f"n = {n} exceeds params.order = {params.order}")
+        raise RangeError(f"n = {n} exceeds params.order = {params.order}")
     return float(_bieberbach_bound_table(params)[n])
 
 

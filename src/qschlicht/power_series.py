@@ -25,11 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConstantTermNotOneError,
-    NonzeroConstantTermError,
-    ZeroConstantTermError,
-)
+from .errors import RangeError
 
 MAX_ORDER = 256
 
@@ -162,21 +158,21 @@ def _log_core(c: np.ndarray) -> np.ndarray:
 def recip(a: TruncatedSeries) -> TruncatedSeries:
     """Multiplicative inverse; requires a nonzero constant term."""
     if a.coeffs[0] == 0:
-        raise ZeroConstantTermError("cannot invert a series with c0 = 0")
+        raise RangeError("cannot invert a series with c0 = 0")
     return TruncatedSeries(_recip_core(a.coeffs))
 
 
 def exp(a: TruncatedSeries) -> TruncatedSeries:
     """Formal exponential; requires c0 = 0 so no scalar exp is involved."""
     if a.coeffs[0] != 0:
-        raise NonzeroConstantTermError("formal exp requires c0 = 0")
+        raise RangeError("formal exp requires c0 = 0")
     return TruncatedSeries(_exp_core(a.coeffs))
 
 
 def log(a: TruncatedSeries) -> TruncatedSeries:
     """Formal logarithm; requires c0 = 1 (no branch choice is involved)."""
     if a.coeffs[0] != 1:
-        raise ConstantTermNotOneError("formal log requires c0 = 1")
+        raise RangeError("formal log requires c0 = 1")
     return TruncatedSeries(_log_core(a.coeffs))
 
 
@@ -225,7 +221,7 @@ def times_z(a: TruncatedSeries) -> TruncatedSeries:
 def div_z(a: TruncatedSeries) -> TruncatedSeries:
     """a(z)/z for series with c0 = 0; order drops by one."""
     if a.coeffs[0] != 0:
-        raise ZeroConstantTermError("cannot divide by z: constant term is nonzero")
+        raise RangeError("cannot divide by z: constant term is nonzero")
     if a.order == 0:
         return zero(0)
     return TruncatedSeries(a.coeffs[1:].copy())

@@ -151,8 +151,8 @@ def _suite_bieberbach(q, alpha, samples, seed) -> list[CheckResult]:
     top = _maxima(score, seed, samples)
     worst = max(0.0, top["all"])
     multi_worst = f"{top['multi']:.12f}" if top["multi"] > -np.inf else "none"
-    res = eq_series(params)
-    eq_gap = max(abs(abs(res.e_q.coeffs[n]) - bounds[n]) for n in bounds)
+    e_q = eq_series(params).coeffs
+    eq_gap = max(abs(abs(e_q[n]) - bounds[n]) for n in bounds)
     return [
         CheckResult("sampled members respect the coefficient bounds",
                     worst <= 1.0 + 1e-7, f"worst ratio {worst:.12f};"

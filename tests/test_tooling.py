@@ -294,3 +294,19 @@ def test_every_public_name_is_used_outside_tests():
     assert all(UNUSED_PUBLIC_NAMES.values())
     assert set(UNUSED_PUBLIC_NAMES) <= public, "allowlisted name left __all__"
     assert sorted(public - used) == sorted(UNUSED_PUBLIC_NAMES)
+
+
+def test_every_error_class_is_raised_in_src():
+    # an exception class that src/ never raises tells no failure apart, as
+    # an exported name that nothing uses does no work
+    src = ROOT / "src" / "qschlicht"
+    defined = {node.name for node in
+               ast.parse((src / "errors.py").read_text(encoding="utf-8")).body
+               if isinstance(node, ast.ClassDef)}
+    raised = set()
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) \
+                    and isinstance(node.exc.func, ast.Name):
+                raised.add(node.exc.func.id)
+    assert defined and sorted(defined - raised) == []

@@ -142,11 +142,11 @@ def _loop_bieberbach(q, alpha, samples, seed):
             f = convex_from_h(p_series(m, params.order), params)
         ratio = max(abs(f.coeffs[n]) / b for n, b in bounds.items())
         worst = max(worst, ratio)
-        if m.k > 1:
+        if m.weights.size > 1:
             multi = max(ratio, multi or 0.0)
     multi = "none" if multi is None else f"{multi:.12f}"
-    res = eq_series(params)
-    eq_gap = max(abs(abs(res.e_q.coeffs[n]) - bounds[n]) for n in bounds)
+    e_q = eq_series(params).coeffs
+    eq_gap = max(abs(abs(e_q[n]) - bounds[n]) for n in bounds)
     return [
         CheckResult("sampled members respect the coefficient bounds",
                     worst <= 1.0 + 1e-7,
@@ -190,7 +190,7 @@ def _loop_membership(q, alpha, samples, seed):
     for name, f, check in (
         ("one-atom generator", f1_series(params), membership_starlike),
         ("two-atom generator", f2_series(params), membership_starlike),
-        ("q-integral extremal", eq_series(params).e_q, membership_convex),
+        ("q-integral extremal", eq_series(params), membership_convex),
     ):
         rep = check(f, params)
         results.append(CheckResult(
@@ -285,7 +285,7 @@ def test_membership_extremal_row_is_the_one_atom_certificate(q, alpha):
     eq = rows["q-integral extremal certificate"]
     assert (eq.passed, eq.detail) == (one.passed, one.detail)
     params = ClassParams(q=q, alpha=alpha, order=192)
-    rep = membership_convex(eq_series(params).e_q, params)
+    rep = membership_convex(eq_series(params), params)
     assert rep.passed == eq.passed
     assert eq.detail == (f"worst margin {rep.worst_margin:.3e} at"
                          f" {rep.worst_point:.3f}, unresolved {rep.unresolved}")
