@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import ConfigError, RangeError
 from .power_series import TruncatedSeries, _einsum
+from .q_calculus import _check_count
 
 MAX_ATOMS = 8
 TWO_PI = 2.0 * math.pi
@@ -259,8 +260,7 @@ def sample_measure(seed: int, k_atoms: int) -> AtomicMeasure:
 
     Angles are uniform on [0, 2 pi); weights are uniform on [0.05, 1],
     normalized."""
-    if not 1 <= k_atoms <= MAX_ATOMS:
-        raise RangeError(f"k_atoms must lie in [1, {MAX_ATOMS}]")
+    k_atoms = _check_count(k_atoms, "k_atoms", 1, MAX_ATOMS)
     weights, angles = _fill_rows(seed, (), np.empty((2 * k_atoms, 1)), 0,
                                  ragged=False)
     return AtomicMeasure(weights[:, 0], angles[:, 0])

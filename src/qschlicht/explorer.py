@@ -55,7 +55,7 @@ from .functionals import Bound, _bieberbach_bound_table, _fs, _h2, \
     bieberbach_bound_convex, fekete_szego_value, fs_bound, hankel_bound, \
     hankel_value
 from .power_series import MAX_ORDER
-from .q_calculus import ClassParams, _iq_core
+from .q_calculus import ClassParams, _check_count, _iq_core
 from .schlicht import _scratch, _starlike_core
 
 FUNCTIONALS = ("fs", "h22", "bieberbach")
@@ -87,10 +87,7 @@ def resolve_workers(workers: int | None = None) -> int:
             raise ConfigError(
                 f"QSCHLICHT_THREADS must be a positive integer, got {env!r}")
         return int(env)
-    n = int(workers)
-    if n < 1:
-        raise ConfigError("worker count must be a positive integer")
-    return n
+    return _check_count(workers, "worker count", 1, None, ConfigError)
 
 
 @dataclass(frozen=True)
@@ -113,8 +110,10 @@ class SweepConfig:
         if self.functional != "fs" and self.mu_grid:
             raise ConfigError("mu_grid applies only to fs sweeps")
         object.__setattr__(self, "seed", _check_seed(self.seed))
-        if self.samples < 1:
-            raise ConfigError("samples must be positive")
+        for name, lo, hi in (("samples", 1, None), ("k_atoms", 1, MAX_ATOMS),
+                             ("n_check", 2, MAX_ORDER)):
+            object.__setattr__(self, name, _check_count(
+                getattr(self, name), name, lo, hi, ConfigError))
         if not self.q_grid or not self.alpha_grid:
             raise ConfigError("q_grid and alpha_grid must be non-empty")
         for q in self.q_grid:
@@ -123,10 +122,6 @@ class SweepConfig:
         for a in self.alpha_grid:
             if not (0.0 <= a < 1.0):
                 raise ConfigError(f"alpha grid value {a} outside [0, 1)")
-        if not (1 <= self.k_atoms <= MAX_ATOMS):
-            raise ConfigError(f"k_atoms must lie in [1, {MAX_ATOMS}]")
-        if not (2 <= self.n_check <= MAX_ORDER):
-            raise ConfigError(f"n_check must lie in [2, {MAX_ORDER}]")
         for mu in self.mu_grid:
             if not cmath.isfinite(complex(mu)):
                 raise ConfigError(f"mu grid value {mu} is not finite")
@@ -220,8 +215,7 @@ def evaluate_measure(functional: str, m: AtomicMeasure, q: float, alpha: float,
         raise ConfigError(f"unknown functional {functional!r}")
     if functional == "fs" and (mu is None or not cmath.isfinite(complex(mu))):
         raise ConfigError(f"fs needs a finite mu, got {mu!r}")
-    if not (2 <= n_check <= MAX_ORDER):
-        raise ConfigError(f"n_check must lie in [2, {MAX_ORDER}]")
+    n_check = _check_count(n_check, "n_check", 2, MAX_ORDER, ConfigError)
     ClassParams(q=q, alpha=alpha)  # validates q and alpha
     key = None if functional == "bieberbach" else mu
     score = _scorer(functional, q, alpha, (key,), n_check)

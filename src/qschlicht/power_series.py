@@ -14,7 +14,10 @@ Axis-0 contract: ``exp``, ``log`` and ``recip`` wrap array cores
 (``_exp_core``, ``_log_core``, ``_recip_core``) that take coefficients on
 axis 0 and broadcast over any trailing sample axes.  Each degree is one
 ``einsum`` contraction summed in index order, so a batch column equals the
-1-d result bitwise, whatever else shares the batch.  The public functions
+1-d result bitwise, whatever else shares the batch.  Work arrays keep the
+longer of the degree and column axes contiguous (:func:`_order`), so that
+einsum's inner loops run long; einsum adds the same terms in the same order
+in either memory order, so the order changes no bit.  The public functions
 take one ``TruncatedSeries`` and keep the constant-term checks; the cores
 check nothing.
 """
@@ -113,13 +116,19 @@ def _columns(c: np.ndarray) -> np.ndarray:
     return c.reshape(c.shape[0], -1)
 
 
+def _order(c: np.ndarray) -> str:
+    """Memory order of a recursion's work arrays for the (degree, column)
+    view c: the longer axis contiguous, so that einsum's inner loops are long."""
+    return "F" if c.shape[0] > c.shape[1] else "C"
+
+
 def _recip_core(c: np.ndarray) -> np.ndarray:
     """Reciprocal along axis 0; c[0] must be nonzero.
 
     c0 r[m] + sum_{k=1..m} c[k] r[m-k] = 0.
     """
     cc = _columns(c)
-    r = np.empty_like(cc, dtype=np.complex128)
+    r = np.empty_like(cc, dtype=np.complex128, order=_order(cc))
     r[0] = 1.0 / cc[0]
     for m in range(1, c.shape[0]):
         _contract(cc[1:m + 1], r[m - 1::-1], -r[0], r[m])
@@ -131,7 +140,8 @@ def _exp_core(u: np.ndarray) -> np.ndarray:
 
     b' = u' b, so m b[m] = sum_{k=1..m} k u[k] b[m-k].
     """
-    ku = _columns(u) * np.arange(u.shape[0])[:, None]
+    cu = _columns(u)
+    ku = np.multiply(cu, np.arange(u.shape[0])[:, None], order=_order(cu))
     b = np.zeros_like(ku)
     b[0] = 1.0
     for m in range(1, u.shape[0]):
@@ -146,7 +156,7 @@ def _log_core(c: np.ndarray) -> np.ndarray:
     d[m] = m c[m] - sum_{k=1..m-1} d[k] c[m-k].
     """
     cc = _columns(c)
-    mc = cc * np.arange(c.shape[0])[:, None]
+    mc = np.multiply(cc, np.arange(c.shape[0])[:, None], order=_order(cc))
     d = np.zeros_like(mc)
     for m in range(1, c.shape[0]):
         _contract(d[1:m], cc[m - 1:0:-1], -1.0, d[m])

@@ -14,6 +14,7 @@ hold without losing the top coefficient.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,20 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
+def _check_count(value, name: str, lo: int, hi: int | None = None,
+                 error=RangeError) -> int:
+    """value as an int in [lo, hi] (no upper limit when hi is None), else
+    error; a float count is refused, not truncated."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None
+    if n < lo or (hi is not None and n > hi):
+        raise error(f"{name} must be at least {lo}, got {n}" if hi is None
+                    else f"{name} must lie in [{lo}, {hi}], got {n}")
+    return n
+
+
 @dataclass(frozen=True)
 class ClassParams:
     """Parameters shared by every class construction: q, alpha, order."""
@@ -47,9 +62,8 @@ class ClassParams:
     def __post_init__(self):
         _check_q(self.q)
         _check_alpha(self.alpha)
-        if not (4 <= int(self.order) <= MAX_ORDER):
-            raise RangeError(f"order must lie in [4, {MAX_ORDER}], got {self.order}")
-        object.__setattr__(self, "order", int(self.order))
+        object.__setattr__(self, "order",
+                           _check_count(self.order, "order", 4, MAX_ORDER))
 
 
 def q_powers(q: float, n_max: int) -> np.ndarray:

@@ -201,7 +201,8 @@ def _starlike_core(p: np.ndarray, q: float, alpha: float) -> np.ndarray:
     u = ps._columns(p) * math.log(q)
     u[0] = 0.0
     e = ps._exp_core(u)
-    a = np.zeros((e.shape[0] + 1,) + e.shape[1:], dtype=e.dtype)
+    a = np.zeros((e.shape[0] + 1,) + e.shape[1:], dtype=e.dtype,
+                 order=ps._order(u))
     a[1:2] = 1.0
     for n in range(2, a.shape[0]):
         scale = (1.0 - alpha) / (q ** (n - 1) - 1.0)

@@ -27,11 +27,12 @@ from .caratheodory import _check_seed, _moments, _p_coeffs
 from .errors import RangeError
 from .explorer import _bieberbach_scores, _sample_maxima, _starlike_scores, \
     resolve_workers
-from .extremal import _exponent_core, _generators, eq_series, f1_series, \
+from .extremal import _exponent_core, _generators, f1_series, \
     f_exponent_series
 from .functionals import bieberbach_bound_convex, fekete_szego_value, fs_bound, \
     hankel_bound, hankel_value, t4_scalars
-from .q_calculus import ClassParams, _dq_core, _iq_core, iq, jackson_sum
+from .q_calculus import ClassParams, _check_count, _dq_core, _iq_core, iq, \
+    jackson_sum
 from .schlicht import _certify, _starlike_core, membership_starlike
 
 SUITES = ("qcalc", "fs", "hankel", "bieberbach", "herglotz", "membership")
@@ -55,8 +56,7 @@ def run_suite(suite: str, q: float, alpha: float, samples: int,
               seed: int) -> list[CheckResult]:
     if suite not in SUITES:
         raise RangeError(f"unknown suite {suite!r}; choose from {SUITES}")
-    if samples < 1:
-        raise RangeError(f"samples must be at least 1, got {samples}")
+    samples = _check_count(samples, "samples", 1)
     ClassParams(q=q, alpha=alpha)  # validates q and alpha for every suite
     fn = globals()[f"_suite_{suite}"]
     return fn(q, alpha, samples, _check_seed(seed))
@@ -151,14 +151,24 @@ def _suite_bieberbach(q, alpha, samples, seed) -> list[CheckResult]:
     top = _maxima(score, seed, samples)
     worst = max(0.0, top["all"])
     multi_worst = f"{top['multi']:.12f}" if top["multi"] > -np.inf else "none"
-    e_q = eq_series(params).coeffs
-    eq_gap = max(abs(abs(e_q[n]) - bounds[n]) for n in bounds)
+    # the table is E_q's own coefficients, so E_q is checked by a second
+    # route: convex_from_h of p = (1 + z)/(1 - z), a unit atom at 0, which is
+    # E_q at alpha = 0 and falls short of the table for alpha > 0 (README
+    # finding 3)
+    p = np.full(max(bounds), 2.0 + 0j)  # up to p_9, for b_2..b_10
+    p[0] = 1.0
+    one_atom = _iq_core(_starlike_core(p, q, alpha)[1:], q)
+    ratios = [abs(one_atom[n]) / bounds[n] for n in bounds]
+    gap = max(abs(r - 1.0) for r in ratios)
     return [
         CheckResult("sampled members respect the coefficient bounds",
                     worst <= 1.0 + 1e-7, f"worst ratio {worst:.12f};"
                     f" multi-atom worst {multi_worst}"),
         CheckResult("q-integral extremal attains equality",
-                    eq_gap <= 1e-9, f"max |gap| {eq_gap:.3e}"),
+                    alpha > 0.0 or gap <= 1e-9,
+                    f"one-atom member, max relative gap {gap:.3e}" if alpha == 0.0
+                    else "not attained for alpha > 0 (report only): one-atom member"
+                    f" |b_n|/bound_n {min(ratios):.6f} .. {max(ratios):.6f}, n = 2..10"),
     ]
 
 

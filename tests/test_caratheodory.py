@@ -191,6 +191,12 @@ class TestSampling:
         with pytest.raises(RangeError):
             sample_measure(1, 9)
 
+    def test_k_must_be_an_integer(self):
+        # 2.0 used to end in a bare numpy TypeError
+        with pytest.raises(RangeError, match="k_atoms must be an integer"):
+            sample_measure(1, 2.0)
+        assert sample_measure(1, np.int64(2)).weights.size == 2
+
     @pytest.mark.parametrize("seed", [-1, 1.5])
     def test_seed_must_be_a_non_negative_integer(self, seed):
         # int(1.5) would draw seed 1's measure

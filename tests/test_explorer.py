@@ -86,6 +86,21 @@ class TestConfig:
                           q_grid=(0.5,), n_check=40)
         assert "order" not in cfg.to_dict()
 
+    @pytest.mark.parametrize(("field", "value"), [
+        ("samples", 2.5), ("samples", 10.0), ("k_atoms", 2.0), ("n_check", 5.0)])
+    def test_counts_must_be_integers(self, field, value):
+        # a float count used to end in a bare numpy TypeError
+        base = dict(functional="bieberbach", seed=1, samples=10, q_grid=(0.5,))
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            SweepConfig(**{**base, field: value})
+        cfg = SweepConfig(**{**base, field: np.int64(5)})
+        assert type(getattr(cfg, field)) is int
+
+    def test_evaluate_measure_n_check_must_be_an_integer(self):
+        m = AtomicMeasure(np.array([1.0]), np.array([0.3]))
+        with pytest.raises(ConfigError, match="n_check must be an integer"):
+            evaluate_measure("bieberbach", m, 0.5, 0.0, n_check=5.0)
+
     @pytest.mark.parametrize("mu", [math.nan, complex(0.0, math.inf)])
     def test_non_finite_mu_rejected(self, mu):
         with pytest.raises(ConfigError, match="not finite"):
@@ -119,6 +134,13 @@ class TestConfig:
         assert resolve_workers(5) == 5
         monkeypatch.delenv("QSCHLICHT_THREADS")
         assert resolve_workers() == (os.cpu_count() or 1)
+
+    def test_worker_count_must_be_a_positive_integer(self):
+        # 2.5 used to run on 2 workers
+        with pytest.raises(ConfigError, match="worker count must be an integer"):
+            resolve_workers(2.5)
+        with pytest.raises(ConfigError, match="worker count must be at least 1"):
+            resolve_workers(0)
 
 
 class TestSampling:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qschlicht import power_series as ps
+from qschlicht import schlicht
 from qschlicht.errors import RangeError
 
 
@@ -129,6 +130,61 @@ class TestExpLog:
         s = series(*coeffs)
         back = ps.exp(ps.log(s))
         assert np.abs(back.coeffs - s.coeffs).max() <= 1e-10
+
+
+#: each axis-0 core with the constant term its input needs
+CORES = {
+    "exp": (ps._exp_core, 0.0),
+    "log": (ps._log_core, 1.0),
+    "recip": (ps._recip_core, 1.0),
+    "starlike": (lambda p: schlicht._starlike_core(p, 0.6, 0.3), 1.0),
+}
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+class TestMemoryOrder:
+    def test_longer_axis_is_contiguous(self):
+        assert ps._order(np.empty((192, 20))) == "F"
+        assert ps._order(np.empty((20, 20))) == "C"
+        assert ps._order(np.empty((11, 8192))) == "C"
+        tall = ps._exp_core(np.zeros((40, 3), dtype=np.complex128))
+        wide = ps._exp_core(np.zeros((3, 40), dtype=np.complex128))
+        assert tall.flags.f_contiguous and wide.flags.c_contiguous
+
+    @pytest.mark.parametrize("core", sorted(CORES))
+    @pytest.mark.parametrize("shape", ["above", "equal", "below", "1-d", "3-d"])
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_batch_column_equals_column_alone(self, core, shape, data):
+        """Degrees above, equal to and below the column count take both
+        memory orders; every column is bitwise its own 1-d result."""
+        fn, c0 = CORES[core]
+        n = data.draw(st.integers(2, 40), label="degrees")
+        trailing = {
+            "above": (data.draw(st.integers(1, n - 1), label="columns"),),
+            "equal": (n,),
+            "below": (data.draw(st.integers(n + 1, n + 40), label="columns"),),
+            "1-d": (),
+            "3-d": tuple(data.draw(st.lists(st.integers(1, 6), min_size=2,
+                                            max_size=2), label="trailing")),
+        }[shape]
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        shape_all = (n,) + trailing
+        x = 0.4 * (rng.standard_normal(shape_all) + 1j * rng.standard_normal(shape_all))
+        x[0] = c0
+        out = fn(x)
+        assert out.shape[1:] == trailing
+        if shape == "1-d":  # the series as a column of a tall and a wide batch
+            for m in (2, n + 3):
+                batch = 0.4 * (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m)))
+                batch[0], batch[:, -1] = c0, x
+                assert _bits(fn(batch)[:, -1]) == _bits(out)
+        for idx in np.ndindex(trailing):
+            col = (slice(None),) + idx
+            assert _bits(out[col]) == _bits(fn(x[col])), (idx, out.shape)
 
 
 class TestDilateDerivativeEval:

@@ -146,6 +146,13 @@ class TestParamsAndRatios:
         with pytest.raises(RangeError):
             ClassParams(q=0.5, order=2)
 
+    @pytest.mark.parametrize("order", [12.7, 12.0, "12"])
+    def test_order_must_be_an_integer(self, order):
+        # 12.7 used to become order 12 silently
+        with pytest.raises(RangeError, match="order must be an integer"):
+            ClassParams(q=0.5, order=order)
+        assert type(ClassParams(q=0.5, order=np.int64(12)).order) is int
+
     # the log ratios L_alpha/(q^n - 1) are F_n/2 of the class exponent
 
     def test_ratios_are_positive(self):
