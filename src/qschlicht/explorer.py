@@ -49,8 +49,7 @@ from . import __version__
 from .caratheodory import MAX_ATOMS, RNG_NAME, TWO_PI, AtomicMeasure, \
     _check_seed, _fill_rows, _moments, _p_coeffs, measure_from_dict
 from .errors import ConfigError, RangeError
-from .extremal import _exponent_core, _generators, f1_series, \
-    f_exponent_series
+from .extremal import _generators, f1_series
 from .functionals import Bound, _bieberbach_bound_table, _fs, _h2, \
     bieberbach_bound_convex, fekete_szego_value, fs_bound, hankel_bound, \
     hankel_value
@@ -171,17 +170,12 @@ def _starlike_scores(functional, weights, angles, q, alpha, mus):
 
 def _bieberbach_scores(weights, angles, q, alpha, n_check):
     """Per-sample max_{2<=n<=n_check} |a_n| / bound_n of the q-integral of
-    the p-route member z (Dq f), which reads m_1..m_{n_check-1}.  At alpha
-    = 0 that member is z exp(sum_n F_n m_n z^n) (see
-    :func:`.schlicht.convex_from_h`), built here with one series exp; at
-    alpha > 0 it is _starlike_core's."""
+    the p-route member z (Dq f), which reads m_1..m_{n_check-1}; at alpha = 0
+    _starlike_core builds that member as z exp(sum_n F_n m_n z^n), one
+    series exp (see :func:`.schlicht.convex_from_h`)."""
     params = ClassParams(q=q, alpha=alpha, order=max(n_check, 4))
     m = _moments(weights, angles, n_check - 1)
-    if alpha == 0.0:
-        g = _exponent_core(f_exponent_series(params).coeffs[:n_check], m)
-    else:
-        g = _starlike_core(_p_coeffs(m), q, alpha)
-    a = _iq_core(g[1:], q)
+    a = _iq_core(_starlike_core(_p_coeffs(m), q, alpha)[1:], q)
     bounds = _bieberbach_bound_table(params)[2:n_check + 1]
     return (np.abs(a[2:]) / bounds[:, None]).max(axis=0, initial=0.0)
 

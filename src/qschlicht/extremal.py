@@ -74,7 +74,8 @@ def _exponent_core(f_exp: np.ndarray, moments: np.ndarray) -> np.ndarray:
     """a_0..a_{N+1} of z exp(sum_n F_n m_n z^n) for the exponent F_0..F_N and
     the moments m_0..m_N on axis 0 (F_0 = 0)."""
     e = ps._exp_core(ps._einsum("n,n...->n...", f_exp, moments))
-    a = np.zeros((e.shape[0] + 1,) + e.shape[1:], dtype=np.complex128)
+    a = np.zeros((e.shape[0] + 1,) + e.shape[1:], dtype=np.complex128,
+                 order=ps._order(ps._columns(e)))
     a[1:] = e
     return a
 
@@ -93,6 +94,8 @@ def herglotz_starlike(m: AtomicMeasure, params: ClassParams) -> TruncatedSeries:
 
     Only defined at alpha = 0, where the measure representation of the
     starlike class is available; a unit mass at angle 0 gives f1_series.
+    It is bitwise ``starlike_from_p(p_series(m, N), params)``, which builds
+    the same exp at alpha = 0.
     """
     if params.alpha != 0.0:
         raise RangeError("measure representation requires alpha = 0")

@@ -9,10 +9,11 @@ on the disk, which is the textbook inequality
 multiplied through by (1-q)(1-alpha).  f is convex-type exactly when
 z (Dq f)(z) is starlike-type with the same ratio, so both classes are
 certified by one check of that one condition.  Members are generated from a
-positive-real-part series p through the functional equation
-f(qz) = f(z) * G(z) with G = (1-alpha) exp((ln q) p) + alpha q, or through a
-measure exponent.  Every convex-type member is the Jackson q-integral of its
-starlike-type member over z.
+positive-real-part series p with f(qz) = f(z) * G(z), G = (1-alpha)
+exp((ln q) p) + alpha q: at alpha = 0 as the closed form z exp(sum_n F_n
+(p_n/2) z^n) of the class exponent F, one series exp; for alpha > 0 by the
+functional-equation recursion.  Every convex-type member is the Jackson
+q-integral of its starlike-type member over z.
 
 Certificates evaluate the ratio on one fixed polar grid, radii 0.05..0.90
 with 256 half-step offset angles each, by one inverse FFT of
@@ -156,7 +157,10 @@ def _certify(u: np.ndarray, params: ClassParams, criterion: str) -> list:
         g = np.divide(np.multiply(q, num, out=num), den, out=num)
         den_tail, num_tail = tails[lo:lo + FFT_CHUNK].swapaxes(0, 1)
         np.abs(g, out=abs_g)
-        np.abs(np.subtract(g, alpha * q, out=g), out=excess)
+        if alpha == 0.0:  # |g - alpha q| is |g|
+            excess[:] = abs_g
+        else:
+            np.abs(np.subtract(g, alpha * q, out=g), out=excess)
         excess -= 1.0 - alpha
         err = np.add(q * num_tail, np.multiply(abs_g, den_tail, out=abs_g), out=abs_g)
         err /= den_abs
@@ -194,9 +198,25 @@ def _starlike_core(p: np.ndarray, q: float, alpha: float) -> np.ndarray:
 
     G = (1-alpha) exp((ln q) p) + alpha q has G(0) = q and |G - alpha q| <=
     1-alpha wherever Re p >= 0, so the member is in the class by construction.
+    At alpha = 0 the member is z exp(sum_n F_n (p_n/2) z^n) for the class
+    exponent F, one series exp (its ratio is q exp((ln q)(p - p_0))); for
+    alpha > 0 it is :func:`_functional_equation_core`'s.
+    """
+    if alpha == 0.0:
+        n = p.shape[0] - 1
+        f_exp = f_exponent_series(ClassParams(q=q, order=max(n, 4))).coeffs
+        return _exponent_core(f_exp[:n + 1], 0.5 * p)
+    return _functional_equation_core(p, q, alpha)
+
+
+def _functional_equation_core(p: np.ndarray, q: float,
+                              alpha: float) -> np.ndarray:
+    """_starlike_core's member by the functional equation, for every alpha.
+
     a_n (q^n - q) = sum_{k<n} a_k G_{n-k}, a_1 = 1, is solved divided by q,
     where G_k / q = (1-alpha) exp((ln q)(p - 1))_k for k >= 1; a_{N+1} needs
-    only G_1..G_N.
+    only G_1..G_N.  At alpha = 0 it is the independent route that the
+    herglotz and Bieberbach cross-checks compare with the exponent route.
     """
     u = ps._columns(p) * math.log(q)
     u[0] = 0.0
@@ -211,9 +231,9 @@ def _starlike_core(p: np.ndarray, q: float, alpha: float) -> np.ndarray:
 
 
 def starlike_from_p(p: TruncatedSeries, params: ClassParams) -> TruncatedSeries:
-    """Starlike-type member generated by a positive-real-part series; solves
-    f(qz) = f(z) G(z) coefficientwise (see :func:`_starlike_core`).  An
-    order-N member reads p_0..p_{N-1}."""
+    """Starlike-type member generated by a positive-real-part series, with
+    f(qz) = f(z) G(z) (see :func:`_starlike_core`).  An order-N member reads
+    p_0..p_{N-1}."""
     return TruncatedSeries(
         _starlike_core(p.coeffs[: params.order], params.q, params.alpha))
 
@@ -225,9 +245,10 @@ def convex_from_h(p: TruncatedSeries, params: ClassParams) -> TruncatedSeries:
     ratio G = (1-alpha) h + alpha q, so f is the Jackson q-integral of
     starlike_from_p(p) / z.  Equivalently z (Dq f) = z / prod_{m>=0}
     fac(q^m z) with fac = G/q: the product telescopes through the starlike
-    functional equation.  At alpha = 0 the starlike member is
-    z exp(sum_n F_n m_n z^n) for a measure-generated p, so this and
-    :func:`convex_from_measure` give the same member to rounding.
+    functional equation.  At alpha = 0 the starlike member is built as
+    z exp(sum_n F_n (p_n/2) z^n), which is z exp(sum_n F_n m_n z^n) for the
+    p of a measure, so this and :func:`convex_from_measure` give the same
+    member bitwise.
     """
     a = _starlike_core(p.coeffs[: params.order], params.q, params.alpha)
     return TruncatedSeries(_iq_core(a[1:], params.q))
@@ -238,9 +259,9 @@ def convex_from_measure(m: AtomicMeasure, params: ClassParams) -> TruncatedSerie
     for the class exponent F, the q-integral of that member over z; a unit
     mass at angle 0 returns the q-integral extremal exactly.
 
-    A class member only at alpha = 0, where it is :func:`convex_from_h` of
-    the measure's p to rounding; for alpha > 0 the ratio of z exp(...)
-    leaves the disk |g - alpha q| <= 1 - alpha near every atom."""
+    A class member only at alpha = 0, where it is bitwise
+    :func:`convex_from_h` of the measure's p; for alpha > 0 the ratio of
+    z exp(...) leaves the disk |g - alpha q| <= 1 - alpha near every atom."""
     n = params.order
     a = _exponent_core(f_exponent_series(params).coeffs[:n],
                        _moments(m.weights, m.angles, n - 1))

@@ -33,7 +33,8 @@ from .functionals import bieberbach_bound_convex, fekete_szego_value, fs_bound, 
     hankel_bound, hankel_value, t4_scalars
 from .q_calculus import ClassParams, _check_count, _dq_core, _iq_core, iq, \
     jackson_sum
-from .schlicht import _certify, _starlike_core, membership_starlike
+from .schlicht import _certify, _functional_equation_core, _starlike_core, \
+    membership_starlike
 
 SUITES = ("qcalc", "fs", "hankel", "bieberbach", "herglotz", "membership")
 _HERGLOTZ_MIN_Q = 0.2  # below it the log row loses 1e-10 to cancellation
@@ -152,12 +153,12 @@ def _suite_bieberbach(q, alpha, samples, seed) -> list[CheckResult]:
     worst = max(0.0, top["all"])
     multi_worst = f"{top['multi']:.12f}" if top["multi"] > -np.inf else "none"
     # the table is E_q's own coefficients, so E_q is checked by a second
-    # route: convex_from_h of p = (1 + z)/(1 - z), a unit atom at 0, which is
-    # E_q at alpha = 0 and falls short of the table for alpha > 0 (README
-    # finding 3)
+    # route: the q-integral of the functional-equation member of p = (1 +
+    # z)/(1 - z), a unit atom at 0, which is E_q at alpha = 0 and falls short
+    # of the table for alpha > 0 (README finding 3)
     p = np.full(max(bounds), 2.0 + 0j)  # up to p_9, for b_2..b_10
     p[0] = 1.0
-    one_atom = _iq_core(_starlike_core(p, q, alpha)[1:], q)
+    one_atom = _iq_core(_functional_equation_core(p, q, alpha)[1:], q)
     ratios = [abs(one_atom[n]) / bounds[n] for n in bounds]
     gap = max(abs(r - 1.0) for r in ratios)
     return [
@@ -186,14 +187,15 @@ def _suite_herglotz(q, alpha, samples, seed) -> list[CheckResult]:
 
     def routes(w, a):
         m = _moments(w, a, n - 1)
-        f_a = _starlike_core(_p_coeffs(m), q, 0.0)[1:]
+        f_a = _functional_equation_core(_p_coeffs(m), q, 0.0)[1:]
         f_b = _exponent_core(exponent[:n], m)[1:]  # as herglotz_starlike
         # relative to max(1, |a_n|): the coefficients reach about 1e4 at q 0.2
         return {None: (np.abs(f_a - f_b) / np.maximum(1.0, np.abs(f_a))).max(axis=0)}
 
     def log_row(w, a):
         p = _p_coeffs(_moments(w, a, n - 1))
-        phi = ps._log_core(_starlike_core(p, q, 0.0)[1:])  # log(f/z), order N - 1
+        # log(f/z), order N - 1, of the functional-equation member
+        phi = ps._log_core(_functional_equation_core(p, q, 0.0)[1:])
         # log(f/z) has coefficients p_n F_n/2 = p_n ln q/(q^n - 1)
         return {None: np.abs(phi[1:] - p[1:n] * half_f).max(axis=0)}
 

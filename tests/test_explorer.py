@@ -29,8 +29,8 @@ from qschlicht.functionals import _bieberbach_bound_table, \
     bieberbach_bound_convex
 from qschlicht.power_series import MAX_ORDER
 from qschlicht.q_calculus import ClassParams, _iq_core
-from qschlicht.schlicht import _starlike_core, convex_from_h, \
-    membership_convex
+from qschlicht.schlicht import _functional_equation_core, _starlike_core, \
+    convex_from_h, membership_convex
 from sampler_reference import reference_group_samples
 
 
@@ -463,8 +463,8 @@ class TestBieberbachSweep:
         cfg = SweepConfig(functional="bieberbach", seed=seed, samples=24,
                           q_grid=(q,), k_atoms=k_atoms)
         w, a = group_samples(cfg, 0)
-        a_n = _iq_core(_starlike_core(_p_coeffs(_moments(w, a, n_check - 1)),
-                                      q, 0.0)[1:], q)[2:]
+        a_n = _iq_core(_functional_equation_core(
+            _p_coeffs(_moments(w, a, n_check - 1)), q, 0.0)[1:], q)[2:]
         bounds = _bieberbach_bound_table(
             ClassParams(q=q, alpha=0.0, order=max(n_check, 4)))[2:n_check + 1]
         want = (np.abs(a_n) / bounds[:, None]).max(axis=0)

@@ -9,8 +9,8 @@ from qschlicht.errors import RangeError
 from qschlicht.extremal import (eq_series, f1_series, f2_series,
                                 f_exponent_series, herglotz_starlike)
 from qschlicht.q_calculus import ClassParams, q_bracket
-from qschlicht.schlicht import membership_convex, membership_starlike, \
-    starlike_from_p
+from qschlicht.schlicht import _functional_equation_core, \
+    membership_convex, membership_starlike, starlike_from_p
 
 
 class TestExponentSeries:
@@ -42,9 +42,11 @@ class TestOneAtomGenerator:
 
     def test_matches_measure_construction_alpha_zero(self):
         params = ClassParams(q=0.5, order=16)
-        m = AtomicMeasure(np.array([1.0]), np.array([0.0]))
-        f = starlike_from_p(p_series(m, 16), params)
-        assert np.abs(f.coeffs - f1_series(params).coeffs).max() <= 1e-10
+        p = p_series(AtomicMeasure(np.array([1.0]), np.array([0.0])), 16)
+        # the public member (the exponent route) and the recursion
+        for f in (starlike_from_p(p, params).coeffs,
+                  _functional_equation_core(p.coeffs[:16], 0.5, 0.0)):
+            assert np.abs(f - f1_series(params).coeffs).max() <= 1e-10
 
     def test_koebe_limit(self):
         # convergence rate is (1-q) n(n-1)/2, so 1e-4 gives 2.8e-3 at n=8
@@ -74,8 +76,10 @@ class TestTwoAtomGenerator:
     def test_matches_two_atom_measure(self):
         params = ClassParams(q=0.5, order=16)
         m = AtomicMeasure(np.array([0.5, 0.5]), np.array([0.0, math.pi]))
-        f = starlike_from_p(p_series(m, 16), params)
-        assert np.abs(f.coeffs - f2_series(params).coeffs).max() <= 1e-10
+        p = p_series(m, 16)
+        for f in (starlike_from_p(p, params).coeffs,
+                  _functional_equation_core(p.coeffs[:16], 0.5, 0.0)):
+            assert np.abs(f - f2_series(params).coeffs).max() <= 1e-10
 
 
 @pytest.mark.parametrize("order", [6, 8, 192])
@@ -154,8 +158,8 @@ class TestHerglotzStarlike:
         for seed in range(100):
             m = sample_measure(seed, 1 + seed % 4)
             f_a = herglotz_starlike(m, params)
-            f_b = starlike_from_p(p_series(m, 16), params)
-            assert np.abs(f_a.coeffs - f_b.coeffs).max() <= 1e-10
+            f_b = _functional_equation_core(p_series(m, 16).coeffs[:16], 0.5, 0.0)
+            assert np.abs(f_a.coeffs - f_b).max() <= 1e-10
 
     def test_alpha_nonzero_rejected(self):
         m = sample_measure(1, 2)

@@ -21,7 +21,7 @@ from qschlicht.caratheodory import (TWO_PI, _COS, _SIN, _phase, p_series,
 from qschlicht.extremal import f1_series, f2_series
 from qschlicht.q_calculus import ClassParams
 from qschlicht.schlicht import N_ANGLES, RADII, _grid_tables, \
-    _polar_values, convex_from_h
+    _polar_values, _starlike_core, convex_from_h, starlike_from_p
 
 ORDER = 16
 DIGITS = 50
@@ -161,6 +161,32 @@ def test_series_cores_match_mpmath(name, n):
             exact = np.array([complex(x) for x in exact])
         rel = np.abs(single - exact).max() / np.abs(exact).max()
         assert rel <= 1e-12, rel
+
+
+# -- the alpha = 0 member against a 50-digit exp of its exponent --------------
+
+MEMBER_ORDER = 192
+
+
+@pytest.mark.parametrize("q", [0.2, 0.5, 0.8])
+def test_alpha_zero_member_matches_exponent_exp(q):
+    """At alpha = 0 the member of p is z exp(sum_n (ln q) p_n/(q^n - 1) z^n);
+    the public constructor and a (MEMBER_ORDER, 4) batch of the core match
+    that exp at 50 digits to 1e-13 relative to max(1, |a_n|)."""
+    p_all = [p_series(sample_measure(seed, 1 + seed), MEMBER_ORDER)
+             for seed in range(4)]
+    batch = _starlike_core(np.stack([p.coeffs[:MEMBER_ORDER] for p in p_all],
+                                    axis=1), q, 0.0)
+    single = starlike_from_p(p_all[0], ClassParams(q=q, order=MEMBER_ORDER))
+    for j, p in enumerate(p_all):
+        with mp.workdps(DIGITS):
+            qm = mp.mpf(q)
+            u = [mp.mpc(0)] + [mp.log(qm) * mp.mpc(complex(p.coeffs[n])) / (qm ** n - 1)
+                               for n in range(1, MEMBER_ORDER)]
+            exact = np.array([0j] + [complex(x) for x in mp_exp(u)])
+        for got in (batch[:, j], single.coeffs) if j == 0 else (batch[:, j],):
+            err = np.abs(got - exact) / np.maximum(1.0, np.abs(exact))
+            assert err.max() <= 1e-13, (j, err.max())
 
 
 # -- the polar certificate evaluator at the exact grid angles -----------------

@@ -138,6 +138,7 @@ CORES = {
     "log": (ps._log_core, 1.0),
     "recip": (ps._recip_core, 1.0),
     "starlike": (lambda p: schlicht._starlike_core(p, 0.6, 0.3), 1.0),
+    "starlike-alpha0": (lambda p: schlicht._starlike_core(p, 0.6, 0.0), 1.0),
 }
 
 

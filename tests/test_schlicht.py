@@ -16,8 +16,8 @@ from qschlicht.caratheodory import AtomicMeasure, _moments, _p_coeffs, \
 from qschlicht.errors import ConfigError, EvaluationSingularityError, \
     RangeError
 from qschlicht.explorer import SweepConfig, group_samples
-from qschlicht.extremal import _generators, eq_series, f1_series, \
-    f2_series, f_exponent_series
+from qschlicht.extremal import _exponent_core, _generators, eq_series, \
+    f1_series, f2_series, f_exponent_series
 from qschlicht.q_calculus import ClassParams, _dq_core, _iq_core, dq, iq
 from qschlicht.schlicht import (FFT_CHUNK, N_ANGLES, RADII, _POINTS, _certify,
                                 _grid_tables, _polar_values, _starlike_core,
@@ -56,6 +56,21 @@ class TestStarlikeFromP:
                     single = _starlike_core(
                         np.ascontiguousarray(p_long[: n + 1, j]), q, alpha)
                     assert np.array_equal(single, long[: n + 2, j])
+
+    @pytest.mark.parametrize("q", Q_GRID)
+    def test_alpha_zero_core_is_the_exponent_core(self, q):
+        # bitwise, for p/2 and for the moments themselves (p_n = 2 m_n
+        # exactly), so a Bieberbach sweep scores the same bytes through
+        # _starlike_core as through its former closed-form branch
+        cfg = SweepConfig(functional="bieberbach", seed=5, samples=64, q_grid=(q,))
+        w, a = group_samples(cfg, 0)
+        for n in (0, 3, 9, 191):
+            m = _moments(w, a, n)
+            p = _p_coeffs(m)
+            f_exp = f_exponent_series(ClassParams(q=q, order=max(n, 4))).coeffs
+            got = _starlike_core(p, q, 0.0)
+            assert got.tobytes() == _exponent_core(f_exp[:n + 1], p / 2).tobytes()
+            assert got.tobytes() == _exponent_core(f_exp[:n + 1], m).tobytes()
 
     def test_degenerate_p_gives_identity(self):
         f = starlike_from_p(constant_p(16), ClassParams(q=0.5, order=16))

@@ -27,7 +27,7 @@ from qschlicht.extremal import eq_series, f1_series, f2_series, \
 from qschlicht.functionals import bieberbach_bound_convex, \
     fekete_szego_value, fs_bound, hankel_bound, hankel_value, t4_scalars
 from qschlicht.q_calculus import ClassParams, dq, iq, jackson_sum
-from qschlicht.schlicht import convex_from_h, convex_from_measure, \
+from qschlicht.schlicht import _functional_equation_core, convex_from_h, \
     membership_convex, membership_starlike, starlike_from_p
 from qschlicht.verify import SUITES, CheckResult, run_suite
 from sampler_reference import reference_group_samples
@@ -41,6 +41,13 @@ def _suite_samples(seed, count):
     first samples of group 0 of a k_atoms = 4 sweep."""
     cfg = SweepConfig(functional="h22", seed=seed, samples=count, q_grid=(0.5,))
     return group_samples(cfg, 0)
+
+
+def _functional_equation_member(p, params):
+    """starlike_from_p's member by the functional-equation recursion, the
+    route the herglotz and Bieberbach rows compare with the exponent one."""
+    return ps.TruncatedSeries(_functional_equation_core(
+        p.coeffs[:params.order], params.q, params.alpha))
 
 
 def _measures(seed, count):
@@ -134,19 +141,14 @@ def _loop_bieberbach(q, alpha, samples, seed):
     worst = 0.0
     multi = None
     for m in _measures(seed, samples):
-        # the scorer's member: at alpha = 0 the p-route member is the
-        # measure-exponent one, which it builds in closed form
-        if alpha == 0.0:
-            f = convex_from_measure(m, params)
-        else:
-            f = convex_from_h(p_series(m, params.order), params)
+        f = convex_from_h(p_series(m, params.order), params)
         ratio = max(abs(f.coeffs[n]) / b for n, b in bounds.items())
         worst = max(worst, ratio)
         if m.weights.size > 1:
             multi = max(ratio, multi or 0.0)
     multi = "none" if multi is None else f"{multi:.12f}"
-    one_atom = convex_from_h(p_series(AtomicMeasure(np.array([1.0]), np.array([0.0])),
-                                      params.order), params)
+    one_atom = iq(ps.div_z(_functional_equation_member(p_series(
+        AtomicMeasure(np.array([1.0]), np.array([0.0])), params.order), params)), q)
     ratios = [abs(one_atom.coeffs[n]) / b for n, b in bounds.items()]
     gap = max(abs(r - 1.0) for r in ratios)
     if alpha > 0.0:  # E_q is not attained: report only
@@ -172,7 +174,7 @@ def _loop_herglotz(q, alpha, samples, seed):
     params = ClassParams(q=q, alpha=0.0, order=16)
     worst = 0.0
     for m in _measures(seed, samples):
-        f_a = starlike_from_p(p_series(m, params.order), params)
+        f_a = _functional_equation_member(p_series(m, params.order), params)
         f_b = herglotz_starlike(m, params)
         diff = np.abs(f_a.coeffs - f_b.coeffs) / np.maximum(1.0, np.abs(f_a.coeffs))
         worst = max(worst, float(diff.max()))
@@ -180,8 +182,7 @@ def _loop_herglotz(q, alpha, samples, seed):
     worst_log = 0.0
     for m in _measures(seed + 1, samples):
         p = p_series(m, params.order)
-        f = starlike_from_p(p, params)
-        phi = ps.log(ps.div_z(f))
+        phi = ps.log(ps.div_z(_functional_equation_member(p, params)))
         target = p.coeffs[1:params.order] * lnq / (
             np.power(q, np.arange(1, params.order)) - 1.0)
         worst_log = max(worst_log, float(np.abs(phi.coeffs[1:] - target).max()))
@@ -274,6 +275,35 @@ def test_herglotz_rows_pass_down_to_their_smallest_q():
     for q in (0.199, 1e-12):
         with pytest.raises(RangeError, match="herglotz suite needs q >= 0.2"):
             run_suite("herglotz", q, 0.0, 200, 1)
+
+
+@pytest.mark.parametrize("q", [0.2, 0.5, 0.8])
+def test_cross_check_rows_compare_two_routes(q, monkeypatch):
+    """At alpha = 0 each of these rows compares the functional-equation
+    recursion with the exponent route: a finite, nonzero gap within its
+    limit, which a 1e-7 error in the recursion's a_2.. breaks.  Built by the
+    exponent route twice (as _starlike_core now is), the first and last
+    would read 0."""
+    limits = {"functional-equation and exponent routes agree": 1e-9,
+              "log(f/z) matches the exponent coefficients": 1e-10,
+              "q-integral extremal attains equality": 1e-9}
+
+    def rows():
+        return [r for r in run_suite("herglotz", q, 0.0, 200, 1)
+                + run_suite("bieberbach", q, 0.0, 10, 1) if r.name in limits]
+
+    gaps = {r.name: float(_NUMBER.findall(r.detail)[-1]) for r in rows()}
+    assert gaps.keys() == limits.keys()
+    for name, gap in gaps.items():
+        assert 0.0 < gap <= limits[name], (name, gap)
+
+    def off(p, q, alpha):
+        a = _functional_equation_core(p, q, alpha)
+        a[2:] *= 1.0 + 1e-7
+        return a
+
+    monkeypatch.setattr(verify, "_functional_equation_core", off)
+    assert not any(r.passed for r in rows())
 
 
 @pytest.mark.parametrize("seed", [-3, 1.5, np.float64(2.0)])
