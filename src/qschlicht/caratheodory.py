@@ -150,21 +150,27 @@ class AtomicMeasure:
 
 def _moments(weights, angles, n_max: int) -> np.ndarray:
     """m_n = sum_j t_j sigma_j^n, n = 0..n_max, on axis 0; atoms on input
-    axis 0.  Every slot gets its phase from :func:`_phase`, which depends on
-    the angle alone; a zero-weight slot adds 0 times a finite phase, a
-    signed zero.  Powers are a cumulative product and each degree adds the
-    atoms in order on contiguous copies, so a sample gets the same moments
-    alone, in a block's slice or as a transposed view."""
-    phase = _phase(angles)
-    out = np.empty((n_max + 1,) + phase.shape[1:], dtype=np.complex128)
-    out[0] = 1.0
+    axis 0.  Angles one row short of the weights, as samples come, put atom
+    0 at angle 0: m_n = t_0 + sum_{j>=1} t_j sigma_j^n with no phase or
+    power of atom 0, bitwise the moments of the full measure.  Every slot
+    gets its phase from :func:`_phase`, which depends on the angle alone; a
+    zero-weight slot adds 0 times a finite phase, a signed zero.  Powers
+    are a cumulative product and each degree adds atoms 1.. in order, then
+    atom 0, on contiguous copies, so a sample gets the same moments alone,
+    in a block's slice or as a transposed view."""
     # einsum would cast the weights to complex on every degree; once is enough
     weights = np.ascontiguousarray(weights, dtype=np.complex128)
+    phase = _phase(angles)
+    skip = len(weights) - len(phase)  # 1 when atom 0 has no angle
+    out = np.empty((n_max + 1,) + phase.shape[1:], dtype=np.complex128)
+    out[0] = 1.0
     cur = phase
     for n in range(1, n_max + 1):
         if n > 1:  # not in place: that rounds by position in the array
             cur = cur * phase
-        out[n] = _einsum("j...,j...->...", weights, cur)
+        m = out[n, ...]  # a view also for a single measure's 0-d degree
+        _einsum("j...,j...->...", weights[1:], cur[1 - skip:], out=m)
+        np.add(m, weights[0] if skip else weights[0] * cur[0], out=m)
     return out
 
 
@@ -228,28 +234,31 @@ def _check_seed(seed) -> int:
 def _fill_rows(seed: int, spawn_key: tuple, block, lo: int,
                ragged: bool = True):
     """Draw samples lo..lo+n-1 of a sample stream into ``block``, their
-    atom-major (2*k, n) array; return its (weights, angles) views, each (k, n).
+    atom-major (2*k - 1, n) array; return its (weights, angles) views, of
+    shapes (k, n) and (k - 1, n): atom 0 of every sample sits at angle 0,
+    which no rotation invariant functional sees.
 
     The stream is the PCG64 of ``SeedSequence(seed, spawn_key=spawn_key)``,
-    and sample i takes its draws 2*k*i onwards (they land row by row, then
-    are transposed once), so any split fills the samples bitwise alike.  The
-    first k draws of a sample are the angles, 2 pi u; the last k are the
-    weights, 0.05 + 0.95 u, which keeps every weight bounded away from zero,
-    divided by their sum taken left to right in atom-index order.  A
-    ``ragged`` sample i keeps ``(i % k) + 1`` atoms and zero weight in the
-    slots past them; otherwise every sample keeps all k.
+    and sample i takes its draws (2*k - 1)*i onwards (they land row by row,
+    then are transposed once), so any split fills the samples bitwise
+    alike.  The first k - 1 draws of a sample are the angles of atoms
+    1..k-1, 2 pi u; the last k are the weights, 0.05 + 0.95 u, which keeps
+    every weight bounded away from zero, divided by their sum taken left to
+    right in atom-index order.  A ``ragged`` sample i keeps
+    ``(i % (k - 1)) + 2`` atoms (k >= 2) and zero weight in the slots past
+    them; otherwise every sample keeps all k.
     """
-    k, n = block.shape[0] // 2, block.shape[1]
+    k, n = (block.shape[0] + 1) // 2, block.shape[1]
     ss = np.random.SeedSequence(entropy=_check_seed(seed), spawn_key=spawn_key)
     bitgen = np.random.PCG64(ss)
-    bitgen.advance(2 * k * lo)
-    block[:] = np.random.Generator(bitgen).random((n, 2 * k)).T
-    angles, weights = block[:k], block[k:]
+    bitgen.advance((2 * k - 1) * lo)
+    block[:] = np.random.Generator(bitgen).random((n, 2 * k - 1)).T
+    angles, weights = block[:k - 1], block[k - 1:]
     angles *= TWO_PI
     weights *= 0.95
     weights += 0.05
-    for r in range(k - 1 if ragged else 0):  # samples i % k == r keep r + 1 atoms
-        weights[r + 1:, (r - lo) % k::k] = 0.0
+    for r in range(k - 2 if ragged else 0):  # i % (k-1) == r keeps r + 2 atoms
+        weights[r + 2:, (r - lo) % (k - 1)::k - 1] = 0.0
     weights /= sum(weights[1:], weights[0].copy())
     return weights, angles
 
@@ -258,12 +267,12 @@ def sample_measure(seed: int, k_atoms: int) -> AtomicMeasure:
     """Deterministic random measure with k_atoms atoms for a seed: sample 0
     of the sample stream of ``default_rng(seed)`` (see :func:`_fill_rows`).
 
-    Angles are uniform on [0, 2 pi); weights are uniform on [0.05, 1],
-    normalized."""
+    Atom 0 sits at angle 0 and the other angles are uniform on [0, 2 pi);
+    weights are uniform on [0.05, 1], normalized."""
     k_atoms = _check_count(k_atoms, "k_atoms", 1, MAX_ATOMS)
-    weights, angles = _fill_rows(seed, (), np.empty((2 * k_atoms, 1)), 0,
+    weights, angles = _fill_rows(seed, (), np.empty((2 * k_atoms - 1, 1)), 0,
                                  ragged=False)
-    return AtomicMeasure(weights[:, 0], angles[:, 0])
+    return AtomicMeasure(weights[:, 0], np.append(0.0, angles[:, 0]))
 
 
 # -- measure (de)serialization ----------------------------------------------

@@ -11,20 +11,23 @@ violations never abort a run; they are first-class report rows, because
 adjudicating the stated bounds is the whole point of the harness.
 
 Determinism contract:
-  * sample i of group g takes draws 2*k_atoms*i onwards of the stream with
-    spawn key (g,), so it depends only on (seed, g, i), and enlarging
+  * sample i of group g takes draws (2*k_atoms - 1)*i onwards of the stream
+    with spawn key (g,), so it depends only on (seed, g, i), and enlarging
     ``samples`` keeps every earlier sample identical; a verify suite at seed
     s scores the first samples of group 0 of a k_atoms = 4 sweep at seed s;
+  * every sample has atom 0 at angle 0 and two atoms or more: the scores
+    are rotation invariant, and one atom is only the injected extremal;
   * :func:`_sample_maxima` draws and scores a sweep group's or a verify
     suite's samples in blocks of ``BLOCK``, the pool's work units, whatever
     the worker count: the job of samples lo..hi-1 advances the group's PCG64
-    stream 2*k_atoms*lo draws, fills its thread's atom-major (2*k_atoms,
-    hi - lo) scratch block and returns only each key's largest value and
-    the index of its first occurrence.  Scoring is elementwise along the
-    sample axis, so a sample scores the same in any block; the first block
-    holding the largest value wins, so ties go to the lowest sample index,
-    and a sweep draws the winning sample again alone.  Both thus hold
-    O(workers * BLOCK) samples, whatever ``samples`` is;
+    stream (2*k_atoms - 1)*lo draws, fills its thread's atom-major
+    (2*k_atoms - 1, hi - lo) scratch block and returns only each key's
+    largest value and the index of its first occurrence.  Scoring is
+    elementwise along the sample axis, so a sample scores the same in any
+    block; the first block holding the largest value wins, so ties go to
+    the lowest sample index, and a sweep draws the winning sample again
+    alone.  Both thus hold O(workers * BLOCK) samples, whatever ``samples``
+    is;
   * single-measure evaluation is a batch of one: replay runs the sweep's
     scorer on one column, and the injected extremals are one padded block
     of it, so a measure scores bitwise the same alone as in any block;
@@ -109,7 +112,8 @@ class SweepConfig:
         if self.functional != "fs" and self.mu_grid:
             raise ConfigError("mu_grid applies only to fs sweeps")
         object.__setattr__(self, "seed", _check_seed(self.seed))
-        for name, lo, hi in (("samples", 1, None), ("k_atoms", 1, MAX_ATOMS),
+        # k_atoms >= 2: a sweep sample keeps (i % (k_atoms - 1)) + 2 atoms
+        for name, lo, hi in (("samples", 1, None), ("k_atoms", 2, MAX_ATOMS),
                              ("n_check", 2, MAX_ORDER)):
             object.__setattr__(self, name, _check_count(
                 getattr(self, name), name, lo, hi, ConfigError))
@@ -144,15 +148,17 @@ class SweepConfig:
 
 
 def group_samples(cfg: SweepConfig, group_index: int):
-    """Atom-major weights/angles arrays of shape (k_atoms, samples) for one
-    (q, alpha) group: every sample of the group's stream at once."""
-    cols = np.empty((2 * cfg.k_atoms, cfg.samples))
+    """Atom-major weights and angles, (k_atoms, samples) and (k_atoms - 1,
+    samples), of one (q, alpha) group: every sample of the group's stream at
+    once; atom 0 of each sits at angle 0."""
+    cols = np.empty((2 * cfg.k_atoms - 1, cfg.samples))
     return _fill_rows(cfg.seed, (group_index,), cols, 0)
 
 
 def _measure_from_row(weights, angles) -> AtomicMeasure:
+    """A sample column's measure: atom 0 at angle 0, zero weights dropped."""
     mask = weights > 0
-    return AtomicMeasure(weights[mask], angles[mask])
+    return AtomicMeasure(weights[mask], np.append(0.0, angles)[mask])
 
 
 # -- batch scorers: atoms on axis 0, one column per sample --------------------
@@ -202,8 +208,9 @@ def evaluate_measure(functional: str, m: AtomicMeasure, q: float, alpha: float,
                      mu: complex | None = None, n_check: int = 10) -> float:
     """Functional value for one measure; the replay target.
 
-    The sweep's scorer run on one sample, so a sampled measure scores
-    bitwise the same here as in the sweep.
+    The sweep's scorer run on one sample, after rotating the measure by
+    minus its first angle, which no functional here sees; a sampled measure
+    has that angle 0, so it scores bitwise the same here as in the sweep.
     """
     if functional not in FUNCTIONALS:
         raise ConfigError(f"unknown functional {functional!r}")
@@ -213,7 +220,8 @@ def evaluate_measure(functional: str, m: AtomicMeasure, q: float, alpha: float,
     ClassParams(q=q, alpha=alpha)  # validates q and alpha
     key = None if functional == "bieberbach" else mu
     score = _scorer(functional, q, alpha, (key,), n_check)
-    return float(score(m.weights[:, None], m.angles[:, None])[key][0])
+    angles = m.rotated(-m.angles[0]).angles[1:]
+    return float(score(m.weights[:, None], angles[:, None])[key][0])
 
 
 def replay_cell(cfg: SweepConfig, cell: dict) -> float:
@@ -319,7 +327,7 @@ def _sample_maxima(score, seed: int, group: int, k_atoms: int, total: int, worke
     """:func:`_parallel_scores` of group ``group``'s samples: each job draws
     its block into its thread's scratch, then score(weights, angles)."""
     def score_block(lo, hi):
-        block = _scratch("samples", (2 * k_atoms, hi - lo))
+        block = _scratch("samples", (2 * k_atoms - 1, hi - lo))
         return score(*_fill_rows(seed, (group,), block, lo))
 
     return _parallel_scores(score_block, total, workers)
@@ -371,13 +379,13 @@ def _run_group(cfg, workers, g_idx, q, alpha):
     best = _sample_maxima(score, cfg.seed, g_idx, k, cfg.samples, workers)
     n_ext = (1 if fn == "bieberbach" else 2) if cfg.include_extremals else 0
     ext_w = np.array([[1.0, 0.5], [0.0, 0.5]])[:, :n_ext]
-    ext_a = np.array([[0.0, 0.0], [0.0, math.pi]])[:, :n_ext]
+    ext_a = np.array([[0.0, math.pi]])[:, :n_ext]  # atom 1; atom 0 is at 0
     ext = score(ext_w, ext_a) if n_ext else {}
     stated = _stated(fn, q, alpha)
     cells = []
     for mu in keys:
         val, idx = best[mu]
-        w, a = _fill_rows(cfg.seed, (g_idx,), np.empty((2 * k, 1)), idx)
+        w, a = _fill_rows(cfg.seed, (g_idx,), np.empty((2 * k - 1, 1)), idx)
         candidates = [(float(ext[mu][j]), ext_w[:, j], ext_a[:, j], "extremal")
                       for j in range(n_ext)]
         candidates.append((val, w[:, 0], a[:, 0], "sample"))

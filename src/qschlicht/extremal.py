@@ -49,9 +49,11 @@ def f_exponent_series(params: ClassParams) -> TruncatedSeries:
         [0.0] + [two_l / (q ** n - 1.0) for n in range(1, params.order + 1)]))
 
 
+@functools.lru_cache(maxsize=None)
 def _generators(params: ClassParams) -> tuple[TruncatedSeries, TruncatedSeries]:
     """f1 and f2, the members of a unit mass at 0 and of half masses at 0 and
-    pi, as two columns of one exp; each equals the exp of its exponent alone."""
+    pi, as two columns of one exp; each equals the exp of its exponent alone.
+    Memoized per params, like the exponent; the series are read-only."""
     moments = np.ones((params.order, 2))
     moments[1::2, 1] = 0.0
     a = _exponent_core(f_exponent_series(params).coeffs[:params.order], moments)

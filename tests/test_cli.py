@@ -297,6 +297,19 @@ class TestSearch:
                                 " got -1\n")
         assert not out_path.exists()
 
+    def test_one_atom_sweep_exits_cleanly(self, capsys, tmp_path):
+        # a sweep sample keeps at least two atoms; one would leave only the
+        # unit mass at angle 0
+        out_path = tmp_path / "rep.json"
+        code = main(["search", "--functional", "h22", "--q-grid", "0.5",
+                     "--samples", "10", "--seed", "1", "--k-atoms", "1",
+                     "--out", str(out_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: k_atoms must lie in [2, 8], got 1\n"
+        assert not out_path.exists()
+
     def test_unwritable_output_exits_cleanly(self, capsys, tmp_path):
         code = main(["search", "--functional", "fs", "--q-grid", "0.5",
                      "--mu-grid", "0", "--samples", "10", "--seed", "1",

@@ -145,34 +145,53 @@ class TestConfig:
 
 class TestSampling:
     def test_prefix_stability(self):
-        cfg_small = fs_config(samples=100)
-        cfg_large = fs_config(samples=300)
-        w1, a1 = group_samples(cfg_small, 0)
-        w2, a2 = group_samples(cfg_large, 0)
-        assert np.array_equal(w1, w2[:, :100])
-        assert np.array_equal(a1, a2[:, :100])
+        for k in range(2, MAX_ATOMS + 1):
+            w1, a1 = group_samples(fs_config(samples=100, k_atoms=k), 0)
+            w2, a2 = group_samples(fs_config(samples=300, k_atoms=k), 0)
+            assert np.array_equal(w1, w2[:, :100])
+            assert np.array_equal(a1, a2[:, :100])
 
     def test_atom_count_cycles(self):
-        w, _ = group_samples(fs_config(samples=16, k_atoms=4), 0)
+        w, a = group_samples(fs_config(samples=16, k_atoms=4), 0)
+        assert w.shape == (4, 16) and a.shape == (3, 16)
         counts = (w > 0).sum(axis=0)
-        assert list(counts[:8]) == [1, 2, 3, 4, 1, 2, 3, 4]
+        assert list(counts[:8]) == [2, 3, 4, 2, 3, 4, 2, 3]
+
+    @pytest.mark.parametrize("k", range(2, MAX_ATOMS + 1))
+    def test_sample_i_keeps_i_mod_k_minus_1_plus_2_atoms(self, k):
+        samples = 3 * k + 5
+        w, a = group_samples(fs_config(seed=k, samples=samples, k_atoms=k), 0)
+        kept = (w > 0).sum(axis=0)
+        assert list(kept) == [(i % (k - 1)) + 2 for i in range(samples)]
+        # the kept atoms come first, and every measure has atom 0 at 0
+        assert all((w[:n, i] > 0).all() for i, n in enumerate(kept))
+        for i in range(samples):
+            m = _measure_from_row(w[:, i], a[:, i])
+            assert m.weights.size == kept[i] and m.angles[0] == 0.0
+
+    def test_one_atom_sweeps_are_refused(self):
+        # every sample of a one-atom sweep would be the unit mass at 0
+        with pytest.raises(ConfigError, match=r"k_atoms must lie in \[2, 8\]"):
+            fs_config(k_atoms=1)
 
 
 def reference_moments(weights, angles, n_max):
-    """_moments on row-major (rows, k) arrays, by the plain formula."""
+    """_moments on row-major (rows, k) arrays, by the plain formula: atoms
+    1.. summed in order, then atom 0 added."""
     phase = _phase(angles)
     out = np.empty((n_max + 1,) + phase.shape[:-1], dtype=np.complex128)
     out[0] = 1.0
     cur = np.ones_like(phase)
     for n in range(1, n_max + 1):
         cur = cur * phase
-        out[n] = np.einsum("...j,...j->...", weights, cur)
+        rest = np.einsum("...j,...j->...", weights[..., 1:], cur[..., 1:])
+        out[n] = rest + weights[..., 0] * cur[..., 0]
     return out
 
 
 class TestBlockSampler:
     @given(seed=st.integers(0, 2 ** 32 - 1), group=st.integers(0, 5),
-           k=st.integers(1, MAX_ATOMS), extra=st.integers(1, BLOCK - 1),
+           k=st.integers(2, MAX_ATOMS), extra=st.integers(1, BLOCK - 1),
            data=st.data())
     @settings(max_examples=40)
     def test_rows_at_any_offset_equal_the_whole_group_rows(self, seed, group,
@@ -181,38 +200,38 @@ class TestBlockSampler:
         lo = data.draw(st.integers(0, samples - 1))
         hi = data.draw(st.integers(lo + 1, samples))
         ref_w, ref_a = reference_group_samples(seed, group, samples, k)
-        cols = np.full((2 * k, samples), np.nan)
+        cols = np.full((2 * k - 1, samples), np.nan)
         w, a = _fill_rows(seed, (group,), cols[:, lo:hi], lo)
         assert np.array_equal(w, ref_w[lo:hi].T)
         assert np.array_equal(a, ref_a[lo:hi].T)
         # only columns lo..hi-1 of the buffer were written
         assert np.isnan(cols[:, :lo]).all() and np.isnan(cols[:, hi:]).all()
 
-    @pytest.mark.parametrize("k", range(1, MAX_ATOMS + 1))
+    @pytest.mark.parametrize("k", range(2, MAX_ATOMS + 1))
     def test_blocks_fill_the_whole_group(self, k):
         cfg = fs_config(seed=k, samples=2 * BLOCK + 5, k_atoms=k)
-        cols = np.empty((2 * k, cfg.samples))
+        cols = np.empty((2 * k - 1, cfg.samples))
         for lo in range(0, cfg.samples, BLOCK):
             _fill_rows(cfg.seed, (3,), cols[:, lo:lo + BLOCK], lo)
         ref_w, ref_a = reference_group_samples(cfg.seed, 3, cfg.samples, k)
-        assert np.array_equal(cols[k:], ref_w.T)
-        assert np.array_equal(cols[:k], ref_a.T)
+        assert np.array_equal(cols[k - 1:], ref_w.T)
+        assert np.array_equal(cols[:k - 1], ref_a.T)
         w, a = group_samples(cfg, 3)
         assert np.array_equal(w, ref_w.T) and np.array_equal(a, ref_a.T)
 
     def test_eight_atom_rows_divide_by_the_index_order_sum(self):
-        # at seed 0, rows 6 and 7 of group 0 (7 and 8 atoms) sum differently
+        # at seed 0, rows 4 and 5 of group 0 (6 and 7 atoms) sum differently
         # left to right than by numpy's pairwise sum of an 8-entry row
         k = MAX_ATOMS
         ref_w, ref_a = reference_group_samples(0, 0, k, k)
-        w, a = _fill_rows(0, (0,), np.empty((2 * k, k)), 0)
+        w, a = _fill_rows(0, (0,), np.empty((2 * k - 1, k)), 0)
         assert np.array_equal(w, ref_w.T) and np.array_equal(a, ref_a.T)
         draws = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence(0, spawn_key=(0,)))).random((k, 2 * k))
-        raw = np.where(ref_w > 0, 0.05 + 0.95 * draws[:, k:], 0.0)
+            np.random.SeedSequence(0, spawn_key=(0,)))).random((k, 2 * k - 1))
+        raw = np.where(ref_w > 0, 0.05 + 0.95 * draws[:, k - 1:], 0.0)
         pairwise = raw / raw.sum(axis=1, keepdims=True)
         differ = [r for r in range(k) if not np.array_equal(pairwise[r], ref_w[r])]
-        assert differ == [6, 7]
+        assert differ == [4, 5]
 
     @given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 40),
            k=st.integers(1, MAX_ATOMS), n_max=st.integers(1, 16))
@@ -225,6 +244,13 @@ class TestBlockSampler:
         angles = TWO_PI * rng.random((rows, k))
         assert np.array_equal(_moments(weights.T, angles.T, n_max),
                               reference_moments(weights, angles, n_max))
+        # without atom 0's angle, atom 0 sits at angle 0: bitwise the
+        # moments of the full measure with that angle 0
+        angles[:, 0] = 0.0
+        implied = _moments(weights.T, angles[:, 1:].T, n_max)
+        full = reference_moments(weights, angles, n_max)
+        assert np.array_equal(implied, full)
+        assert np.array_equal(np.signbit(implied.imag), np.signbit(full.imag))
 
 
 class TestFsSweep:
@@ -233,16 +259,25 @@ class TestFsSweep:
         cell = rep["cells"][0]
         assert abs(cell["empirical_max"] - 5.6920165928387989) <= 1e-7
         assert not cell["violated"]
-        # the winner is a one-atom measure, i.e. a rotation of the extremal
-        assert len(cell["argmax_measure"]["atoms"]) == 1
+        # the winner is the injected one-atom extremal, which no sample is
+        assert cell["argmax_source"] == "extremal"
+        assert cell["argmax_measure"] == ONE_ATOM
 
     @pytest.mark.parametrize("mu", [1e10, 1e12, 1e300])
-    def test_rounding_at_large_mu_is_not_a_violation(self, mu):
+    def test_rounding_at_large_mu_is_not_a_violation(self, mu, monkeypatch):
         # the sharp alpha = 0 bound grows with |mu|, and so does the rounding
-        # of its slack (-3.05e-05 at mu 1e10); VIOLATION_TOL is relative
-        # above 1
+        # of a value that attains it: the unit mass at angle 0.398, a
+        # rotation of the extremal, scores above the bound (slack -1.5e-05
+        # at mu 1e10).  The sample maximum is made that value, which
+        # VIOLATION_TOL, relative above 1, does not flag
+        rotated = _starlike_scores("fs", np.ones((1, 1)),
+                                   np.array([[0.39786754374705047]]), 0.5,
+                                   0.0, (mu,))[mu][0]
+        monkeypatch.setattr("qschlicht.explorer._sample_maxima",
+                            lambda *args: {mu: (rotated, 0)})
         cfg = fs_config(seed=1, samples=1000, mu_grid=(mu,))
         cell = run_sweep(cfg, workers=1)["cells"][0]
+        assert cell["empirical_max"] == rotated
         assert cell["slack"] < -VIOLATION_TOL
         assert abs(cell["slack"]) <= 1e-15 * cell["stated_bound"]
         assert not cell["violated"]
@@ -456,7 +491,7 @@ class TestBieberbachSweep:
         assert value == 1.0 if alpha == 0.0 else value < 1.0
 
     @given(seed=st.integers(0, 2 ** 32 - 1), q=st.floats(0.05, 0.95),
-           k_atoms=st.integers(1, 8), n_check=st.integers(2, 16))
+           k_atoms=st.integers(2, 8), n_check=st.integers(2, 16))
     @settings(max_examples=60)
     def test_alpha_zero_closed_form_is_the_product_route(self, seed, q,
                                                          k_atoms, n_check):
@@ -477,7 +512,7 @@ groups = st.fixed_dictionaries({
     "seed": st.integers(0, 2 ** 32 - 1),
     "q": st.floats(0.05, 0.95),
     "alpha": st.one_of(st.just(0.0), st.floats(0.0, 0.95)),
-    "k_atoms": st.integers(1, MAX_ATOMS),
+    "k_atoms": st.integers(2, MAX_ATOMS),
 })
 ROWS = 48
 MUS = (0.0, 0.5, 1 + 0.5j)
@@ -505,6 +540,35 @@ class TestBatchOfOne:
         batch = _bieberbach_scores(w, a, q, alpha, n_check)
         assert evaluate_measure("bieberbach", m, q, alpha,
                                 n_check=n_check) == batch[i]
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, MAX_ATOMS),
+           q=st.floats(0.05, 0.95), alpha=st.sampled_from([0.0, 0.3, 0.7]),
+           theta=st.floats(0.0, TWO_PI))
+    @settings(max_examples=60)
+    def test_rotated_measure_scores_as_unrotated(self, seed, k, q, alpha,
+                                                 theta):
+        # every functional is rotation invariant: evaluate_measure rotates
+        # atom 0 to angle 0, and scoring the true moments of the measure as
+        # given, with atom 0 anywhere, reads the same within rounding,
+        # relative to max(|value|, 1) since fs and h22 are differences of
+        # O(1) terms that can cancel (6000 random cases read 1.6e-14 at most)
+        rng = np.random.default_rng(seed)
+        raw = 0.05 + rng.random(k)
+        m = AtomicMeasure(raw / raw.sum(), TWO_PI * rng.random(k))
+        turned = m.rotated(theta)
+        w = m.weights[:, None]
+        for fn, mu in (("fs", 0.5), ("fs", 1 + 0.5j), ("h22", None),
+                       ("bieberbach", None)):
+            want = evaluate_measure(fn, m, q, alpha, mu=mu)
+            got = [evaluate_measure(fn, turned, q, alpha, mu=mu)]
+            for a in (m.angles, turned.angles):
+                if fn == "bieberbach":
+                    got.append(_bieberbach_scores(w, a[:, None], q, alpha, 10)[0])
+                else:
+                    got.append(_starlike_scores(fn, w, a[:, None], q, alpha,
+                                                (mu,))[mu][0])
+            for v in got:
+                assert abs(v - want) <= 1e-13 * max(abs(want), 1.0), (fn, v)
 
     @given(g=groups, lo=st.integers(0, ROWS - 1), size=st.integers(1, ROWS))
     @settings(max_examples=40)
@@ -538,10 +602,11 @@ class TestAtomMajorLayout:
         lo = data.draw(st.integers(0, ROWS - 1))
         hi = data.draw(st.integers(lo + 1, ROWS))
         i = data.draw(st.integers(lo, hi - 1))
-        cols = np.full((2 * k, ROWS + extra), np.nan)
+        cols = np.full((2 * k - 1, ROWS + extra), np.nan)
         w, a = _fill_rows(g["seed"], (0,), cols[:, lo:hi], lo)
         rows_w, rows_a = np.ascontiguousarray(w.T), np.ascontiguousarray(a.T)
-        scratch = _fill_rows(g["seed"], (0,), np.empty((2 * k, hi - lo)), lo)
+        scratch = _fill_rows(g["seed"], (0,), np.empty((2 * k - 1, hi - lo)),
+                             lo)
         layouts = {"block": (w, a, i - lo), "scratch": (*scratch, i - lo),
                    "alone": (w[:, i - lo:i - lo + 1].copy(),
                              a[:, i - lo:i - lo + 1].copy(), 0),
@@ -609,7 +674,7 @@ class TestBlocks:
             i = int(np.argmax(vals))
             assert best[key] == (vals[i], i)
 
-    @pytest.mark.parametrize("k", range(1, MAX_ATOMS + 1))
+    @pytest.mark.parametrize("k", range(2, MAX_ATOMS + 1))
     def test_argmax_sample_is_drawn_again_bitwise(self, k, monkeypatch):
         cfg = SweepConfig(functional="h22", seed=40 + k, samples=2 * BLOCK + 3,
                           q_grid=(0.5,), alpha_grid=(0.0, 0.3), k_atoms=k,

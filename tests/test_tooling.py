@@ -78,11 +78,29 @@ def test_benchmark_set_up_builds_every_workload():
         ops, (weights, angles) = inputs
         configs = workloads.sweep_configs(workload, 1)
         assert len(ops) == len(configs)
-        # group_samples is atom-major: (k_atoms, samples), one sample a column
+        # group_samples is atom-major, one sample a column; atom 0 has no
+        # angle row, since it sits at angle 0
         cfg = configs[0]
-        assert weights.shape == angles.shape == (cfg.k_atoms, cfg.samples)
-        assert list((weights[:, :8] > 0).sum(axis=0)) == [1, 2, 3, 4] * 2
+        assert weights.shape == (cfg.k_atoms, cfg.samples)
+        assert angles.shape == (cfg.k_atoms - 1, cfg.samples)
+        assert list((weights[:, :9] > 0).sum(axis=0)) == [2, 3, 4] * 3
         assert np.abs(weights.sum(axis=0) - 1.0).max() <= 1e-15
+
+
+@pytest.mark.parametrize("workload", ["sweep-starlike", "sweep-convex"])
+def test_benchmark_sweep_argmax_is_never_a_one_atom_sample(workload):
+    # a one-atom sample is a rotation of the injected one-atom extremal, so
+    # when samples could have one atom, rounding picked argmax_measure among
+    # the rotations; now every argmax has atom 0 at angle 0 and replays
+    # bitwise, and a sample argmax has at least two atoms
+    workloads = load_perfbench("workloads")
+    for seed in range(1, 6):
+        for cfg in workloads.sweep_configs(workload, seed):
+            for cell in explorer.run_sweep(cfg, workers=2)["cells"]:
+                atoms = cell["argmax_measure"]["atoms"]
+                assert atoms[0]["angle"] == 0.0
+                assert cell["argmax_source"] == "extremal" or len(atoms) >= 2
+                assert explorer.replay_cell(cfg, cell) == cell["empirical_max"]
 
 
 def test_traced_refine_measure_counts_every_scored_candidate():
@@ -263,7 +281,7 @@ def test_certificates_batch_their_members():
 #: public names that nothing outside tests/ uses yet, each with why it stays
 UNUSED_PUBLIC_NAMES = {
     "extend_p23": "ROADMAP item 4 gives it a caller",
-    "rotation_normalized": "acceptance test C10; ROADMAP item 7",
+    "rotation_normalized": "acceptance test C10",
     "herglotz_starlike": "acceptance test C2",
     "dump_measure": "writes the `coeffs --source measure:FILE` format",
 }
