@@ -9,8 +9,7 @@ extremal sweeps that compare empirical maxima against the stated bounds.
 __version__ = "0.1.0"
 
 from .caratheodory import (AtomicMeasure, dump_measure, load_measure,
-                           p_series, extend_p23, rotation_normalized,
-                           sample_measure)
+                           p_series, extend_p23, sample_measure)
 from .errors import QschlichtError
 from .explorer import (SweepConfig, canonical_json, replay_cell, report_csv,
                        run_limit_sweep, run_sweep, save_report)
@@ -34,6 +33,6 @@ __all__ = [
     "hankel_value", "herglotz_starlike", "iq", "jackson_sum", "load_measure",
     "membership_convex", "membership_starlike", "p_series",
     "q_bracket", "replay_cell", "report_csv",
-    "rho_map", "rotation_normalized", "run_limit_sweep", "run_sweep",
+    "rho_map", "run_limit_sweep", "run_sweep",
     "sample_measure", "save_report", "starlike_from_p", "t4_scalars",
 ]

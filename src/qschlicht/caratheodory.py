@@ -11,7 +11,7 @@ search machinery ever needs; every representation integral collapses to a
 finite sum.
 
 Atom phases sigma_j = e^{i theta_j} come from one kernel, :func:`_phase`: a
-256-entry (cos, sin) table and a short real Taylor step, within 2.5e-16 of
+256-entry (cos, sin) table and a short real Taylor step, within 1.6e-16 of
 e^{i theta} for |theta| <= 32 pi.  It runs on real ufuncs only, where
 numpy's complex exp calls scalar cexp per element.
 """
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, RangeError
-from .power_series import TruncatedSeries, _einsum
+from .power_series import TruncatedSeries, _contract
 from .q_calculus import _check_count
 
 MAX_ATOMS = 8
@@ -37,19 +37,24 @@ TWO_PI = 2.0 * math.pi
 _STEP_HI = 0.02454369260615863
 _STEP_LO = 1.1630542938260349e-14
 
+_PI_E40 = 31415926535897932384626433832795028841971  # floor(pi 10**40)
+
 
 def _phase_table():
-    """cos and sin of 2 pi k/256, k = 0..255.  libm below pi/4, corrected
-    to first order for the split angle k _STEP_HI + k _STEP_LO; sqrt(1/2)
-    at pi/4 and the rest by symmetry, so the table has the symmetries of
-    cos and sin and the axis points are exact."""
-    c, s = [], []
-    for k in range(32):
-        x, d = k * _STEP_HI, k * _STEP_LO
-        c.append(math.cos(x) - d * math.sin(x))
-        s.append(math.sin(x) + d * math.cos(x))
-    c.append(math.sqrt(0.5))
-    s.append(math.sqrt(0.5))
+    """cos and sin of 2 pi k/256, k = 0..255, each the nearest double, with
+    no libm: for k <= 32 Taylor series summed in integers scaled by 10**40,
+    within 1e-38, then rounded once by Python's correctly rounded division;
+    the rest by symmetry, so the table has the symmetries of cos and sin
+    and the axis points are exact."""
+    c, s, one = [], [], 10 ** 40
+    for k in range(33):
+        x, term, n, parts = _PI_E40 * k // 128, one, 0, [0] * 4
+        while term:  # parts[r] sums x^n/n! over n = r mod 4
+            parts[n % 4] += term
+            n += 1
+            term = term * x // (one * n)
+        c.append((parts[0] - parts[2]) / one)
+        s.append((parts[1] - parts[3]) / one)
     cos = np.array(c + s[31:0:-1])  # cos(pi/2 - x) = sin x
     sin = np.array(s + c[31:0:-1])
     # 0.0 - x, not -x, so that no entry is a negative zero
@@ -74,7 +79,7 @@ def _phase(angles) -> np.ndarray:
     theta = j 2 pi/256 + r with j = rint(theta 256/(2 pi)), reduced as
     (theta - j _STEP_HI) - j _STEP_LO (Cody-Waite), so |r| <= pi/256.  The
     phase is the table entry j & 255 times 1 + (cos r - 1) + i sin r, with
-    cos r - 1 through r^6 and sin r through r^7.  Within 2.5e-16 of
+    cos r - 1 through r^6 and sin r through r^7.  Within 1.6e-16 of
     e^{i theta} for |theta| <= 32 pi.  Every step is its own exactly rounded
     ufunc, so none is fused and an angle's phase does not depend on its
     position in the array."""
@@ -169,7 +174,7 @@ def _moments(weights, angles, n_max: int) -> np.ndarray:
         if n > 1:  # not in place: that rounds by position in the array
             cur = cur * phase
         m = out[n, ...]  # a view also for a single measure's 0-d degree
-        _einsum("j...,j...->...", weights[1:], cur[1 - skip:], out=m)
+        _contract(weights[1:], cur[1 - skip:], 1.0, m)
         np.add(m, weights[0] if skip else weights[0] * cur[0], out=m)
     return out
 
@@ -184,18 +189,6 @@ def _p_coeffs(moments: np.ndarray) -> np.ndarray:
 def p_series(m: AtomicMeasure, order: int) -> TruncatedSeries:
     """Positive-real-part series of the measure: p0 = 1, p_n = 2 sum t_j sigma_j^n."""
     return TruncatedSeries(_p_coeffs(_moments(m.weights, m.angles, order)))
-
-
-def rotation_normalized(m: AtomicMeasure) -> AtomicMeasure:
-    """Rotate so the first moment (hence p1) is real and nonnegative.
-
-    Searches use this to cut the angular degree of freedom; the functionals
-    of interest are rotation invariant.
-    """
-    m1 = complex(_moments(m.weights, m.angles, 1)[1])
-    if abs(m1) == 0.0:
-        return m
-    return m.rotated(-np.angle(m1))
 
 
 def extend_p23(p1: float, xi: complex, zeta: complex) -> tuple[complex, complex]:

@@ -4,11 +4,12 @@ Samples atomic measures per (q, alpha) group from the PCG64 stream of
 :func:`.caratheodory._fill_rows` for (master seed, group index), evaluates
 the chosen functional on the generated class members, and compares the
 empirical maximum against the stated (or conjectured) bound.  Every sample
-is scored once, on the member its p generates (a Bieberbach member is the
-q-integral of the starlike one), so every scored member is in the class;
-candidate extremals outside it are recorded, never scored.  Bound
-violations never abort a run; they are first-class report rows, because
-adjudicating the stated bounds is the whole point of the harness.
+is scored once, on the member its p generates, so every scored member is
+in the class; candidate extremals outside it are recorded, never scored.
+A Bieberbach score |b_n|/E_n is |a_n|/f1_n of the starlike member and f1,
+whose q-integrals b and E_q share the divisor [n]_q.  Bound violations
+never abort a run; they are first-class report rows, because adjudicating
+the stated bounds is the whole point of the harness.
 
 Determinism contract:
   * sample i of group g takes draws (2*k_atoms - 1)*i onwards of the stream
@@ -53,11 +54,10 @@ from .caratheodory import MAX_ATOMS, RNG_NAME, TWO_PI, AtomicMeasure, \
     _check_seed, _fill_rows, _moments, _p_coeffs, measure_from_dict
 from .errors import ConfigError, RangeError
 from .extremal import _generators, f1_series
-from .functionals import Bound, _bieberbach_bound_table, _fs, _h2, \
-    bieberbach_bound_convex, fekete_szego_value, fs_bound, hankel_bound, \
-    hankel_value
+from .functionals import Bound, _fs, _h2, bieberbach_bound_convex, \
+    fekete_szego_value, fs_bound, hankel_bound, hankel_value
 from .power_series import MAX_ORDER
-from .q_calculus import ClassParams, _check_count, _iq_core
+from .q_calculus import ClassParams, _check_count
 from .schlicht import _scratch, _starlike_core
 
 FUNCTIONALS = ("fs", "h22", "bieberbach")
@@ -175,15 +175,13 @@ def _starlike_scores(functional, weights, angles, q, alpha, mus):
 
 
 def _bieberbach_scores(weights, angles, q, alpha, n_check):
-    """Per-sample max_{2<=n<=n_check} |a_n| / bound_n of the q-integral of
-    the p-route member z (Dq f), which reads m_1..m_{n_check-1}; at alpha = 0
-    _starlike_core builds that member as z exp(sum_n F_n m_n z^n), one
-    series exp (see :func:`.schlicht.convex_from_h`)."""
-    params = ClassParams(q=q, alpha=alpha, order=max(n_check, 4))
-    m = _moments(weights, angles, n_check - 1)
-    a = _iq_core(_starlike_core(_p_coeffs(m), q, alpha)[1:], q)
-    bounds = _bieberbach_bound_table(params)[2:n_check + 1]
-    return (np.abs(a[2:]) / bounds[:, None]).max(axis=0, initial=0.0)
+    """Per-sample max_{2<=n<=n_check} |b_n|/E_n for the q-integral b of the
+    p-route member a = z (Dq f), from m_1..m_{n_check-1}, read as |a_n|/f1_n:
+    b_n = a_n/[n]_q and the table E_q = iq(f1) share [n]_q.  At alpha = 0 a
+    unit atom at 0 gives f1 bitwise (see _starlike_core), a ratio of 1."""
+    f1 = _generators(ClassParams(q, alpha, max(n_check, 4)))[0].coeffs.real
+    a = _starlike_core(_p_coeffs(_moments(weights, angles, n_check - 1)), q, alpha)
+    return (np.abs(a[2:]) / f1[2:n_check + 1, None]).max(axis=0, initial=0.0)
 
 
 def _scorer(functional, q, alpha, keys, n_check):
@@ -193,9 +191,8 @@ def _scorer(functional, q, alpha, keys, n_check):
     def score(w, a):
         if functional != "bieberbach":
             return _starlike_scores(functional, w, a, q, alpha, keys)
-        # a Bieberbach sample carries n_check degrees of temporaries; scoring
-        # a block in halves bounds them (on 2 vCPUs, sweep-convex peak RSS
-        # 48.1 MB against 56.5 MB unsplit, for about 4% more wall time)
+        # halving a Bieberbach block bounds its n_check degrees of temporaries:
+        # sweep-convex peak RSS 45.1 MB, unsplit 50.0-50.3 MB, same wall time
         return {None: np.concatenate([
             _bieberbach_scores(w[:, i:i + BLOCK // 2], a[:, i:i + BLOCK // 2],
                                q, alpha, n_check)
@@ -336,8 +333,8 @@ def _sample_maxima(score, seed: int, group: int, k_atoms: int, total: int, worke
 def _stated(functional: str, q: float, alpha: float):
     """mu -> (stated Bound, extremals) of a cell.  Bieberbach ratios are
     normalized, so their bound is 1 and the recorded extremal is E_q's
-    ratio, exactly 1 since the bound table is E_q's own coefficients; the
-    starlike cells record the generators f1 and f2."""
+    ratio |b_n|/E_n = f1_n/f1_n, exactly 1; the starlike cells record the
+    generators f1 and f2."""
     if functional == "bieberbach":
         return lambda _mu: (Bound(1.0, alpha > 0.0), {"eq": 1.0})
     params = ClassParams(q=q, alpha=alpha)

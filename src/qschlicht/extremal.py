@@ -73,13 +73,14 @@ def f2_series(params: ClassParams) -> TruncatedSeries:
 
 
 def _exponent_core(f_exp: np.ndarray, moments: np.ndarray) -> np.ndarray:
-    """a_0..a_{N+1} of z exp(sum_n F_n m_n z^n) for the exponent F_0..F_N and
-    the moments m_0..m_N on axis 0 (F_0 = 0)."""
-    e = ps._exp_core(ps._einsum("n,n...->n...", f_exp, moments))
-    a = np.zeros((e.shape[0] + 1,) + e.shape[1:], dtype=np.complex128,
-                 order=ps._order(ps._columns(e)))
-    a[1:] = e
-    return a
+    """a_0..a_{N+1} of z exp(sum_n F_n m_n z^n) for the real exponent
+    F_0..F_N and the moments m_0..m_N on axis 0; the exp is built in a[1:]."""
+    cm = ps._columns(moments)
+    a = np.empty((cm.shape[0] + 1, cm.shape[1]), dtype=np.complex128,
+                 order=ps._order(cm))
+    a[0] = 0.0
+    ps._exp_into(cm, f_exp.real, a[1:])
+    return a.reshape(a.shape[:1] + moments.shape[1:])
 
 
 def eq_series(params: ClassParams) -> TruncatedSeries:

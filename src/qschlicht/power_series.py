@@ -13,13 +13,14 @@ for q >= 0.1.
 Axis-0 contract: ``exp``, ``log`` and ``recip`` wrap array cores
 (``_exp_core``, ``_log_core``, ``_recip_core``) that take coefficients on
 axis 0 and broadcast over any trailing sample axes.  Each degree is one
-``einsum`` contraction summed in index order, so a batch column equals the
-1-d result bitwise, whatever else shares the batch.  Work arrays keep the
-longer of the degree and column axes contiguous (:func:`_order`), so that
-einsum's inner loops run long; einsum adds the same terms in the same order
-in either memory order, so the order changes no bit.  The public functions
-take one ``TruncatedSeries`` and keep the constant-term checks; the cores
-check nothing.
+two-operand ``einsum`` summed in index order, then one real scale
+(:func:`_contract`), so a batch column equals the 1-d result bitwise,
+whatever else shares the batch.  Work arrays keep the longer of the degree
+and column axes contiguous (:func:`_order`), so that einsum's inner loops
+run long; einsum adds the same terms in the same order in either memory
+order, so the order changes no bit.  The public functions take one
+``TruncatedSeries`` and keep the constant-term checks; the cores check
+nothing.
 """
 
 from __future__ import annotations
@@ -106,8 +107,13 @@ def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
 
 
 def _contract(x: np.ndarray, y: np.ndarray, scale, out: np.ndarray) -> None:
-    """out = sum_k x[k] y[k] scale over axis 0, added in order of k."""
-    _einsum("k...,k...,...->...", x, y, scale, out=out)
+    """out = sum_k x[k] y[k] over axis 0, added in order of k, then scaled
+    in place by the real ``scale`` unless it is 1.  In place, numpy's FMA and
+    plain kernels round a complex product by array position, but a real
+    factor (imaginary part 0) rounds alike in both: every column scales alike."""
+    _einsum("k...,k...->...", x, y, out=out)
+    if scale != 1.0:
+        np.multiply(out, scale, out=out)
 
 
 def _columns(c: np.ndarray) -> np.ndarray:
@@ -130,22 +136,27 @@ def _recip_core(c: np.ndarray) -> np.ndarray:
     cc = _columns(c)
     r = np.empty_like(cc, dtype=np.complex128, order=_order(cc))
     r[0] = 1.0 / cc[0]
+    x = np.multiply(cc[1:], -r[0], order=_order(cc))  # allocating: see _contract
     for m in range(1, c.shape[0]):
-        _contract(cc[1:m + 1], r[m - 1::-1], -r[0], r[m])
+        _contract(x[:m], r[m - 1::-1], 1.0, r[m])
     return r.reshape(c.shape)
 
 
-def _exp_core(u: np.ndarray) -> np.ndarray:
-    """Formal exp along axis 0; u[0] must be zero.
-
-    b' = u' b, so m b[m] = sum_{k=1..m} k u[k] b[m-k].
-    """
-    cu = _columns(u)
-    ku = np.multiply(cu, np.arange(u.shape[0])[:, None], order=_order(cu))
-    b = np.zeros_like(ku)
+def _exp_into(c: np.ndarray, w, b: np.ndarray) -> None:
+    """b = exp(u) on (degree, column) arrays, u[k] = w_k c[k] for a real w,
+    one per degree or one for all (c[0] is not read): b' = u' b, so
+    m b[m] = sum_{k=1..m} k u[k] b[m-k], with k u[k] = c[k] (k w_k)."""
+    ku = np.multiply(c, (np.arange(c.shape[0]) * w)[:, None], order=_order(c))
     b[0] = 1.0
-    for m in range(1, u.shape[0]):
+    for m in range(1, b.shape[0]):
         _contract(ku[1:m + 1], b[m - 1::-1], 1.0 / m, b[m])
+
+
+def _exp_core(u: np.ndarray) -> np.ndarray:
+    """Formal exp along axis 0; u[0] must be zero."""
+    cu = _columns(u)
+    b = np.empty_like(cu, dtype=np.complex128, order=_order(cu))
+    _exp_into(cu, 1, b)
     return b.reshape(u.shape)
 
 

@@ -205,7 +205,7 @@ def _starlike_core(p: np.ndarray, q: float, alpha: float) -> np.ndarray:
     if alpha == 0.0:
         n = p.shape[0] - 1
         f_exp = f_exponent_series(ClassParams(q=q, order=max(n, 4))).coeffs
-        return _exponent_core(f_exp[:n + 1], 0.5 * p)
+        return _exponent_core(0.5 * f_exp[:n + 1], p)  # F_n p_n/2, exactly
     return _functional_equation_core(p, q, alpha)
 
 
@@ -218,12 +218,11 @@ def _functional_equation_core(p: np.ndarray, q: float,
     only G_1..G_N.  At alpha = 0 it is the independent route that the
     herglotz and Bieberbach cross-checks compare with the exponent route.
     """
-    u = ps._columns(p) * math.log(q)
-    u[0] = 0.0
-    e = ps._exp_core(u)
-    a = np.zeros((e.shape[0] + 1,) + e.shape[1:], dtype=e.dtype,
-                 order=ps._order(u))
-    a[1:2] = 1.0
+    cp = ps._columns(p)
+    e = np.empty_like(cp, order=ps._order(cp))
+    ps._exp_into(cp, math.log(q), e)  # exp((ln q)(p - p_0))
+    a = np.empty((len(e) + 1, e.shape[1]), e.dtype, order=ps._order(cp))
+    a[0], a[1] = 0.0, 1.0
     for n in range(2, a.shape[0]):
         scale = (1.0 - alpha) / (q ** (n - 1) - 1.0)
         ps._contract(a[1:n], e[n - 1:0:-1], scale, a[n])

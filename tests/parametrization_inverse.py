@@ -1,5 +1,10 @@
-"""The inverse of :func:`qschlicht.caratheodory.extend_p23`, which the
-parametrization tests use to read (xi, zeta) back from (p1, p2, p3)."""
+"""What the parametrization tests use: the inverse of
+:func:`qschlicht.caratheodory.extend_p23`, to read (xi, zeta) back from
+(p1, p2, p3), and the rotation that makes p1 real and nonnegative."""
+
+import numpy as np
+
+from qschlicht.caratheodory import AtomicMeasure, _moments
 
 
 class DegenerateParametrizationError(ValueError):
@@ -25,3 +30,12 @@ def recover_xi_zeta(p1: float, p2: complex, p3: complex) -> tuple[complex, compl
     denom = 2.0 * s * (1.0 - abs(xi) ** 2)
     zeta = (4.0 * complex(p3) - p1 ** 3 - 2.0 * s * p1 * xi + p1 * s * xi * xi) / denom
     return xi, zeta
+
+
+def rotation_normalized(m: AtomicMeasure) -> AtomicMeasure:
+    """Rotate so the first moment (hence p1) is real and nonnegative; the
+    functionals of interest are rotation invariant."""
+    m1 = complex(_moments(m.weights, m.angles, 1)[1])
+    if abs(m1) == 0.0:
+        return m
+    return m.rotated(-np.angle(m1))

@@ -22,13 +22,12 @@ import pytest
 
 import qschlicht as qs
 from qschlicht import power_series as ps
-from qschlicht.caratheodory import (p_series, rotation_normalized,
-                                    sample_measure)
+from qschlicht.caratheodory import p_series, sample_measure
 from qschlicht.explorer import SweepConfig, canonical_json, run_sweep
 from qschlicht.q_calculus import ClassParams, dq, iq, jackson_sum
 from qschlicht.schlicht import _POINTS
 from parametrization_inverse import DegenerateParametrizationError, \
-    recover_xi_zeta
+    recover_xi_zeta, rotation_normalized
 
 Q_GRID = (0.2, 0.5, 0.8)
 ALPHA_GRID = (0.0, 0.3, 0.7)

@@ -11,11 +11,11 @@ from qschlicht import power_series as ps
 from qschlicht.caratheodory import (_COS, _SIN, MAX_ATOMS, AtomicMeasure,
                                     _phase, dump_measure, extend_p23,
                                     load_measure, measure_from_dict, p_series,
-                                    rotation_normalized, sample_measure)
+                                    sample_measure)
 from qschlicht.errors import ConfigError, RangeError
 from qschlicht.explorer import refine_measure
 from parametrization_inverse import DegenerateParametrizationError, \
-    recover_xi_zeta
+    recover_xi_zeta, rotation_normalized
 
 
 def single_atom(angle=0.0):

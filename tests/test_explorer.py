@@ -266,12 +266,12 @@ class TestFsSweep:
     @pytest.mark.parametrize("mu", [1e10, 1e12, 1e300])
     def test_rounding_at_large_mu_is_not_a_violation(self, mu, monkeypatch):
         # the sharp alpha = 0 bound grows with |mu|, and so does the rounding
-        # of a value that attains it: the unit mass at angle 0.398, a
-        # rotation of the extremal, scores above the bound (slack -1.5e-05
+        # of a value that attains it: the unit mass at angle 0.0305, a
+        # rotation of the extremal, scores above the bound (slack -3.1e-05
         # at mu 1e10).  The sample maximum is made that value, which
         # VIOLATION_TOL, relative above 1, does not flag
         rotated = _starlike_scores("fs", np.ones((1, 1)),
-                                   np.array([[0.39786754374705047]]), 0.5,
+                                   np.array([[0.030539965913927554]]), 0.5,
                                    0.0, (mu,))[mu][0]
         monkeypatch.setattr("qschlicht.explorer._sample_maxima",
                             lambda *args: {mu: (rotated, 0)})
@@ -505,6 +505,30 @@ class TestBieberbachSweep:
         want = (np.abs(a_n) / bounds[:, None]).max(axis=0)
         got = _bieberbach_scores(w, a, q, 0.0, n_check)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), q=st.sampled_from([0.2, 0.5, 0.8]),
+           alpha=st.sampled_from([0.0, 0.3, 0.7]), k_atoms=st.integers(2, 8),
+           n_check=st.integers(2, 16))
+    @settings(max_examples=60)
+    def test_starlike_ratio_is_the_q_integral_ratio(self, seed, q, alpha,
+                                                    k_atoms, n_check):
+        # the scorer reads |a_n|/f1_n; through the q-integral it is
+        # |b_n|/E_n = |a_n/[n]_q|/(f1_n/[n]_q), the same up to rounding
+        cfg = SweepConfig(functional="bieberbach", seed=seed, samples=24,
+                          q_grid=(q,), alpha_grid=(alpha,), k_atoms=k_atoms)
+        w, a = group_samples(cfg, 0)
+        b = _iq_core(_starlike_core(
+            _p_coeffs(_moments(w, a, n_check - 1)), q, alpha)[1:], q)
+        params = ClassParams(q=q, alpha=alpha, order=max(n_check, 4))
+        bounds = np.array([bieberbach_bound_convex(params, n)
+                           for n in range(2, n_check + 1)])
+        want = (np.abs(b[2:]) / bounds[:, None]).max(axis=0)
+        got = _bieberbach_scores(w, a, q, alpha, n_check)
+        assert np.all(np.abs(got - want) <= 1e-14 * want)
+        for i in range(cfg.samples):
+            alone = _bieberbach_scores(w[:, i:i + 1].copy(),
+                                       a[:, i:i + 1].copy(), q, alpha, n_check)
+            assert alone.tobytes() == got[i:i + 1].tobytes()
 
 
 # rows of one (q, alpha) group; a row scores alone as in any batch

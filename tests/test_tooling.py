@@ -278,10 +278,34 @@ def test_certificates_batch_their_members():
     assert not looped
 
 
+def test_every_leading_axis_sum_is_the_one_contraction():
+    # one implementation of each recursion: every sum over a leading axis
+    # runs through power_series._contract, which einsums two operands and
+    # scales the sum once; no einsum in src/ multiplies three operands
+    calls = []
+    for path in sorted((ROOT / "src" / "qschlicht").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            calls += [(path.stem, fn.name, node) for node in ast.walk(fn)
+                      if isinstance(node, ast.Call) and "_einsum" in (
+                          getattr(node.func, "id", None),
+                          getattr(node.func, "attr", None))]
+    assert calls
+    contracting = set()
+    for module, name, call in calls:
+        spec = call.args[0].value
+        inputs, output = spec.split("->")
+        assert len(call.args) - 1 == len(inputs.split(",")) == 2, (module, name)
+        if inputs[0] != "." and inputs[0] not in output:
+            contracting.add((module, name))
+    assert contracting == {("power_series", "_contract")}
+
+
 #: public names that nothing outside tests/ uses yet, each with why it stays
 UNUSED_PUBLIC_NAMES = {
     "extend_p23": "ROADMAP item 4 gives it a caller",
-    "rotation_normalized": "acceptance test C10",
     "herglotz_starlike": "acceptance test C2",
     "dump_measure": "writes the `coeffs --source measure:FILE` format",
 }
