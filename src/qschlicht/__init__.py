@@ -13,8 +13,7 @@ from .caratheodory import (AtomicMeasure, dump_measure, load_measure,
 from .errors import QschlichtError
 from .explorer import (SweepConfig, canonical_json, replay_cell, report_csv,
                        run_limit_sweep, run_sweep, save_report)
-from .extremal import (eq_series, f1_series, f2_series,
-                       f_exponent_series, herglotz_starlike)
+from .extremal import eq_series, f1_series, f2_series, f_exponent_series
 from .functionals import (Bound, bieberbach_bound_convex, fekete_szego_value,
                           fs_bound, hankel_bound, hankel_value, t4_scalars)
 from .power_series import TruncatedSeries
@@ -30,8 +29,8 @@ __all__ = [
     "canonical_json", "convex_from_h", "convex_from_measure", "dq",
     "dump_measure", "eq_series", "extend_p23", "f1_series", "f2_series",
     "f_exponent_series", "fekete_szego_value", "fs_bound", "hankel_bound",
-    "hankel_value", "herglotz_starlike", "iq", "jackson_sum", "load_measure",
-    "membership_convex", "membership_starlike", "p_series",
+    "hankel_value", "iq", "jackson_sum", "load_measure", "membership_convex",
+    "membership_starlike", "p_series",
     "q_bracket", "replay_cell", "report_csv",
     "rho_map", "run_limit_sweep", "run_sweep",
     "sample_measure", "save_report", "starlike_from_p", "t4_scalars",

@@ -192,7 +192,8 @@ def _scorer(functional, q, alpha, keys, n_check):
         if functional != "bieberbach":
             return _starlike_scores(functional, w, a, q, alpha, keys)
         # halving a Bieberbach block bounds its n_check degrees of temporaries:
-        # sweep-convex peak RSS 45.1 MB, unsplit 50.0-50.3 MB, same wall time
+        # sweep-convex peak RSS 45.1 MB, unsplit 50.0-50.3 MB, same wall time;
+        # the bieberbach verify suite at 40k samples 42.4-43.2 MB, unsplit 46.0-48.7
         return {None: np.concatenate([
             _bieberbach_scores(w[:, i:i + BLOCK // 2], a[:, i:i + BLOCK // 2],
                                q, alpha, n_check)

@@ -28,7 +28,6 @@ import math
 import numpy as np
 
 from . import power_series as ps
-from .caratheodory import AtomicMeasure, _moments
 from .errors import RangeError
 from .power_series import TruncatedSeries
 from .q_calculus import ClassParams, _iq_core
@@ -91,17 +90,3 @@ def eq_series(params: ClassParams) -> TruncatedSeries:
     division."""
     return TruncatedSeries(_iq_core(f1_series(params).coeffs[1:], params.q))
 
-
-def herglotz_starlike(m: AtomicMeasure, params: ClassParams) -> TruncatedSeries:
-    """Measure-generated starlike member z exp(sum_j t_j F(sigma_j z)).
-
-    Only defined at alpha = 0, where the measure representation of the
-    starlike class is available; a unit mass at angle 0 gives f1_series.
-    It is bitwise ``starlike_from_p(p_series(m, N), params)``, which builds
-    the same exp at alpha = 0.
-    """
-    if params.alpha != 0.0:
-        raise RangeError("measure representation requires alpha = 0")
-    n = params.order
-    return TruncatedSeries(_exponent_core(f_exponent_series(params).coeffs[:n],
-                                          _moments(m.weights, m.angles, n - 1)))

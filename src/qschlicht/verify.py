@@ -10,10 +10,12 @@ escapes the scalar-majorant envelope G(2).
 
 Batch contract: a suite scores its samples as sweeps do, in blocks through
 :func:`.explorer._sample_maxima`, and reads each statistic back as a per-key
-maximum.  At seed s they are samples 0..samples-1 of group 0 of a k_atoms =
-4 sweep at seed s (sample i keeps (i % 3) + 2 atoms, atom 0 at angle 0), and
-a block column equals the member built alone, so the rows, limits and
-verdicts are those of building the members one at a time.
+maximum; the fs, hankel and bieberbach suites score with the sweeps' own
+scorer, :func:`.explorer._scorer`.  At seed s they are samples
+0..samples-1 of group 0 of a k_atoms = 4 sweep at seed s (sample i keeps
+(i % 3) + 2 atoms, atom 0 at angle 0), and a block column equals the member
+built alone, so the rows, limits and verdicts are those of building the
+members one at a time.
 """
 
 from __future__ import annotations
@@ -25,10 +27,8 @@ import numpy as np
 from . import power_series as ps
 from .caratheodory import _check_seed, _moments, _p_coeffs
 from .errors import RangeError
-from .explorer import _bieberbach_scores, _sample_maxima, _starlike_scores, \
-    resolve_workers
-from .extremal import _exponent_core, _generators, f1_series, \
-    f_exponent_series
+from .explorer import _sample_maxima, _scorer, resolve_workers
+from .extremal import _generators, f1_series, f_exponent_series
 from .functionals import bieberbach_bound_convex, fekete_szego_value, fs_bound, \
     hankel_bound, hankel_value, t4_scalars
 from .q_calculus import ClassParams, _check_count, _dq_core, _iq_core, iq, \
@@ -93,8 +93,7 @@ def _suite_fs(q, alpha, samples, seed) -> list[CheckResult]:
     params = ClassParams(q=q, alpha=alpha, order=8)
     bound0 = fs_bound(params, 0.0)
     mus = (-1.0, -0.5, 0.0, 0.5, 1.0, 0.5 + 0.5j)
-    top = _maxima(lambda w, a: _starlike_scores("fs", w, a, q, alpha, mus),
-                  seed, samples)
+    top = _maxima(_scorer("fs", q, alpha, mus, 10), seed, samples)
     # b - v rounds monotonically in v, so this is the least per-sample slack
     worst_slack = min(fs_bound(params, mu).value - v for mu, v in top.items())
     f1 = f1_series(params)
@@ -115,8 +114,8 @@ def _suite_hankel(q, alpha, samples, seed) -> list[CheckResult]:
     bound = hankel_bound(params)
     v1, v2 = (hankel_value(f) for f in _generators(params))
     _, g2, _ = t4_scalars(2.0, 1.0, q)
-    emp = max(0.0, _maxima(lambda w, a: _starlike_scores(
-        "h22", w, a, q, alpha, (None,)), seed, samples)[None])
+    emp = max(0.0, _maxima(_scorer("h22", q, alpha, (None,), 10),
+                           seed, samples)[None])
     results = [
         CheckResult("two-atom generator attains the stated bound",
                     abs(v2 - bound.value) <= 1e-8, f"|gap| {abs(v2 - bound.value):.3e}"),
@@ -141,8 +140,8 @@ def _suite_hankel(q, alpha, samples, seed) -> list[CheckResult]:
 def _suite_bieberbach(q, alpha, samples, seed) -> list[CheckResult]:
     params = ClassParams(q=q, alpha=alpha, order=12)
     bounds = {n: bieberbach_bound_convex(params, n) for n in range(2, 11)}
-    worst = max(0.0, _maxima(lambda w, a: {None: _bieberbach_scores(
-        w, a, q, alpha, 10)}, seed, samples)[None])
+    worst = max(0.0, _maxima(_scorer("bieberbach", q, alpha, (None,), 10),
+                             seed, samples)[None])
     # the table is E_q's own coefficients, so E_q is checked by a second
     # route: the q-integral of the functional-equation member of p = (1 +
     # z)/(1 - z), a unit atom at 0, which is E_q at alpha = 0 and falls short
@@ -172,13 +171,12 @@ def _suite_herglotz(q, alpha, samples, seed) -> list[CheckResult]:
                          f" {q}: below it log(f/z) cancels past its 1e-10 limit")
     params = ClassParams(q=q, alpha=0.0, order=16)
     n = params.order
-    exponent = f_exponent_series(params).coeffs
-    half_f = exponent.real[1:n, None] / 2.0
+    half_f = f_exponent_series(params).coeffs.real[1:n, None] / 2.0
 
     def routes(w, a):
-        m = _moments(w, a, n - 1)
-        f_a = _functional_equation_core(_p_coeffs(m), q, 0.0)[1:]
-        f_b = _exponent_core(exponent[:n], m)[1:]  # as herglotz_starlike
+        p = _p_coeffs(_moments(w, a, n - 1))
+        f_a = _functional_equation_core(p, q, 0.0)[1:]
+        f_b = _starlike_core(p, q, 0.0)[1:]  # starlike_from_p's exponent route
         # relative to max(1, |a_n|): the coefficients reach about 1e4 at q 0.2
         return {None: (np.abs(f_a - f_b) / np.maximum(1.0, np.abs(f_a))).max(axis=0)}
 

@@ -69,8 +69,7 @@ def test_c01_q_calculus_identities():
 
 
 def test_c02_construction_consistency_alpha_zero():
-    from qschlicht.extremal import herglotz_starlike
-    from qschlicht.schlicht import _functional_equation_core
+    from qschlicht.schlicht import _functional_equation_core, starlike_from_p
 
     # starlike_from_p is the exponent route at alpha = 0, so the
     # functional-equation recursion is built explicitly as the second route
@@ -83,7 +82,7 @@ def test_c02_construction_consistency_alpha_zero():
             m = sample_measure(seed, 1 + seed % 4)
             p = p_series(m, 16)
             fa = ps.TruncatedSeries(_functional_equation_core(p.coeffs[:16], q, 0.0))
-            fb = herglotz_starlike(m, params)
+            fb = starlike_from_p(p, params)
             worst_pair = max(worst_pair, float(np.abs(fa.coeffs - fb.coeffs).max()))
             phi = ps.log(ps.div_z(fa))
             target = p.coeffs[1:16] * lnq / denom

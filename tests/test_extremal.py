@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from qschlicht import power_series as ps
-from qschlicht.caratheodory import AtomicMeasure, p_series, sample_measure
-from qschlicht.errors import RangeError
-from qschlicht.extremal import (eq_series, f1_series, f2_series,
-                                f_exponent_series, herglotz_starlike)
+from qschlicht.caratheodory import AtomicMeasure, p_series
+from qschlicht.extremal import eq_series, f1_series, f2_series, \
+    f_exponent_series
 from qschlicht.q_calculus import ClassParams, q_bracket
 from qschlicht.schlicht import _functional_equation_core, \
     membership_convex, membership_starlike, starlike_from_p
@@ -136,33 +135,3 @@ class TestQIntegralExtremal:
             params = ClassParams(q=q, order=128)
             assert membership_convex(eq_series(params), params).passed
 
-
-class TestHerglotzStarlike:
-    def test_unit_mass_gives_one_atom_generator(self):
-        params = ClassParams(q=0.5, order=16)
-        m = AtomicMeasure(np.array([1.0]), np.array([0.0]))
-        f = herglotz_starlike(m, params)
-        assert np.abs(f.coeffs - f1_series(params).coeffs).max() <= 1e-12
-
-    def test_rotated_unit_mass(self):
-        params = ClassParams(q=0.5, order=12)
-        theta = 0.9
-        f = herglotz_starlike(AtomicMeasure(np.array([1.0]), np.array([theta])),
-                              params)
-        w = np.exp(1j * theta)
-        target = ps.dilate(f1_series(params), w).coeffs * np.conj(w)
-        assert np.abs(f.coeffs - target).max() <= 1e-12
-
-    def test_agrees_with_functional_equation_route(self):
-        params = ClassParams(q=0.5, order=16)
-        for seed in range(100):
-            m = sample_measure(seed, 1 + seed % 4)
-            f_a = herglotz_starlike(m, params)
-            f_b = _functional_equation_core(p_series(m, 16).coeffs[:16], 0.5, 0.0)
-            assert np.abs(f_a.coeffs - f_b).max() <= 1e-10
-
-    def test_alpha_nonzero_rejected(self):
-        m = sample_measure(1, 2)
-        with pytest.raises(RangeError,
-                           match="measure representation requires alpha = 0"):
-            herglotz_starlike(m, ClassParams(q=0.5, alpha=0.1))

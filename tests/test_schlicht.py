@@ -20,7 +20,8 @@ from qschlicht.extremal import _exponent_core, _generators, eq_series, \
     f1_series, f2_series, f_exponent_series
 from qschlicht.q_calculus import ClassParams, _dq_core, _iq_core, dq, iq
 from qschlicht.schlicht import (FFT_CHUNK, N_ANGLES, RADII, _POINTS, _certify,
-                                _grid_tables, _polar_values, _starlike_core,
+                                _functional_equation_core, _grid_tables,
+                                _polar_values, _starlike_core,
                                 alexander_pair, convex_from_h,
                                 convex_from_measure, membership_convex,
                                 membership_starlike, rho_map, starlike_from_p)
@@ -112,6 +113,27 @@ class TestStarlikeFromP:
             n = np.arange(1, phi.order + 1)
             target = p.coeffs[1:phi.order + 1] * lnq / (q ** n - 1)
             assert np.abs(phi.coeffs[1:] - target).max() <= 1e-10
+
+    def test_unit_mass_gives_one_atom_generator(self):
+        params = ClassParams(q=0.5, order=16)
+        f = starlike_from_p(p_series(unit_atom(), params.order - 1), params)
+        assert np.abs(f.coeffs - f1_series(params).coeffs).max() <= 1e-12
+
+    def test_rotated_unit_mass(self):
+        params = ClassParams(q=0.5, order=12)
+        theta = 0.9
+        f = starlike_from_p(p_series(unit_atom(theta), params.order - 1), params)
+        w = np.exp(1j * theta)
+        target = ps.dilate(f1_series(params), w).coeffs * np.conj(w)
+        assert np.abs(f.coeffs - target).max() <= 1e-12
+
+    def test_measure_member_agrees_with_functional_equation_route(self):
+        params = ClassParams(q=0.5, order=16)
+        for seed in range(100):
+            m = sample_measure(seed, 1 + seed % 4)
+            f_a = starlike_from_p(p_series(m, params.order - 1), params)
+            f_b = _functional_equation_core(p_series(m, 16).coeffs[:16], 0.5, 0.0)
+            assert np.abs(f_a.coeffs - f_b).max() <= 1e-10
 
     def test_outputs_certify_membership(self):
         for q in Q_GRID:

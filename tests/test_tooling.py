@@ -303,10 +303,29 @@ def test_every_leading_axis_sum_is_the_one_contraction():
     assert contracting == {("power_series", "_contract")}
 
 
+def test_every_sample_is_scored_by_the_one_sweep_scorer():
+    # sweeps, replay, extremal injection and the verify suites share
+    # explorer._scorer and its half-block split, which bounds a Bieberbach
+    # block's temporaries; a caller of the score functions would skip it
+    scores = {"_starlike_scores", "_bieberbach_scores"}
+    callers = set()
+    for path in sorted((ROOT / "src" / "qschlicht").glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            callers |= {(path.stem, getattr(stmt, "name", None))
+                        for node in ast.walk(stmt) if isinstance(node, ast.Call)
+                        and scores & {getattr(node.func, "id", None),
+                                      getattr(node.func, "attr", None)}}
+    assert callers == {("explorer", "_scorer")}
+    tree = ast.parse((ROOT / "src" / "qschlicht" / "verify.py")
+                     .read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not imported & (scores | {"_exponent_core"})
+
+
 #: public names that nothing outside tests/ uses yet, each with why it stays
 UNUSED_PUBLIC_NAMES = {
     "extend_p23": "ROADMAP item 4 gives it a caller",
-    "herglotz_starlike": "acceptance test C2",
     "dump_measure": "writes the `coeffs --source measure:FILE` format",
 }
 

@@ -22,8 +22,7 @@ from qschlicht.caratheodory import MAX_ATOMS, AtomicMeasure, p_series, \
 from qschlicht.errors import ConfigError, RangeError
 from qschlicht.explorer import BLOCK, SweepConfig, _bieberbach_scores, \
     _starlike_scores, group_samples, run_sweep
-from qschlicht.extremal import eq_series, f1_series, f2_series, \
-    herglotz_starlike
+from qschlicht.extremal import eq_series, f1_series, f2_series
 from qschlicht.functionals import bieberbach_bound_convex, \
     fekete_szego_value, fs_bound, hankel_bound, hankel_value, t4_scalars
 from qschlicht.q_calculus import ClassParams, dq, iq, jackson_sum
@@ -169,7 +168,7 @@ def _loop_herglotz(q, alpha, samples, seed):
     worst = 0.0
     for m in _measures(seed, samples):
         f_a = _functional_equation_member(p_series(m, params.order), params)
-        f_b = herglotz_starlike(m, params)
+        f_b = starlike_from_p(p_series(m, params.order - 1), params)
         diff = np.abs(f_a.coeffs - f_b.coeffs) / np.maximum(1.0, np.abs(f_a.coeffs))
         worst = max(worst, float(diff.max()))
     lnq = math.log(q)
@@ -373,6 +372,26 @@ def test_per_sample_scores_match_the_constructors(q, alpha):
         for mu in mus:
             assert fs[mu][i] == fekete_szego_value(f, mu)
         assert h22[i] == hankel_value(f)
+
+
+def test_bieberbach_suite_and_sweep_share_the_scorers_split(monkeypatch):
+    """The suite scores through the sweep scorer, whose half-block split
+    bounds a Bieberbach block's temporaries: no call of the score function
+    sees more than BLOCK // 2 columns, in the suite or in a sweep."""
+    want = run_suite("bieberbach", 0.5, 0.3, BLOCK + 1, 7)
+    columns = []
+
+    def recording(w, a, *args):
+        columns.append(w.shape[1])
+        return _bieberbach_scores(w, a, *args)
+
+    monkeypatch.setattr(explorer, "_bieberbach_scores", recording)
+    assert run_suite("bieberbach", 0.5, 0.3, BLOCK + 1, 7) == want
+    suite_calls = len(columns)
+    run_sweep(SweepConfig(functional="bieberbach", seed=7, samples=BLOCK + 1,
+                          q_grid=(0.5,), alpha_grid=(0.3,)), workers=1)
+    assert 0 < suite_calls < len(columns)
+    assert max(columns) <= BLOCK // 2
 
 
 def test_qcalc_suite_fails_on_a_wrong_dq_core(monkeypatch):
