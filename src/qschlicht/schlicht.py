@@ -22,7 +22,8 @@ the exact angles, within 4.3e-16 sum |c_n| r^n for f1 and f2 at order 192
 (Horner at the rounded grid points: 1.0e-15).  The certificate core takes a
 batch of members as the columns of one (N + 1, members) array (the membership
 suite passes 64), transforms FFT_CHUNK = 4 of them at a time, and reports on
-each bitwise as on the member alone.  Because the inputs are
+each bitwise as on the member alone.  It reads |g - alpha q| as q |u(qz) -
+alpha u(z)|/|u(z)|, with no complex division.  Because the inputs are
 truncated series, every evaluation carries a truncation-error estimate; a
 grid point only counts as a violation when the excess
 |g - alpha q| - (1 - alpha) exceeds the tolerance by more than the estimated
@@ -154,13 +155,13 @@ def _certify(u: np.ndarray, params: ClassParams, criterion: str) -> list:
             idx = int(np.argmin(den_abs[np.argmax(low)]))
             raise EvaluationSingularityError(
                 f"denominator vanished at grid point {_POINTS.ravel()[idx]:.6f}")
-        g = np.divide(np.multiply(q, num, out=num), den, out=num)
         den_tail, num_tail = tails[lo:lo + FFT_CHUNK].swapaxes(0, 1)
-        np.abs(g, out=abs_g)
-        if alpha == 0.0:  # |g - alpha q| is |g|
+        np.divide(np.multiply(q, np.abs(num, out=abs_g), out=abs_g), den_abs, out=abs_g)
+        if alpha == 0.0:  # |g - alpha q| is |g| = q |num|/|den|
             excess[:] = abs_g
-        else:
-            np.abs(np.subtract(g, alpha * q, out=g), out=excess)
+        else:  # q |num - alpha den|/|den|
+            np.abs(np.subtract(num, np.multiply(alpha, den, out=den), out=den), out=excess)
+            np.divide(np.multiply(q, excess, out=excess), den_abs, out=excess)
         excess -= 1.0 - alpha
         err = np.add(q * num_tail, np.multiply(abs_g, den_tail, out=abs_g), out=abs_g)
         err /= den_abs

@@ -303,10 +303,12 @@ class TestMembershipCertificates:
             assert rep.passed, (q, rep.worst_margin)
 
     @staticmethod
-    def _grid_margins(u, params, horner=False):
+    def _grid_margins(u, params, horner=False, quotient=False):
         """Error-adjusted excess and error estimate at every grid point,
         from the polar evaluator at the exact angles or, with ``horner``,
-        from Horner at the rounded grid points."""
+        from Horner at the rounded grid points.  The moduli of the ratio are
+        the kernel's, q |num|/|den| and q |num - alpha den|/|den|; with
+        ``quotient`` they are read from g = q num/den instead."""
         q, alpha = params.q, params.alpha
         z = _POINTS
         if horner:
@@ -314,10 +316,15 @@ class TestMembershipCertificates:
         else:
             ramp, powers = _grid_tables(q, u.order)
             den, num = np.split(_polar_values(u.coeffs[:, None], ramp, powers)[0], 2)
-        g = q * num / den
+        if quotient:
+            g = q * num / den
+            abs_g, excess = np.abs(g), np.abs(g - alpha * q)
+        else:
+            abs_g = q * np.abs(num) / np.abs(den)
+            excess = abs_g if alpha == 0.0 else q * np.abs(num - alpha * den) / np.abs(den)
         tails = [ps.tail_estimate(u, s * RADII)[:, None] for s in (q, 1.0)]
-        err = (q * tails[0] + np.abs(g) * tails[1]) / np.abs(den)
-        return z, np.abs(g - alpha * q) - (1.0 - alpha) - err, err
+        err = (q * tails[0] + abs_g * tails[1]) / np.abs(den)
+        return z, excess - (1.0 - alpha) - err, err
 
     def test_real_member_reports_the_upper_conjugate_of_the_tie(self):
         # f1 has real coefficients, so z and conj z tie; rounding favoured
@@ -358,6 +365,31 @@ class TestMembershipCertificates:
         ties = (z, z.conjugate(), -z, -z.conjugate())
         idx = np.argmax(margins)
         assert min(abs(t.ravel()[idx] - rep.worst_point) for t in ties) < 1e-12
+
+    @pytest.mark.parametrize("q", Q_GRID)
+    @pytest.mark.parametrize("alpha", ALPHA_GRID)
+    def test_moduli_match_the_complex_quotient(self, q, alpha):
+        # f1, f2, E_q, the half-plane map and 8 sampled members: the moduli
+        # move a worst margin by rounding only, and nothing else
+        params = ClassParams(q=q, alpha=alpha, order=192)
+        f1, f2 = _generators(params)
+        geo = ps.TruncatedSeries(np.r_[0.0, np.ones(192)])
+        cfg = SweepConfig(functional="h22", seed=3, samples=8, q_grid=(q,))
+        m = _moments(*group_samples(cfg, 0), params.order - 1)
+        sampled = _starlike_core(_p_coeffs(m), q, alpha)[1:]  # Dq of convex members
+        us = [ps.div_z(f1), ps.div_z(f2), dq(eq_series(params), q), dq(geo, q)] + [
+            ps.TruncatedSeries(c) for c in sampled.T]
+        for k, u in enumerate(us):
+            rep = _certify(u.coeffs[:, None], params, "starlike" if k < 2 else "convex")[0]
+            z, margins, err = self._grid_margins(u, params, quotient=True)
+            assert abs(rep.worst_margin - margins.max()) <= 1e-15
+            assert rep.passed == (margins.max() <= rep.tol)
+            assert rep.unresolved == int(np.count_nonzero(err > rep.tol))
+            point = complex(z.ravel()[np.argmax(margins)])
+            if not np.any(u.coeffs.imag):  # the kernel's report of a tie
+                even = not np.any(u.coeffs[1::2])
+                point = complex(abs(point.real) if even else point.real, abs(point.imag))
+            assert rep.worst_point == point
 
     def test_complex_member_reports_its_grid_point(self):
         params = ClassParams(q=0.5, alpha=0.3, order=64)

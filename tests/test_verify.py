@@ -165,17 +165,15 @@ def _loop_herglotz(q, alpha, samples, seed):
         return [CheckResult("measure representation requires alpha = 0", False,
                             f"alpha = {alpha}")]
     params = ClassParams(q=q, alpha=0.0, order=16)
-    worst = 0.0
-    for m in _measures(seed, samples):
-        f_a = _functional_equation_member(p_series(m, params.order), params)
+    lnq = math.log(q)
+    worst = worst_log = 0.0
+    for m in _measures(seed, samples):  # both rows read the same samples
+        p = p_series(m, params.order)
+        f_a = _functional_equation_member(p, params)
         f_b = starlike_from_p(p_series(m, params.order - 1), params)
         diff = np.abs(f_a.coeffs - f_b.coeffs) / np.maximum(1.0, np.abs(f_a.coeffs))
         worst = max(worst, float(diff.max()))
-    lnq = math.log(q)
-    worst_log = 0.0
-    for m in _measures(seed + 1, samples):
-        p = p_series(m, params.order)
-        phi = ps.log(ps.div_z(_functional_equation_member(p, params)))
+        phi = ps.log(ps.div_z(f_a))
         target = p.coeffs[1:params.order] * lnq / (
             np.power(q, np.arange(1, params.order)) - 1.0)
         worst_log = max(worst_log, float(np.abs(phi.coeffs[1:] - target).max()))
@@ -268,6 +266,20 @@ def test_herglotz_rows_pass_down_to_their_smallest_q():
     for q in (0.199, 1e-12):
         with pytest.raises(RangeError, match="herglotz suite needs q >= 0.2"):
             run_suite("herglotz", q, 0.0, 200, 1)
+
+
+def test_herglotz_rows_read_only_their_seeds_stream(monkeypatch):
+    # both rows score the samples of the suite's seed, drawn once, as every suite does
+    seeds = []
+
+    def recording(score, seed, *args):
+        seeds.append(seed)
+        return explorer._sample_maxima(score, seed, *args)
+
+    monkeypatch.setattr(verify, "_sample_maxima", recording)
+    rows = run_suite("herglotz", 0.5, 0.0, 100, 7)
+    assert seeds == [7]
+    assert len(rows) == 2 and all(r.passed for r in rows)
 
 
 @pytest.mark.parametrize("q", [0.2, 0.5, 0.8])
