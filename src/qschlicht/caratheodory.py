@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, RangeError
+from .errors import RangeError
 from .power_series import TruncatedSeries, _contract
 from .q_calculus import _check_count
 
@@ -215,13 +215,13 @@ def extend_p23(p1: float, xi: complex, zeta: complex) -> tuple[complex, complex]
 
 
 def _check_seed(seed) -> int:
-    """The seed as an int; ConfigError unless it is a non-negative integer."""
+    """The seed as an int; RangeError unless it is a non-negative integer."""
     try:
         if operator.index(seed) >= 0:
             return operator.index(seed)
     except TypeError:
         pass
-    raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+    raise RangeError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 def _fill_rows(seed: int, spawn_key: tuple, block, lo: int,

@@ -1,9 +1,9 @@
 """Exception types raised by the library.
 
 Everything derives from QschlichtError so callers can catch broadly.  An
-argument outside its domain is a RangeError (a ValueError), whatever the
-argument; a certificate or summation that cannot finish is an
-ArithmeticError.
+argument outside its domain or inconsistent with another is a RangeError (a
+ValueError), whatever the argument and whichever entry point sees it; a
+certificate or summation that cannot finish is an ArithmeticError.
 """
 
 
@@ -12,11 +12,7 @@ class QschlichtError(Exception):
 
 
 class RangeError(QschlichtError, ValueError):
-    """A numeric argument is outside its documented domain."""
-
-
-class ConfigError(QschlichtError, ValueError):
-    """A sweep or CLI configuration is inconsistent."""
+    """An argument outside its domain or inconsistent with another one."""
 
 
 class EvaluationSingularityError(QschlichtError, ArithmeticError):

@@ -52,8 +52,8 @@ import numpy as np
 from . import __version__
 from .caratheodory import MAX_ATOMS, RNG_NAME, TWO_PI, AtomicMeasure, \
     _check_seed, _fill_rows, _moments, _p_coeffs, measure_from_dict
-from .errors import ConfigError, RangeError
-from .extremal import _generators, f1_series
+from .errors import RangeError
+from .extremal import _generators, f1_series, f_exponent_series
 from .functionals import Bound, _fs, _h2, bieberbach_bound_convex, \
     fekete_szego_value, fs_bound, hankel_bound, hankel_value
 from .power_series import MAX_ORDER
@@ -86,10 +86,10 @@ def resolve_workers(workers: int | None = None) -> int:
         if not env:
             return _cpu_count() or 1
         if not env.strip().isdecimal() or int(env) < 1:
-            raise ConfigError(
+            raise RangeError(
                 f"QSCHLICHT_THREADS must be a positive integer, got {env!r}")
         return int(env)
-    return _check_count(workers, "worker count", 1, None, ConfigError)
+    return _check_count(workers, "worker count", 1)
 
 
 @dataclass(frozen=True)
@@ -106,34 +106,24 @@ class SweepConfig:
 
     def __post_init__(self):
         if self.functional not in FUNCTIONALS:
-            raise ConfigError(f"functional must be one of {FUNCTIONALS}")
+            raise RangeError(f"functional must be one of {FUNCTIONALS}")
         if self.functional == "fs" and not self.mu_grid:
-            raise ConfigError("fs sweeps need a non-empty mu_grid")
+            raise RangeError("fs sweeps need a non-empty mu_grid")
         if self.functional != "fs" and self.mu_grid:
-            raise ConfigError("mu_grid applies only to fs sweeps")
+            raise RangeError("mu_grid applies only to fs sweeps")
         object.__setattr__(self, "seed", _check_seed(self.seed))
         # k_atoms >= 2: a sweep sample keeps (i % (k_atoms - 1)) + 2 atoms
         for name, lo, hi in (("samples", 1, None), ("k_atoms", 2, MAX_ATOMS),
                              ("n_check", 2, MAX_ORDER)):
-            object.__setattr__(self, name, _check_count(
-                getattr(self, name), name, lo, hi, ConfigError))
+            object.__setattr__(self, name,
+                               _check_count(getattr(self, name), name, lo, hi))
         if not self.q_grid or not self.alpha_grid:
-            raise ConfigError("q_grid and alpha_grid must be non-empty")
-        for q in self.q_grid:
-            if not (0.0 < q < 1.0):
-                raise ConfigError(f"q grid value {q} outside (0, 1)")
-        for a in self.alpha_grid:
-            if not (0.0 <= a < 1.0):
-                raise ConfigError(f"alpha grid value {a} outside [0, 1)")
-        for mu in self.mu_grid:
-            if not cmath.isfinite(complex(mu)):
-                raise ConfigError(f"mu grid value {mu} is not finite")
-            for q, a in itertools.product(self.q_grid, self.alpha_grid):
-                try:
-                    fs_bound(ClassParams(q=q, alpha=a), mu)
-                except RangeError as exc:
-                    raise ConfigError(
-                        f"mu grid value {mu} at q = {q}, alpha = {a}: {exc}") from exc
+            raise RangeError("q_grid and alpha_grid must be non-empty")
+        for q, a in itertools.product(self.q_grid, self.alpha_grid):
+            params = ClassParams(q=q, alpha=a)
+            f_exponent_series(params)  # checks the log ratio every run reads
+            for mu in self.mu_grid:
+                fs_bound(params, mu)
         object.__setattr__(self, "q_grid", tuple(float(q) for q in self.q_grid))
         object.__setattr__(self, "alpha_grid", tuple(float(a) for a in self.alpha_grid))
         object.__setattr__(self, "mu_grid", tuple(complex(m) for m in self.mu_grid))
@@ -211,10 +201,10 @@ def evaluate_measure(functional: str, m: AtomicMeasure, q: float, alpha: float,
     has that angle 0, so it scores bitwise the same here as in the sweep.
     """
     if functional not in FUNCTIONALS:
-        raise ConfigError(f"unknown functional {functional!r}")
+        raise RangeError(f"unknown functional {functional!r}")
     if functional == "fs" and (mu is None or not cmath.isfinite(complex(mu))):
-        raise ConfigError(f"fs needs a finite mu, got {mu!r}")
-    n_check = _check_count(n_check, "n_check", 2, MAX_ORDER, ConfigError)
+        raise RangeError(f"fs needs a finite mu, got {mu!r}")
+    n_check = _check_count(n_check, "n_check", 2, MAX_ORDER)
     ClassParams(q=q, alpha=alpha)  # validates q and alpha
     key = None if functional == "bieberbach" else mu
     score = _scorer(functional, q, alpha, (key,), n_check)
@@ -418,7 +408,7 @@ def run_limit_sweep(q_list, alpha: float) -> list[dict]:
     applies for every alpha.
     """
     if not q_list:
-        raise ConfigError("q_list must be non-empty")
+        raise RangeError("q_list must be non-empty")
     rows = []
     for q in q_list:
         params = ClassParams(q=float(q), alpha=float(alpha), order=16)
@@ -467,14 +457,14 @@ def _emit(obj, out: list):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
         if not math.isfinite(obj):
-            raise ConfigError(f"cannot canonically serialize the float {obj}")
+            raise RangeError(f"cannot canonically serialize the float {obj}")
         out.append(_fmt_float(obj))
     elif isinstance(obj, dict):
         keys = sorted(obj.keys())
         out.append("{")
         for i, key in enumerate(keys):
             if not isinstance(key, str):
-                raise ConfigError("canonical JSON requires string keys")
+                raise RangeError("canonical JSON requires string keys")
             if i:
                 out.append(",")
             out.append(json.dumps(key))
@@ -489,7 +479,7 @@ def _emit(obj, out: list):
             _emit(item, out)
         out.append("]")
     else:
-        raise ConfigError(f"cannot canonically serialize {type(obj)!r}")
+        raise RangeError(f"cannot canonically serialize {type(obj)!r}")
 
 
 def canonical_json(report: dict) -> str:

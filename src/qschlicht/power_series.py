@@ -79,26 +79,6 @@ def zero(order: int) -> TruncatedSeries:
     return TruncatedSeries(np.zeros(order + 1, dtype=np.complex128))
 
 
-def one(order: int) -> TruncatedSeries:
-    c = np.zeros(order + 1, dtype=np.complex128)
-    c[0] = 1.0
-    return TruncatedSeries(c)
-
-
-def identity(order: int) -> TruncatedSeries:
-    """The series z."""
-    c = np.zeros(order + 1, dtype=np.complex128)
-    if order >= 1:
-        c[1] = 1.0
-    return TruncatedSeries(c)
-
-
-def truncate(a: TruncatedSeries, order: int) -> TruncatedSeries:
-    if order >= a.order:
-        return a
-    return TruncatedSeries(a.coeffs[: order + 1])
-
-
 def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Cauchy product, truncated to the shorter operand."""
     n = min(a.order, b.order)

@@ -37,16 +37,15 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
-def _check_count(value, name: str, lo: int, hi: int | None = None,
-                 error=RangeError) -> int:
+def _check_count(value, name: str, lo: int, hi: int | None = None) -> int:
     """value as an int in [lo, hi] (no upper limit when hi is None), else
-    error; a float count is refused, not truncated."""
+    RangeError; a float count is refused, not truncated."""
     try:
         n = operator.index(value)
     except TypeError:
-        raise error(f"{name} must be an integer, got {value!r}") from None
+        raise RangeError(f"{name} must be an integer, got {value!r}") from None
     if n < lo or (hi is not None and n > hi):
-        raise error(f"{name} must be at least {lo}, got {n}" if hi is None
+        raise RangeError(f"{name} must be at least {lo}, got {n}" if hi is None
                     else f"{name} must lie in [{lo}, {hi}], got {n}")
     return n
 

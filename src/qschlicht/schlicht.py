@@ -43,7 +43,7 @@ import numpy as np
 
 from . import power_series as ps
 from .caratheodory import AtomicMeasure, _moments
-from .errors import ConfigError, EvaluationSingularityError, RangeError
+from .errors import EvaluationSingularityError, RangeError
 from .extremal import _exponent_core, f_exponent_series
 from .power_series import TruncatedSeries
 from .q_calculus import ClassParams, _iq_core, dq, iq
@@ -298,5 +298,5 @@ def alexander_pair(f_or_g: TruncatedSeries, direction: str,
         return ps.times_z(dq(f_or_g, params.q))
     if direction == "to_convex":
         return iq(ps.div_z(f_or_g), params.q)
-    raise ConfigError(f"unknown direction {direction!r}")
+    raise RangeError(f"unknown direction {direction!r}")
 

@@ -12,7 +12,7 @@ from qschlicht.caratheodory import (_COS, _SIN, MAX_ATOMS, AtomicMeasure,
                                     _phase, dump_measure, extend_p23,
                                     load_measure, measure_from_dict, p_series,
                                     sample_measure)
-from qschlicht.errors import ConfigError, RangeError
+from qschlicht.errors import RangeError
 from qschlicht.explorer import refine_measure
 from parametrization_inverse import DegenerateParametrizationError, \
     recover_xi_zeta, rotation_normalized
@@ -201,7 +201,7 @@ class TestSampling:
     @pytest.mark.parametrize("seed", [-1, 1.5])
     def test_seed_must_be_a_non_negative_integer(self, seed):
         # int(1.5) would draw seed 1's measure
-        with pytest.raises(ConfigError, match="seed"):
+        with pytest.raises(RangeError, match="seed"):
             sample_measure(seed, 4)
 
     def test_rotation_normalization(self):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from qschlicht.caratheodory import MAX_ATOMS, TWO_PI, AtomicMeasure, \
     _fill_rows, _moments, _p_coeffs, _phase, measure_from_dict, p_series
-from qschlicht.errors import ConfigError
+from qschlicht.errors import RangeError
 from qschlicht.explorer import (BLOCK, CSV_HEADER, FUNCTIONALS,
                                 MIN_SEPARATION, MIN_WEIGHT, VIOLATION_TOL,
                                 SweepConfig, _bieberbach_scores,
@@ -43,24 +43,24 @@ def fs_config(**kw):
 
 class TestConfig:
     def test_fs_requires_mu_grid(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(RangeError):
             SweepConfig(functional="fs", seed=1, samples=10, q_grid=(0.5,))
 
     def test_unknown_functional(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(RangeError):
             SweepConfig(functional="h23", seed=1, samples=10, q_grid=(0.5,))
 
     def test_grid_domain_checks(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(RangeError):
             fs_config(q_grid=(1.0,))
-        with pytest.raises(ConfigError):
+        with pytest.raises(RangeError):
             fs_config(alpha_grid=(-0.1,))
-        with pytest.raises(ConfigError):
+        with pytest.raises(RangeError):
             fs_config(samples=0)
 
     @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
     def test_seed_must_be_a_non_negative_integer(self, seed):
-        with pytest.raises(ConfigError, match="seed"):
+        with pytest.raises(RangeError, match="seed"):
             fs_config(seed=seed)
 
     def test_integer_seed_types_are_stored_as_int(self):
@@ -71,15 +71,15 @@ class TestConfig:
 
     def test_mu_grid_only_for_fs(self):
         for functional in ("h22", "bieberbach"):
-            with pytest.raises(ConfigError):
+            with pytest.raises(RangeError):
                 SweepConfig(functional=functional, seed=1, samples=10,
                             q_grid=(0.5,), mu_grid=(0.5,))
 
     def test_n_check_range(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(RangeError):
             SweepConfig(functional="bieberbach", seed=1, samples=10,
                         q_grid=(0.5,), n_check=1)
-        with pytest.raises(ConfigError):
+        with pytest.raises(RangeError):
             SweepConfig(functional="bieberbach", seed=1, samples=10,
                         q_grid=(0.5,), n_check=257)
         cfg = SweepConfig(functional="bieberbach", seed=1, samples=10,
@@ -91,31 +91,41 @@ class TestConfig:
     def test_counts_must_be_integers(self, field, value):
         # a float count used to end in a bare numpy TypeError
         base = dict(functional="bieberbach", seed=1, samples=10, q_grid=(0.5,))
-        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+        with pytest.raises(RangeError, match=f"{field} must be an integer"):
             SweepConfig(**{**base, field: value})
         cfg = SweepConfig(**{**base, field: np.int64(5)})
         assert type(getattr(cfg, field)) is int
 
     def test_evaluate_measure_n_check_must_be_an_integer(self):
         m = AtomicMeasure(np.array([1.0]), np.array([0.3]))
-        with pytest.raises(ConfigError, match="n_check must be an integer"):
+        with pytest.raises(RangeError, match="n_check must be an integer"):
             evaluate_measure("bieberbach", m, 0.5, 0.0, n_check=5.0)
 
     @pytest.mark.parametrize("mu", [math.nan, complex(0.0, math.inf)])
     def test_non_finite_mu_rejected(self, mu):
-        with pytest.raises(ConfigError, match="not finite"):
+        with pytest.raises(RangeError, match="mu must be finite"):
             fs_config(mu_grid=(0.5, mu))
+
+    @pytest.mark.parametrize("functional", FUNCTIONALS)
+    def test_cells_whose_log_ratio_rounds_to_one_are_refused(self, functional):
+        # at q 0.5, alpha 1 - 2**-53 the exponent's log ratio rounds to 1.0:
+        # h22 and bieberbach configs used to pass and fail inside run_sweep,
+        # and the fs config's message blamed its mu
+        with pytest.raises(RangeError, match=r"^log-ratio argument 1.0 escaped"):
+            SweepConfig(functional=functional, seed=1, samples=10,
+                        q_grid=(0.5,), alpha_grid=(1.0 - 2.0 ** -53,),
+                        mu_grid=(0.5,) if functional == "fs" else ())
 
     @pytest.mark.parametrize("mu", [1e308, complex(1e308, 1e308),
                                     complex(2e307, 2e307)])
     def test_mu_without_a_finite_fs_bound_rejected(self, mu):
-        with pytest.raises(ConfigError, match="fs bound .* is not finite"):
+        with pytest.raises(RangeError, match="fs bound .* is not finite"):
             fs_config(mu_grid=(0.5, mu))
 
     @pytest.mark.parametrize("mu", [None, math.nan, complex(math.inf, 0.0)])
     def test_evaluate_measure_needs_a_finite_mu_for_fs(self, mu):
         m = AtomicMeasure(np.array([1.0]), np.array([0.3]))
-        with pytest.raises(ConfigError, match="finite mu"):
+        with pytest.raises(RangeError, match="finite mu"):
             evaluate_measure("fs", m, 0.5, 0.0, mu=mu)
 
     @pytest.mark.parametrize("n_check", [1, 0, MAX_ORDER + 1])
@@ -124,7 +134,7 @@ class TestConfig:
         # n_check 1 used to score no degree and return 0.0, and n_check 0
         # raised a bare IndexError
         m = AtomicMeasure(np.array([1.0]), np.array([0.3]))
-        with pytest.raises(ConfigError, match="n_check must lie in"):
+        with pytest.raises(RangeError, match="n_check must lie in"):
             evaluate_measure("bieberbach", m, 0.5, 0.0, n_check=n_check)
         assert evaluate_measure("bieberbach", m, 0.5, 0.0, n_check=2) > 0.0
 
@@ -137,9 +147,9 @@ class TestConfig:
 
     def test_worker_count_must_be_a_positive_integer(self):
         # 2.5 used to run on 2 workers
-        with pytest.raises(ConfigError, match="worker count must be an integer"):
+        with pytest.raises(RangeError, match="worker count must be an integer"):
             resolve_workers(2.5)
-        with pytest.raises(ConfigError, match="worker count must be at least 1"):
+        with pytest.raises(RangeError, match="worker count must be at least 1"):
             resolve_workers(0)
 
 
@@ -171,7 +181,7 @@ class TestSampling:
 
     def test_one_atom_sweeps_are_refused(self):
         # every sample of a one-atom sweep would be the unit mass at 0
-        with pytest.raises(ConfigError, match=r"k_atoms must lie in \[2, 8\]"):
+        with pytest.raises(RangeError, match=r"k_atoms must lie in \[2, 8\]"):
             fs_config(k_atoms=1)
 
 
@@ -973,12 +983,12 @@ class TestSerialization:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf,
                                        np.float64("nan")])
     def test_non_finite_floats_are_refused(self, value):
-        with pytest.raises(ConfigError, match="cannot canonically serialize"):
+        with pytest.raises(RangeError, match="cannot canonically serialize"):
             canonical_json({"cells": [{"slack": value}]})
 
     def test_unserializable_report_writes_no_file(self, tmp_path):
         path = tmp_path / "rep.json"
-        with pytest.raises(ConfigError):
+        with pytest.raises(RangeError):
             save_report({"x": math.nan}, path, csv_path=tmp_path / "rep.csv")
         assert list(tmp_path.iterdir()) == []
 

@@ -44,7 +44,7 @@ class TestBracket:
 
 class TestDq:
     def test_dq_of_z(self):
-        out = dq(ps.identity(3), 0.4)
+        out = dq(ps.from_coeffs([0, 1, 0, 0]), 0.4)
         assert np.allclose(out.coeffs, [1, 0, 0])
 
     def test_dq_of_z_squared(self):
@@ -75,15 +75,15 @@ class TestDq:
 
 class TestIq:
     def test_iq_of_one(self):
-        out = iq(ps.one(2), 0.5)
+        out = iq(ps.from_coeffs([1, 0, 0]), 0.5)
         assert np.allclose(out.coeffs, [0, 1, 0, 0])
 
     def test_iq_of_z(self):
-        out = iq(ps.identity(1), 0.5)
+        out = iq(ps.from_coeffs([0, 1]), 0.5)
         assert np.allclose(out.coeffs, [0, 0, 1 / 1.5])
 
     def test_order_grows_by_one(self):
-        assert iq(ps.one(5), 0.3).order == 6
+        assert iq(ps.from_coeffs([1] + [0] * 5), 0.3).order == 6
 
     def test_roundtrip_identities(self):
         rng = np.random.default_rng(5)

@@ -13,8 +13,7 @@ import pytest
 from qschlicht import power_series as ps
 from qschlicht.caratheodory import AtomicMeasure, _moments, _p_coeffs, \
     _phase, p_series, sample_measure
-from qschlicht.errors import ConfigError, EvaluationSingularityError, \
-    RangeError
+from qschlicht.errors import EvaluationSingularityError, RangeError
 from qschlicht.explorer import SweepConfig, group_samples
 from qschlicht.extremal import _exponent_core, _generators, eq_series, \
     f1_series, f2_series, f_exponent_series
@@ -31,7 +30,7 @@ ALPHA_GRID = (0.0, 0.3, 0.7)
 
 
 def constant_p(order):
-    return ps.one(order)
+    return ps.from_coeffs([1] + [0] * order)
 
 
 def unit_atom(angle=0.0):
@@ -75,7 +74,7 @@ class TestStarlikeFromP:
 
     def test_degenerate_p_gives_identity(self):
         f = starlike_from_p(constant_p(16), ClassParams(q=0.5, order=16))
-        assert np.allclose(f.coeffs, ps.identity(16).coeffs)
+        assert np.allclose(f.coeffs, ps.from_coeffs([0, 1] + [0] * 15).coeffs)
 
     def test_single_atom_values(self):
         f = starlike_from_p(p_series(unit_atom(), 8), ClassParams(q=0.5, order=8))
@@ -149,7 +148,8 @@ class TestStarlikeFromP:
 class TestConvexFromH:
     def test_degenerate_p_gives_identity(self):
         f = convex_from_h(constant_p(16), ClassParams(q=0.5, order=16))
-        assert np.abs(f.coeffs - ps.identity(16).coeffs).max() <= 1e-12
+        z = ps.from_coeffs([0, 1] + [0] * 15)
+        assert np.abs(f.coeffs - z.coeffs).max() <= 1e-12
 
     def test_matches_starlike_construction(self):
         # coefficients reach 2e4 at q=0.2, n=16, where float64 caps the
@@ -213,7 +213,7 @@ class TestConvexFromMeasure:
 
 class TestRhoMap:
     def test_identity_member_maps_to_constant(self):
-        f = ps.identity(12)
+        f = ps.from_coeffs([0, 1] + [0] * 11)
         h = rho_map(f, ClassParams(q=0.4, alpha=0.3, order=12))
         target = np.zeros(12, dtype=complex)
         target[0] = 0.4
@@ -245,14 +245,15 @@ class TestRhoMap:
 class TestMembershipCertificates:
     def test_identity_passes_starlike(self):
         params = ClassParams(q=0.5, order=16)
-        rep = membership_starlike(ps.identity(16), params)
+        rep = membership_starlike(ps.from_coeffs([0, 1] + [0] * 15), params)
         assert rep.passed
         assert rep.unresolved == 0
 
     def test_identity_passes_convex(self):
         for alpha in ALPHA_GRID:
             params = ClassParams(q=0.5, alpha=alpha, order=16)
-            assert membership_convex(ps.identity(16), params).passed
+            assert membership_convex(ps.from_coeffs([0, 1] + [0] * 15),
+                                     params).passed
 
     def test_one_atom_generator_passes(self):
         params = ClassParams(q=0.5, order=128)
@@ -586,7 +587,7 @@ class TestCertGrid:
 class TestAlexanderPair:
     def test_identity_fixed_point(self):
         params = ClassParams(q=0.5, order=12)
-        f = ps.identity(12)
+        f = ps.from_coeffs([0, 1] + [0] * 11)
         assert np.allclose(alexander_pair(f, "to_starlike", params).coeffs,
                            f.coeffs)
 
@@ -603,10 +604,11 @@ class TestAlexanderPair:
         params = ClassParams(q=0.5, alpha=0.3, order=24)
         g = alexander_pair(eq_series(params), "to_starlike", params)
         target = f_exponent_series(params)
-        expected = ps.times_z(ps.exp(ps.truncate(target, params.order - 1)))
+        expected = ps.times_z(ps.exp(ps.from_coeffs(target.coeffs[:params.order])))
         assert np.abs(g.coeffs[:params.order] - expected.coeffs[:params.order]).max() <= 1e-11
 
     def test_unknown_direction(self):
-        with pytest.raises(ConfigError):
-            alexander_pair(ps.identity(8), "sideways", ClassParams(q=0.5))
+        with pytest.raises(RangeError):
+            alexander_pair(ps.from_coeffs([0, 1] + [0] * 7), "sideways",
+                           ClassParams(q=0.5))
 

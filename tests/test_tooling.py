@@ -128,7 +128,8 @@ def test_membership_reports_carry_the_grid_the_tracer_reads():
     assert names
     params = ClassParams(q=0.5, alpha=0.3, order=8)
     for name in names:
-        grid = getattr(schlicht, name)(ps.identity(8), params).grid
+        z = ps.from_coeffs([0, 1] + [0] * 7)
+        grid = getattr(schlicht, name)(z, params).grid
         assert len(grid["radii"]) * grid["n_angles"] == schlicht._POINTS.size
         assert grid["criterion"] == name.removeprefix("membership_")
 
@@ -323,38 +324,54 @@ def test_every_sample_is_scored_by_the_one_sweep_scorer():
     assert not imported & (scores | {"_exponent_core"})
 
 
-#: public names that nothing outside tests/ uses yet, each with why it stays
+#: public module-level defs and classes of src/ that nothing outside tests/
+#: uses yet, each with why it stays
 UNUSED_PUBLIC_NAMES = {
     "extend_p23": "ROADMAP item 4 gives it a caller",
     "dump_measure": "writes the `coeffs --source measure:FILE` format",
+    "tail_estimate": "the reference that test_schlicht's _grid_margins "
+                     "checks the tails of schlicht._certify against",
 }
 
 
-def _names_used(path) -> set:
-    """Names a file reads, as a variable, an attribute or a whole string
-    (the tracer's targets); a def or class statement does not read its own
-    name."""
+def _names_used(path, own: bool) -> set:
+    """Names a file uses: imported by name, read as an attribute or named
+    as a whole string (the tracer's targets) and, in the ``own`` module of
+    the names, read as a bare name; a bare name elsewhere is a local that
+    only shares the name, and a def or class statement reads no name."""
     out = set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.Name):
-            out.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        if isinstance(node, ast.alias):
+            out.add(node.name)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             out.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             out.add(node.value)
+        elif own and isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
     return out
 
 
+def _public_defs(path) -> set:
+    return {node.name for node in
+            ast.parse(path.read_text(encoding="utf-8")).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")}
+
+
 def test_every_public_name_is_used_outside_tests():
-    files = [p for p in (ROOT / "src" / "qschlicht").glob("*.py")
-             if p.name != "__init__.py"]
-    files += list((ROOT / "demos").glob("*.py"))
-    files += list((ROOT / "perfbench").glob("*.py"))
-    used = set().union(*map(_names_used, files))
-    public = set(qs.__all__)
+    modules = [p for p in (ROOT / "src" / "qschlicht").glob("*.py")
+               if p.name != "__init__.py"]
+    files = modules + list((ROOT / "demos").glob("*.py")) \
+        + list((ROOT / "perfbench").glob("*.py"))
+    used = set().union(*(_names_used(p, own=False) for p in files))
+    defs = {path: _public_defs(path) for path in modules}
+    unused = set().union(*(names - used - _names_used(path, own=True)
+                           for path, names in defs.items()))
     assert all(UNUSED_PUBLIC_NAMES.values())
-    assert set(UNUSED_PUBLIC_NAMES) <= public, "allowlisted name left __all__"
-    assert sorted(public - used) == sorted(UNUSED_PUBLIC_NAMES)
+    assert set(UNUSED_PUBLIC_NAMES) <= set().union(*defs.values()), \
+        "allowlisted name left src/"
+    assert sorted(unused) == sorted(UNUSED_PUBLIC_NAMES)
 
 
 def test_every_error_class_is_raised_in_src():

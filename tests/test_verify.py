@@ -19,7 +19,7 @@ from qschlicht import power_series as ps
 from qschlicht import explorer, q_calculus, verify
 from qschlicht.caratheodory import MAX_ATOMS, AtomicMeasure, p_series, \
     sample_measure
-from qschlicht.errors import ConfigError, RangeError
+from qschlicht.errors import RangeError
 from qschlicht.explorer import BLOCK, SweepConfig, _bieberbach_scores, \
     _starlike_scores, group_samples, run_sweep
 from qschlicht.extremal import eq_series, f1_series, f2_series
@@ -315,7 +315,7 @@ def test_cross_check_rows_compare_two_routes(q, monkeypatch):
 @pytest.mark.parametrize("suite", SUITES)
 def test_seed_must_be_a_non_negative_integer(suite, seed):
     # 1.5 would otherwise draw seed 1's samples (qcalc: a numpy TypeError)
-    with pytest.raises(ConfigError, match="seed"):
+    with pytest.raises(RangeError, match="seed"):
         run_suite(suite, 0.5, 0.0, 5, seed)
 
 
@@ -324,6 +324,45 @@ def test_samples_must_be_an_integer(suite):
     # 2.5 used to end in a bare numpy TypeError
     with pytest.raises(RangeError, match="samples must be an integer"):
         run_suite(suite, 0.5, 0.0, 2.5, 1)
+
+
+def _entry_points(q, alpha):
+    """Each public entry point that takes a (q, alpha) cell, called at it."""
+    m = AtomicMeasure(np.array([0.5, 0.5]), np.array([0.0, 1.0]))
+    yield lambda: SweepConfig(functional="h22", seed=1, samples=5,
+                              q_grid=(q,), alpha_grid=(alpha,))
+    yield lambda: explorer.evaluate_measure("h22", m, q, alpha)
+    for suite in SUITES:
+        yield lambda suite=suite: run_suite(suite, q, alpha, 5, 1)
+
+
+@pytest.mark.parametrize(("q", "alpha"), [
+    (0.0, 0.0), (1.0, 0.0), (math.nan, 0.0), (0.5, -0.1), (0.5, 1.0)])
+def test_one_owner_rejects_the_class_domain(q, alpha):
+    # ClassParams owns q in (0, 1) and 0 <= alpha < 1; SweepConfig used to
+    # restate both checks and raise its own error class and message
+    with pytest.raises(RangeError) as owner:
+        ClassParams(q=q, alpha=alpha)
+    for call in _entry_points(q, alpha):
+        with pytest.raises(RangeError) as exc:
+            call()
+        assert str(exc.value) == str(owner.value)
+
+
+@pytest.mark.parametrize(("seed", "count", "match"), [
+    (-1, 5, "seed must be a non-negative integer, got -1"),
+    (1, 5.0, "must be an integer, got 5.0")], ids=["seed", "count"])
+def test_seeds_and_counts_are_rejected_as_range_errors(seed, count, match):
+    # a bad seed, and a bad count given to SweepConfig, used to raise a
+    # second error class
+    calls = [lambda: sample_measure(seed, count),
+             lambda: SweepConfig(functional="h22", seed=seed, samples=count,
+                                 q_grid=(0.5,))]
+    calls += [lambda suite=suite: run_suite(suite, 0.5, 0.0, count, seed)
+              for suite in SUITES]
+    for call in calls:
+        with pytest.raises(RangeError, match=match):
+            call()
 
 
 @pytest.mark.parametrize("q", [0.05, 0.2, 0.5, 0.8, 0.95])
